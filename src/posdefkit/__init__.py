@@ -111,4 +111,3 @@ from .catalog import (
     names,
     run_flag_check,
 )
-from ._accel import backend_name, numba_enabled

@@ -1,13 +1,9 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""Vectorized numpy kernels of the integral representations.
 
-Each kernel exists twice: a scalar-loop body that numba compiles, and a
-vectorized numpy twin used when numba is unavailable or disabled.  Selection
-happens once at import time: numba is used when it imports cleanly and the
-environment variable ``POSDEFKIT_NO_NUMBA`` is unset (any nonempty value
-forces the numpy path).  Both implementations stay importable so tests and
-benchmarks can compare them directly.
+Each kernel takes an array of lambda values (any array-like; scalars become
+length-1 arrays) and evaluates one basis function or weighted sum over it.
 
-Numerical conventions shared by both paths:
+Numerical conventions:
 
 - weighted exp sums are accumulated in log space per term, so an individually
   overflowing factor (huge weight, steep exp growth) cannot produce inf*0;
@@ -15,11 +11,12 @@ Numerical conventions shared by both paths:
   six-term Taylor branch for |lambda*u| < 1e-2.  The wide switch matters for
   ``e_lambda``: its direct form (expm1(-x) + x)/lam**2 cancels to x**2/2, so
   the relative error grows like 2*eps/x as x shrinks; at the 1e-2 boundary
-  both branches agree to ~5e-14 and the series is exact to ~5e-17 below it.
+  both branches agree to ~5e-14 and the series is exact to ~5e-17 below it;
+- the damped kernels fuse the factor exp(-lam*t0) into the basis function.
+  For |lambda*u| < 1 they multiply the expm1 form by it; beyond that they
+  use a difference of exponentials whose every term has a single exponent,
+  so large lam*|u| cannot make 0*inf.
 """
-
-import math
-import os
 
 import numpy as np
 
@@ -27,130 +24,11 @@ import numpy as np
 SERIES_SWITCH = 1e-2
 
 
-# ---------------------------------------------------------------------------
-# loop bodies (compiled by numba when available)
-
-
-def _loop_exp_weighted_sum(lam, w, t, k):
-    total = 0.0
-    for i in range(lam.shape[0]):
-        wi = w[i]
-        if wi <= 0.0:
-            continue
-        li = lam[i]
-        if li == 0.0:
-            if k == 0:
-                total += wi
-            continue
-        mag = math.log(wi) - li * t
-        if k > 0:
-            mag += k * math.log(abs(li))
-        term = math.exp(mag)
-        if li < 0.0 and (k % 2) == 1:
-            term = -term
-        total += term
-    return total
-
-
-def _loop_e_lambda(lam, u):
-    out = np.empty(lam.shape[0], dtype=np.float64)
-    for i in range(lam.shape[0]):
-        li = lam[i]
-        x = li * u
-        if li == 0.0:
-            out[i] = -0.5 * u * u
-        elif abs(x) < SERIES_SWITCH:
-            x2 = x * x
-            out[i] = -u * u * (
-                0.5 - x / 6.0 + x2 / 24.0 - x2 * x / 120.0 + x2 * x2 / 720.0
-                - x2 * x2 * x / 5040.0
-            )
-        else:
-            out[i] = -(math.expm1(-x) + x) / (li * li)
-    return out
-
-
-def _loop_e_lambda_dt(lam, u):
-    out = np.empty(lam.shape[0], dtype=np.float64)
-    for i in range(lam.shape[0]):
-        li = lam[i]
-        if li == 0.0:
-            out[i] = -u
-        else:
-            out[i] = math.expm1(-li * u) / li
-    return out
-
-
-def _loop_e_lambda_damped(lam, u, t0):
-    # e_lambda(u) * exp(-lam*t0) fused: the factors alone make 0*inf for
-    # large lam*|u|, while every term of the product has a negative exponent
-    out = np.empty(lam.shape[0], dtype=np.float64)
-    for i in range(lam.shape[0]):
-        li = lam[i]
-        x = li * u
-        if li == 0.0:
-            out[i] = -0.5 * u * u
-        elif abs(x) < SERIES_SWITCH:
-            x2 = x * x
-            poly = (
-                0.5 - x / 6.0 + x2 / 24.0 - x2 * x / 120.0 + x2 * x2 / 720.0
-                - x2 * x2 * x / 5040.0
-            )
-            out[i] = -u * u * poly * math.exp(-li * t0)
-        else:
-            out[i] = (math.exp(-li * t0) * (1.0 - x) - math.exp(-li * t0 - x)) / (li * li)
-    return out
-
-
-def _loop_e_lambda_dt_damped(lam, u, t0):
-    # expm1(-lam*u)/lam * exp(-lam*t0), fused for the same reason
-    out = np.empty(lam.shape[0], dtype=np.float64)
-    for i in range(lam.shape[0]):
-        li = lam[i]
-        x = li * u
-        if li == 0.0:
-            out[i] = -u
-        elif abs(x) < 1.0:
-            out[i] = math.expm1(-x) / li * math.exp(-li * t0)
-        else:
-            out[i] = (math.exp(-li * t0 - x) - math.exp(-li * t0)) / li
-    return out
-
-
-def _loop_f_lambda(lam, t):
-    out = np.empty(lam.shape[0], dtype=np.float64)
-    u = t - 1.0
-    for i in range(lam.shape[0]):
-        li = lam[i]
-        y = li * u
-        if li == 0.0:
-            out[i] = u
-        elif abs(y) < SERIES_SWITCH:
-            y2 = y * y
-            poly = (
-                1.0 - y / 2.0 + y2 / 6.0 - y2 * y / 24.0 + y2 * y2 / 120.0
-                - y2 * y2 * y / 720.0
-            )
-            out[i] = u * poly * math.exp(-li)
-        else:
-            # plain difference: exp(-li)*expm1(-y) makes 0*inf for t < 1
-            out[i] = (math.exp(-li) - math.exp(-li * t)) / li
-    return out
-
-
-def _loop_one_minus_exp(lam, t):
-    out = np.empty(lam.shape[0], dtype=np.float64)
-    for i in range(lam.shape[0]):
-        out[i] = -math.expm1(-lam[i] * t)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# vectorized numpy twins
-
-
-def _np_exp_weighted_sum(lam, w, t, k):
+def exp_weighted_sum(lam, w, t, k):
     """sum_i w_i * lam_i**k * exp(-lam_i*t) for w_i >= 0, integer k >= 0."""
+    lam = np.ascontiguousarray(lam, dtype=np.float64)
+    w = np.ascontiguousarray(w, dtype=np.float64)
+    t, k = float(t), int(k)
     keep = w > 0.0
     if not keep.any():
         return 0.0
@@ -173,8 +51,10 @@ def _np_exp_weighted_sum(lam, w, t, k):
     return total
 
 
-def _np_e_lambda(lam, u):
+def e_lambda_vals(lam, u):
     """(1 - lam*u - exp(-lam*u)) / lam**2 elementwise, stable near lam = 0."""
+    lam = np.ascontiguousarray(lam, dtype=np.float64)
+    u = float(u)
     x = lam * u
     small = np.abs(x) < SERIES_SWITCH
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -187,30 +67,32 @@ def _np_e_lambda(lam, u):
     return np.where(lam == 0.0, -0.5 * u * u, out)
 
 
-def _np_e_lambda_dt(lam, u):
-    """d/dt of e_lambda: expm1(-lam*u)/lam, with the lam = 0 limit -u."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        direct = np.expm1(-lam * u) / lam
-    return np.where(lam == 0.0, -u, direct)
-
-
-def _np_e_lambda_damped(lam, u, t0):
+def e_lambda_damped_vals(lam, u, t0):
     """e_lambda(u) * exp(-lam*t0) fused so large lam*|u| cannot make 0*inf."""
+    lam = np.ascontiguousarray(lam, dtype=np.float64)
+    u, t0 = float(u), float(t0)
     x = lam * u
-    small = np.abs(x) < SERIES_SWITCH
+    ax = np.abs(x)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        direct = (np.exp(-lam * t0) * (1.0 - x) - np.exp(-lam * t0 - x)) / (lam * lam)
+        damp = np.exp(-lam * t0)
+        # the difference form cancels like eps/x**2 for small x; below
+        # |x| = 1 the product form is accurate and expm1 cannot overflow
+        prod = -(np.expm1(-x) + x) * damp
+        diff = damp * (1.0 - x) - np.exp(-lam * t0 - x)
+        direct = np.where(ax < 1.0, prod, diff) / (lam * lam)
     x2 = x * x
     poly = (
         0.5 - x / 6.0 + x2 / 24.0 - x2 * x / 120.0 + x2 * x2 / 720.0 - x2 * x2 * x / 5040.0
     )
-    series = -u * u * poly * np.exp(-lam * t0)
-    out = np.where(small, series, direct)
+    series = -u * u * poly * damp
+    out = np.where(ax < SERIES_SWITCH, series, direct)
     return np.where(lam == 0.0, -0.5 * u * u, out)
 
 
-def _np_e_lambda_dt_damped(lam, u, t0):
+def e_lambda_dt_damped_vals(lam, u, t0):
     """expm1(-lam*u)/lam * exp(-lam*t0) in overflow-safe form."""
+    lam = np.ascontiguousarray(lam, dtype=np.float64)
+    u, t0 = float(u), float(t0)
     x = lam * u
     small = np.abs(x) < 1.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -220,13 +102,16 @@ def _np_e_lambda_dt_damped(lam, u, t0):
     return np.where(lam == 0.0, -u, out)
 
 
-def _np_f_lambda(lam, t):
+def f_lambda_vals(lam, t):
     """(exp(-lam) - exp(-lam*t)) / lam elementwise, with the lam = 0 limit t-1."""
+    lam = np.ascontiguousarray(lam, dtype=np.float64)
+    t = float(t)
     u = t - 1.0
     y = lam * u
     small = np.abs(y) < SERIES_SWITCH
     damp = np.exp(-lam)
     with np.errstate(divide="ignore", invalid="ignore"):
+        # plain difference: exp(-lam)*expm1(-y) makes 0*inf for t < 1
         direct = (damp - np.exp(-lam * t)) / lam
     y2 = y * y
     poly = 1.0 - y / 2.0 + y2 / 6.0 - y2 * y / 24.0 + y2 * y2 / 120.0 - y2 * y2 * y / 720.0
@@ -235,88 +120,7 @@ def _np_f_lambda(lam, t):
     return np.where(lam == 0.0, u, out)
 
 
-def _np_one_minus_exp(lam, t):
+def one_minus_exp_vals(lam, t):
     """1 - exp(-lam*t) elementwise via expm1."""
-    return -np.expm1(-lam * t)
-
-
-# ---------------------------------------------------------------------------
-# backend selection
-
-_HAVE_NUMBA = False
-if not os.environ.get("POSDEFKIT_NO_NUMBA"):
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:
-        _HAVE_NUMBA = False
-
-if _HAVE_NUMBA:
-    _jit_exp_weighted_sum = njit(cache=True)(_loop_exp_weighted_sum)
-    _jit_e_lambda = njit(cache=True)(_loop_e_lambda)
-    _jit_e_lambda_dt = njit(cache=True)(_loop_e_lambda_dt)
-    _jit_e_lambda_damped = njit(cache=True)(_loop_e_lambda_damped)
-    _jit_e_lambda_dt_damped = njit(cache=True)(_loop_e_lambda_dt_damped)
-    _jit_f_lambda = njit(cache=True)(_loop_f_lambda)
-    _jit_one_minus_exp = njit(cache=True)(_loop_one_minus_exp)
-
-
-def _as1d(x):
-    return np.ascontiguousarray(np.atleast_1d(np.asarray(x, dtype=np.float64)))
-
-
-if _HAVE_NUMBA:
-
-    def exp_weighted_sum(lam, w, t, k):
-        return _jit_exp_weighted_sum(_as1d(lam), _as1d(w), float(t), int(k))
-
-    def e_lambda_vals(lam, u):
-        return _jit_e_lambda(_as1d(lam), float(u))
-
-    def e_lambda_dt_vals(lam, u):
-        return _jit_e_lambda_dt(_as1d(lam), float(u))
-
-    def e_lambda_damped_vals(lam, u, t0):
-        return _jit_e_lambda_damped(_as1d(lam), float(u), float(t0))
-
-    def e_lambda_dt_damped_vals(lam, u, t0):
-        return _jit_e_lambda_dt_damped(_as1d(lam), float(u), float(t0))
-
-    def f_lambda_vals(lam, t):
-        return _jit_f_lambda(_as1d(lam), float(t))
-
-    def one_minus_exp_vals(lam, t):
-        return _jit_one_minus_exp(_as1d(lam), float(t))
-
-else:
-
-    def exp_weighted_sum(lam, w, t, k):
-        return _np_exp_weighted_sum(_as1d(lam), _as1d(w), float(t), int(k))
-
-    def e_lambda_vals(lam, u):
-        return _np_e_lambda(_as1d(lam), float(u))
-
-    def e_lambda_dt_vals(lam, u):
-        return _np_e_lambda_dt(_as1d(lam), float(u))
-
-    def e_lambda_damped_vals(lam, u, t0):
-        return _np_e_lambda_damped(_as1d(lam), float(u), float(t0))
-
-    def e_lambda_dt_damped_vals(lam, u, t0):
-        return _np_e_lambda_dt_damped(_as1d(lam), float(u), float(t0))
-
-    def f_lambda_vals(lam, t):
-        return _np_f_lambda(_as1d(lam), float(t))
-
-    def one_minus_exp_vals(lam, t):
-        return _np_one_minus_exp(_as1d(lam), float(t))
-
-
-def numba_enabled():
-    """True when the compiled fast path is active."""
-    return _HAVE_NUMBA
-
-
-def backend_name():
-    return "numba" if _HAVE_NUMBA else "numpy"
+    lam = np.ascontiguousarray(lam, dtype=np.float64)
+    return -np.expm1(-lam * float(t))

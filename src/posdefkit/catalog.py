@@ -23,13 +23,7 @@ from . import levykhin as lk
 from .diffcalc import bernstein_check, completely_monotone_check
 from .errors import InvalidMeasure, UnknownName
 from .funcs import FuncHandle, chebyshev_grid
-from .kernelcheck import (
-    cnd_check,
-    gram_minus,
-    gram_plus,
-    psd_check,
-    schoenberg_check,
-)
+from .kernelcheck import cnd_check, psd_check, schoenberg_check, window_gram
 from .measure import Envelope, FuncDensity, HeadBound, Measure
 from .reflection import reflection_negative_check, reflection_positive_check
 
@@ -557,25 +551,20 @@ def default_entries():
 def run_flag_check(entry, claim, n=12, tol=None):
     """Confirm one flag claim with the checker it names.
 
-    Kernel choice tracks the window: symmetric windows use the difference
-    kernel, half-line windows the sum kernel.
+    Kernel choice tracks the window (``window_gram``): symmetric windows use
+    the difference kernel, half-line windows the sum kernel.
     """
     f = entry.func
     lo, hi = entry.check_window
     flag = claim.flag
     if flag == "positive_definite":
-        grid = chebyshev_grid(lo, hi, n)
-        g = gram_minus(f, grid) if lo < 0 else gram_plus(f, grid)
+        g = window_gram(f, chebyshev_grid(lo, hi, n))
         routes = (("psd", psd_check(g, tol)),)
     elif flag == "negative_definite":
-        grid = chebyshev_grid(lo, hi, n)
-        if lo < 0:
-            g, kind = gram_minus(f, grid), "minus"
-        else:
-            g, kind = gram_plus(f, grid), "plus"
+        g = window_gram(f, chebyshev_grid(lo, hi, n))
         routes = (
             ("cnd", cnd_check(g, tol)),
-            ("schoenberg", schoenberg_check(f, grid, kind=kind, tol=tol)),
+            ("schoenberg", schoenberg_check(f, g.points, kind=g.kind, tol=tol)),
         )
     elif flag == "completely_monotone":
         grid = chebyshev_grid(max(lo, 0.0), hi, n)

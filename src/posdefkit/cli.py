@@ -34,10 +34,9 @@ from .kernelcheck import (
     INCONCLUSIVE,
     PASS,
     cnd_check,
-    gram_minus,
-    gram_plus,
     psd_check,
     schoenberg_check,
+    window_gram,
 )
 from .reflection import (
     boundary_derivative_check,
@@ -179,27 +178,21 @@ def _emit_error(args, message):
 
 def _cmd_check_pd(args):
     entry = _load_function(args)
-    grid = _build_grid(args, entry.check_window)
-    symmetric_window = float(grid.min()) < 0
-    gram = gram_minus(entry.func, grid) if symmetric_window else gram_plus(entry.func, grid)
+    gram = window_gram(entry.func, _build_grid(args, entry.check_window))
     v = psd_check(gram, args.tol)
-    record = {"check": "psd_minus" if symmetric_window else "psd_plus", **v.to_dict()}
+    record = {"check": f"psd_{gram.kind}", **v.to_dict()}
     return [record], _exit_for(v.verdict)
 
 
 def _cmd_check_nd(args):
     entry = _load_function(args)
-    grid = _build_grid(args, entry.check_window)
-    if float(grid.min()) < 0:
-        gram, kind = gram_minus(entry.func, grid), "minus"
-    else:
-        gram, kind = gram_plus(entry.func, grid), "plus"
+    gram = window_gram(entry.func, _build_grid(args, entry.check_window))
     v1 = cnd_check(gram, args.tol)
-    v2 = schoenberg_check(entry.func, grid, _parse_h_list(args.h_list),
-                          kind=kind, tol=args.tol)
+    v2 = schoenberg_check(entry.func, gram.points, _parse_h_list(args.h_list),
+                          kind=gram.kind, tol=args.tol)
     records = [
-        {"check": f"cnd_{kind}", **v1.to_dict()},
-        {"check": f"schoenberg_{kind}", **v2.to_dict()},
+        {"check": f"cnd_{gram.kind}", **v1.to_dict()},
+        {"check": f"schoenberg_{gram.kind}", **v2.to_dict()},
     ]
     return records, _exit_for(_combine(v1.verdict, v2.verdict))
 
@@ -374,8 +367,6 @@ _COMMANDS = {
 
 def _add_output_flags(sp):
     sp.add_argument("--json", action="store_true", help="emit the report as JSON")
-    sp.add_argument("--seed", type=int, default=None,
-                    help="echoed into the report; all grids are deterministic")
     sp.add_argument("--tol", type=float, default=None,
                     help="tolerance override (default scales with grid size)")
 

@@ -9,12 +9,10 @@ so psi' completely monotone forces Delta_delta^(k+1) psi <= 0.
 """
 
 import math
-from dataclasses import dataclass  # noqa: F401
 
 import numpy as np
 
 from .errors import DomainError, OrderTooHigh
-from .funcs import FuncHandle  # noqa: F401  (re-exported for callers)
 from .kernelcheck import FAIL, PASS, PositivityVerdict, default_tol, psd_check
 
 _EPS = np.finfo(float).eps

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteEntry, NotReflectionPositive
-from .funcs import chebyshev_grid, uniform_grid  # noqa: F401  (re-exported)
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -119,6 +118,17 @@ def gram_minus(f, points):
     pts = _check_points(points)
     args = 0.5 * np.abs(pts[:, None] - pts[None, :])
     return KernelGram(pts, np.asarray(f(args), dtype=np.float64), "minus")
+
+
+def window_gram(f, points):
+    """Gram of the kernel that fits the window of the points.
+
+    Points reaching below 0 get the difference kernel (``gram_minus``, the
+    group sense on symmetric windows), half-line points the sum kernel
+    (``gram_plus``, the transform sense); ``kind`` records which.
+    """
+    pts = _check_points(points)
+    return gram_minus(f, pts) if pts[0] < 0 else gram_plus(f, pts)
 
 
 def gram_custom(k2, points):

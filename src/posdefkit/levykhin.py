@@ -197,6 +197,8 @@ def synth_interval(rep, t, tol=1e-10, full=False):
 def synth_increasing(rep, t, tol=1e-10, full=False):
     """c + integral f_lam(t) dmu for t > 0; equals c exactly at t = 1."""
     t = float(t)
+    if not math.isfinite(t):
+        raise DomainError(f"synthesis needs a finite t, got {t:g}")
     if t <= 0:
         raise DomainError("increasing synthesis is defined for t > 0")
 
@@ -223,6 +225,8 @@ def synth_increasing(rep, t, tol=1e-10, full=False):
 def synth_bernstein(rep, t, tol=1e-10, full=False):
     """a + b*t + integral (1 - e^{-lam t}) dsigma for t > 0; nonnegative."""
     t = float(t)
+    if not math.isfinite(t):
+        raise DomainError(f"synthesis needs a finite t, got {t:g}")
     if t <= 0:
         raise DomainError("Bernstein synthesis is defined for t > 0")
 

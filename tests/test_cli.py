@@ -92,6 +92,14 @@ def test_synth_malformed_rep(tmp_path, capsys):
     assert cli.main(["synth", "--rep", str(tmp_path / "missing.json"), "--t", "1.0"]) == 2
 
 
+@pytest.mark.parametrize("t", ["nan", "inf"])
+@pytest.mark.parametrize("form", [[], ["--form", "reflection_negative"]])
+def test_synth_rejects_nonfinite_t(capsys, rep_file, t, form):
+    code, doc, _ = run_json(capsys, "synth", "--rep", rep_file, *form, "--t", t)
+    assert code == 2
+    assert doc == {"error": f"synthesis needs a finite t, got {t}"}
+
+
 def test_synth_nonconverged_exit(capsys, tmp_path):
     # an unreachable tolerance must be reported, not silently absorbed
     path = tmp_path / "pow.json"

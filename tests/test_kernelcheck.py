@@ -88,6 +88,16 @@ def test_gram_minus_matches_direct():
     np.testing.assert_allclose(G.entries, want, rtol=1e-15)
 
 
+def test_window_gram_picks_kernel_by_sign():
+    f = lambda t: np.exp(-np.abs(t))
+    sym = kc.window_gram(f, [-1.0, 0.5, 2.0])
+    assert sym.kind == "minus"
+    np.testing.assert_array_equal(sym.entries, kc.gram_minus(f, [-1.0, 0.5, 2.0]).entries)
+    half = kc.window_gram(f, [0.0, 0.5, 2.0])
+    assert half.kind == "plus"
+    np.testing.assert_array_equal(half.entries, kc.gram_plus(f, [0.0, 0.5, 2.0]).entries)
+
+
 def test_gram_custom():
     pts = np.array([0.5, 1.0, 2.0])
     G = kc.gram_custom(lambda x, y: np.minimum(x, y), pts)

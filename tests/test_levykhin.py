@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import posdefkit as pk
+from posdefkit import _accel
 from posdefkit import funcs as fns
 from posdefkit import levykhin as lk
 from posdefkit import measure as msr
@@ -48,6 +49,48 @@ def test_series_switch_matches_reference(lam, t):
     # both kernels stay accurate straight through the small-lambda switch
     assert lk.e_lambda(lam, t) == pytest.approx(e_ref(lam, t), rel=1e-12)
     assert lk.f_lambda(lam, t) == pytest.approx(f_ref(lam, t), rel=1e-12)
+
+
+def straddle_grid(u):
+    # lambdas on both sides of |lam*u| = 1e-2 (Taylor switch) and 1 (form switch)
+    scales = np.array([0.5, 0.9, 0.999, 1.001, 1.1, 2.0])
+    mags = np.concatenate([s * scales for s in (1e-2, 1.0)]) / abs(u)
+    return np.concatenate(([0.0], mags, -mags))
+
+
+def e_damped_ref(lam, u, t0):
+    lam, u, t0 = mp.mpf(lam), mp.mpf(u), mp.mpf(t0)
+    if lam == 0:
+        return float(-(u**2) / 2)
+    return float((1 - lam * u - mp.e ** (-lam * u)) / lam**2 * mp.e ** (-lam * t0))
+
+
+def e_dt_damped_ref(lam, u, t0):
+    lam, u, t0 = mp.mpf(lam), mp.mpf(u), mp.mpf(t0)
+    if lam == 0:
+        return float(-u)
+    return float((mp.e ** (-lam * u) - 1) / lam * mp.e ** (-lam * t0))
+
+
+@pytest.mark.parametrize("u", [-0.3, 0.7, 2.5])
+@pytest.mark.parametrize("t0", [0.0, 0.5, 3.0])
+def test_damped_kernels_match_reference(u, t0):
+    # a difference of exponentials below |lam*u| = 1 cancels to ~2e-12
+    lams = straddle_grid(u)
+    got = _accel.e_lambda_damped_vals(lams, u, t0)
+    want = [e_damped_ref(lam, u, t0) for lam in lams]
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    got = _accel.e_lambda_dt_damped_vals(lams, u, t0)
+    want = [e_dt_damped_ref(lam, u, t0) for lam in lams]
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("t", [1e-6, 0.3, 2.0, 40.0])
+def test_one_minus_exp_matches_reference(t):
+    lams = np.array([1e-9, 5e-5, 2e-3, 0.3, 4.0, 250.0, -1e-7, -0.7, -2.0])
+    got = _accel.one_minus_exp_vals(lams, t)
+    want = [float(1 - mp.e ** (-mp.mpf(lam) * mp.mpf(t))) for lam in lams]
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 def test_default_lambda_grid():

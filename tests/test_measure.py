@@ -1,14 +1,17 @@
 """Laplace transform quadrature against closed-form oracles."""
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import special
 
 import posdefkit as pk
+from posdefkit import _accel
 from posdefkit import measure as msr
 
 TOL = 1e-10
+mp.mp.dps = 40
 
 
 def exp_measure():
@@ -26,6 +29,27 @@ def test_atom_laplace_exact(seed):
         want = float(np.dot(w, np.exp(-lam * t)))
         assert lv.value == pytest.approx(want, rel=1e-14)
         assert lv.converged
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_exp_weighted_sum_odd_k_negative_lambda(k):
+    # odd k flips the sign of every negative-lambda term; lambda = 0 drops out
+    lam = np.array([-2.0, -0.7, -0.05, -1e-6, 0.0])
+    w = np.array([0.4, 1.3, 2.0, 0.9, 5.0])
+    for t in (0.1, 1.0, 4.0):
+        want = mp.fsum(
+            mp.mpf(wi) * mp.mpf(li) ** k * mp.e ** (-mp.mpf(li) * t) for li, wi in zip(lam, w)
+        )
+        got = _accel.exp_weighted_sum(lam, w, t, k)
+        assert got == pytest.approx(float(want), rel=1e-12, abs=0.0)
+
+
+def test_exp_weighted_sum_log_space_survives_huge_terms():
+    # individually overflowing factors must combine in log space
+    lam = np.array([-800.0])
+    w = np.array([1e-300])
+    got = _accel.exp_weighted_sum(lam, w, 1.0, 0)
+    assert got == pytest.approx(np.exp(np.log(1e-300) + 800.0), rel=1e-12)
 
 
 @pytest.mark.parametrize("t", [0.25, 1.0, 3.0])
