@@ -587,12 +587,4 @@ def lk_synth_value(entry, t, tol=1e-10):
     rep = entry.lk_data
     if rep is None:
         raise UnknownName(f"entry {entry.name!r} carries no representation data")
-    if entry.lk_form == "interval":
-        return lk.synth_interval(rep, t, tol)
-    if entry.lk_form == "increasing":
-        return lk.synth_increasing(rep, t, tol)
-    if entry.lk_form == "bernstein":
-        return lk.synth_bernstein(rep, t, tol)
-    if entry.lk_form == "reflection_negative":
-        return lk.synth_reflection_negative(rep, t, tol)
-    raise UnknownName(f"unknown representation form {entry.lk_form!r}")
+    return lk.synth(rep, t, tol, form=entry.lk_form)

@@ -248,31 +248,7 @@ def _cmd_polya(args):
 def _cmd_synth(args):
     with open(args.rep, encoding="utf-8") as fh:
         rep = lk.rep_from_json(fh.read())
-    if isinstance(rep, lk.LKIntervalRep):
-        native = "interval"
-    elif isinstance(rep, lk.LKIncreasingRep):
-        native = "increasing"
-    else:
-        native = "bernstein"
-    form = args.form or native
     tol = args.tol if args.tol is not None else 1e-10
-    if form == "reflection_negative":
-        if native != "bernstein":
-            raise ValueError("reflection_negative synthesis needs a bernstein representation")
-
-        def evaluate(t):
-            return lk.synth_reflection_negative(rep, t, tol, full=True)
-    elif form == native:
-        fn = {
-            "interval": lk.synth_interval,
-            "increasing": lk.synth_increasing,
-            "bernstein": lk.synth_bernstein,
-        }[form]
-
-        def evaluate(t):
-            return fn(rep, t, tol, full=True)
-    else:
-        raise ValueError(f"representation file has form {native!r}, not {form!r}")
     ts = [float(t) for t in (args.t or [])]
     if args.t_grid:
         lo, hi, n = args.t_grid.split(",")
@@ -282,7 +258,7 @@ def _cmd_synth(args):
     results = []
     all_converged = True
     for t in ts:
-        val = evaluate(t)
+        val = lk.synth(rep, t, tol, full=True, form=args.form)
         all_converged = all_converged and bool(val.converged)
         results.append({
             "t": t,

@@ -100,6 +100,8 @@ def _require_halfline(mu, what):
 class LKIntervalRep:
     """Scalars (t0, c, d) and a measure mu on the line; see synth_interval."""
 
+    form = "interval"
+
     t0: float
     c: float
     d: float
@@ -123,6 +125,8 @@ class LKIntervalRep:
 class LKIncreasingRep:
     """Scalar c = psi(1) and a measure mu on [0, inf); see synth_increasing."""
 
+    form = "increasing"
+
     c: float
     mu: msr.Measure
 
@@ -135,6 +139,8 @@ class LKIncreasingRep:
 @dataclass(frozen=True)
 class BernsteinRep:
     """Triple (a, b, sigma) with sigma on (0, inf) integrating min(1, lam)."""
+
+    form = "bernstein"
 
     a: float
     b: float
@@ -161,6 +167,27 @@ class BernsteinRep:
 # synthesis
 
 
+def _stub_reach(mu):
+    """Largest |lam| the unresolved stub of a function density reaches; 0 otherwise."""
+    dens = mu.density
+    if isinstance(dens, msr.FuncDensity):
+        return abs(dens.lo) + dens.head.cutoff
+    return 0.0
+
+
+def _synth(mu, kernel, g_head, g_tail, offset, t, tol, full, what):
+    """offset + integral kernel(lam) dmu, checked finite; a LaplaceValue when ``full``."""
+    part, bound = msr.integrate_against(
+        mu, lambda x, w: float(np.dot(w, kernel(x))), g_head, g_tail, tol
+    )
+    value = offset + part
+    if not math.isfinite(value):
+        raise DivergentIntegral(f"{what} overflowed at t = {t:g}")
+    if full:
+        return msr.LaplaceValue(value, bound, bound <= tol)
+    return value
+
+
 def synth_interval(rep, t, tol=1e-10, full=False):
     """c + d(t-t0) + integral e_lam(t) e^{-lam t0} dmu at t inside the interval.
 
@@ -171,27 +198,12 @@ def synth_interval(rep, t, tol=1e-10, full=False):
     a, b = rep.interval
     if not a < t < b:
         raise DomainError(f"t = {t:g} outside the open interval ({a:g}, {b:g})")
-    u = t - rep.t0
-    t0 = rep.t0
-
-    def g(x):
-        return _accel.e_lambda_damped_vals(np.asarray(x, dtype=np.float64), u, t0)
-
-    dens = rep.mu.density
-    if dens is None:
-        g_head, g_tail = (1.0, 0.0), (1.0, 0.0, 0.0)
-    else:
-        # |e_lam(u)| <= u^2/2 * e^{|lam u|} and the stub reaches lo + cutoff
-        amp = abs(dens.lo) + dens.head.cutoff
-        g_head = (0.5 * u * u * math.exp(amp * (abs(u) + abs(t0))), 0.0)
-        g_tail = (2.0 + abs(u), -1.0, min(t, t0))
-    part, bound = msr.integrate_against(rep.mu, g, g_head, g_tail, tol)
-    value = rep.c + rep.d * u + part
-    if not math.isfinite(value):
-        raise DivergentIntegral(f"interval synthesis overflowed at t = {t:g}")
-    if full:
-        return msr.LaplaceValue(value, bound, bound <= tol)
-    return value
+    u, t0 = t - rep.t0, rep.t0
+    # |e_lam(u)| <= u^2/2 * e^{|lam u|} over the stub
+    g_head = (0.5 * u * u * math.exp(_stub_reach(rep.mu) * (abs(u) + abs(t0))), 0.0)
+    return _synth(rep.mu, lambda x: _accel.e_lambda_damped_vals(x, u, t0), g_head,
+                  (2.0 + abs(u), -1.0, min(t, t0)), rep.c + rep.d * u, t, tol, full,
+                  "interval synthesis")
 
 
 def synth_increasing(rep, t, tol=1e-10, full=False):
@@ -201,25 +213,10 @@ def synth_increasing(rep, t, tol=1e-10, full=False):
         raise DomainError(f"synthesis needs a finite t, got {t:g}")
     if t <= 0:
         raise DomainError("increasing synthesis is defined for t > 0")
-
-    def g(x):
-        return _accel.f_lambda_vals(np.asarray(x, dtype=np.float64), t)
-
-    dens = rep.mu.density
-    if dens is None:
-        g_head, g_tail = (1.0, 0.0), (1.0, 0.0, 0.0)
-    else:
-        u = abs(t - 1.0)
-        amp = dens.lo + dens.head.cutoff
-        g_head = (u * math.exp(amp * u), 0.0)
-        g_tail = (2.0, -1.0, min(1.0, t))
-    part, bound = msr.integrate_against(rep.mu, g, g_head, g_tail, tol)
-    value = rep.c + part
-    if not math.isfinite(value):
-        raise DivergentIntegral(f"increasing synthesis overflowed at t = {t:g}")
-    if full:
-        return msr.LaplaceValue(value, bound, bound <= tol)
-    return value
+    u = abs(t - 1.0)
+    g_head = (u * math.exp(_stub_reach(rep.mu) * u), 0.0)
+    return _synth(rep.mu, lambda x: _accel.f_lambda_vals(x, t), g_head,
+                  (2.0, -1.0, min(1.0, t)), rep.c, t, tol, full, "increasing synthesis")
 
 
 def synth_bernstein(rep, t, tol=1e-10, full=False):
@@ -229,22 +226,11 @@ def synth_bernstein(rep, t, tol=1e-10, full=False):
         raise DomainError(f"synthesis needs a finite t, got {t:g}")
     if t <= 0:
         raise DomainError("Bernstein synthesis is defined for t > 0")
-
-    def g(x):
-        return _accel.one_minus_exp_vals(np.asarray(x, dtype=np.float64), t)
-
     dens = rep.sigma.density
-    if dens is not None and dens.lo == 0.0:
-        g_head = (t, 1.0)  # 1 - e^{-lam t} <= lam t
-    else:
-        g_head = (1.0, 0.0)
-    part, bound = msr.integrate_against(rep.sigma, g, g_head, (1.0, 0.0, 0.0), tol)
-    value = rep.a + rep.b * t + part
-    if not math.isfinite(value):
-        raise DivergentIntegral(f"Bernstein synthesis overflowed at t = {t:g}")
-    if full:
-        return msr.LaplaceValue(value, bound, bound <= tol)
-    return value
+    # 1 - e^{-lam t} <= lam t
+    g_head = (t, 1.0) if dens is not None and dens.lo == 0.0 else (1.0, 0.0)
+    return _synth(rep.sigma, lambda x: _accel.one_minus_exp_vals(x, t), g_head,
+                  (1.0, 0.0, 0.0), rep.a + rep.b * t, t, tol, full, "Bernstein synthesis")
 
 
 def synth_reflection_negative(rep, t, tol=1e-10, full=False):
@@ -253,6 +239,23 @@ def synth_reflection_negative(rep, t, tol=1e-10, full=False):
     if t == 0.0:
         return msr.LaplaceValue(rep.a, 0.0, True) if full else rep.a
     return synth_bernstein(rep, abs(t), tol, full)
+
+
+def synth(rep, t, tol=1e-10, full=False, form=None):
+    """Evaluate ``rep`` at t in ``form``, by default the representation's own.
+
+    A ``BernsteinRep`` also takes ``form="reflection_negative"``; any other
+    mismatch raises ``InvalidRep``.
+    """
+    native = rep.form
+    form = native if form is None else form
+    if native == "bernstein" and form == "reflection_negative":
+        return synth_reflection_negative(rep, t, tol, full)
+    if form != native:
+        raise InvalidRep(f"representation has form {native!r}, not {form!r}")
+    fn = {"interval": synth_interval, "increasing": synth_increasing,
+          "bernstein": synth_bernstein}[native]
+    return fn(rep, t, tol, full)
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +271,16 @@ def _vectorize(scalar_fn):
     return fn
 
 
+def _synth_handle(rep, tol, form, domain, name, deriv=None):
+    return FuncHandle(
+        fn=_vectorize(lambda t: synth(rep, t, tol, form=form)),
+        domain=domain,
+        deriv=deriv,
+        d_max=8 if deriv is not None else 0,
+        name=name,
+    )
+
+
 def interval_handle(rep, tol=1e-10):
     """FuncHandle for the interval synthesis with analytic derivatives.
 
@@ -277,34 +290,18 @@ def interval_handle(rep, tol=1e-10):
     """
 
     def d1(t):
-        u = t - rep.t0
-        t0 = rep.t0
-
-        def g(x):
-            return _accel.e_lambda_dt_damped_vals(np.asarray(x, dtype=np.float64), u, t0)
-
-        dens = rep.mu.density
-        if dens is None:
-            g_head, g_tail = (1.0, 0.0), (1.0, 0.0, 0.0)
-        else:
-            amp = abs(dens.lo) + dens.head.cutoff
-            g_head = ((abs(u) + 1.0) * math.exp(amp * (abs(u) + abs(t0))), 0.0)
-            g_tail = (2.0, -1.0, min(t, t0))
-        part, _ = msr.integrate_against(rep.mu, g, g_head, g_tail, tol)
-        return rep.d + part
+        u, t0 = t - rep.t0, rep.t0
+        g_head = ((abs(u) + 1.0) * math.exp(_stub_reach(rep.mu) * (abs(u) + abs(t0))), 0.0)
+        return _synth(rep.mu, lambda x: _accel.e_lambda_dt_damped_vals(x, u, t0), g_head,
+                      (2.0, -1.0, min(t, t0)), rep.d, t, tol, False,
+                      "interval first derivative")
 
     def deriv(t, k):
         if k == 1:
             return d1(float(t))
         return -msr.laplace_deriv(rep.mu, t, k - 2, tol).value
 
-    return FuncHandle(
-        fn=_vectorize(lambda t: synth_interval(rep, t, tol)),
-        domain=rep.interval,
-        deriv=deriv,
-        d_max=8,
-        name="interval_synth",
-    )
+    return _synth_handle(rep, tol, "interval", rep.interval, "interval_synth", deriv)
 
 
 def increasing_handle(rep, tol=1e-10):
@@ -314,13 +311,7 @@ def increasing_handle(rep, tol=1e-10):
     def deriv(t, k):
         return msr.laplace_deriv(rep.mu, t, k - 1, tol).value
 
-    return FuncHandle(
-        fn=_vectorize(lambda t: synth_increasing(rep, t, tol)),
-        domain=(0.0, math.inf),
-        deriv=deriv,
-        d_max=8,
-        name="increasing_synth",
-    )
+    return _synth_handle(rep, tol, "increasing", (0.0, math.inf), "increasing_synth", deriv)
 
 
 def bernstein_handle(rep, tol=1e-10):
@@ -333,22 +324,12 @@ def bernstein_handle(rep, tol=1e-10):
             val += rep.b
         return val
 
-    return FuncHandle(
-        fn=_vectorize(lambda t: synth_bernstein(rep, t, tol)),
-        domain=(0.0, math.inf),
-        deriv=deriv,
-        d_max=8,
-        name="bernstein_synth",
-    )
+    return _synth_handle(rep, tol, "bernstein", (0.0, math.inf), "bernstein_synth", deriv)
 
 
 def reflection_negative_handle(rep, tol=1e-10):
     """Even FuncHandle on the whole line (no derivatives: kink at 0)."""
-    return FuncHandle(
-        fn=_vectorize(lambda t: synth_reflection_negative(rep, t, tol)),
-        domain=(-math.inf, math.inf),
-        name="reflneg_synth",
-    )
+    return _synth_handle(rep, tol, "reflection_negative", (-math.inf, math.inf), "reflneg_synth")
 
 
 # ---------------------------------------------------------------------------

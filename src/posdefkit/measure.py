@@ -5,7 +5,9 @@ density.  Two density representations are supported:
 
 - :class:`GriddedDensity`: sampled values on a strictly increasing grid,
   integrated by the trapezoid rule or by per-cell Gauss-Legendre on the
-  piecewise-linear interpolant.  This is the JSON round-trip form.
+  piecewise-linear interpolant.  This is the JSON round-trip form.  Its
+  error bound covers the disagreement between quadrature rules on that
+  interpolant, not how well the interpolant models a continuous density.
 - :class:`FuncDensity`: a vectorized callable on an interval ``[lo, hi)``
   carrying an analytic bound near ``lo`` (:class:`HeadBound`) and, when
   ``hi`` is infinite, a tail :class:`Envelope`.  This form covers densities
@@ -13,10 +15,14 @@ density.  Two density representations are supported:
   against ``1 - exp(-lambda*t)``, which no fixed grid can represent at the
   tolerances used here.
 
-Integrals over function densities use composite 16-point Gauss-Legendre
-panels on a geometrically graded mesh toward ``lo``; the reported
-``truncation_bound`` adds the analytic stub and tail bounds to the observed
-refinement difference, so ``converged`` is an honest claim.
+Every integral (transforms, masses, the one-wedge integral and the
+syntheses in ``levykhin``) goes through :func:`integrate_against`, which
+sums atoms exactly and dispatches the density part to one of the two
+quadrature routines.  Integrals over function densities use composite
+16-point Gauss-Legendre panels on a geometrically graded mesh toward
+``lo``; the reported ``truncation_bound`` adds the analytic stub and tail
+bounds to the observed refinement difference, so ``converged`` is an
+honest claim.
 """
 
 import json
@@ -245,10 +251,10 @@ def _choose_truncation(env, g_power, g_decay, g_coef, lo, budget):
     raise DivergentIntegral("tail bound cannot be brought below tolerance; transform diverges")
 
 
-def _integrate_func_density(dens, combine, g_head, g_tail, tol, breaks=()):
-    """Integrate combine-against-density with stub/tail/refinement bounds.
+def _integrate_func_density(dens, wsum, g_head, g_tail, tol, breaks=()):
+    """Integrate wsum against the density with stub/tail/refinement bounds.
 
-    combine(nodes, weights) must return sum_i weights_i * g(nodes_i);
+    wsum(nodes, weights) must return sum_i weights_i * g(nodes_i);
     g_head = (coef, power) bounds |g| near lo; g_tail = (coef, power, decay)
     bounds |g| for large lambda (only used when the support is unbounded).
     """
@@ -276,7 +282,7 @@ def _integrate_func_density(dens, combine, g_head, g_tail, tol, breaks=()):
             if worst < -1e-12 * max(1.0, float(np.abs(rho).max())):
                 raise InvalidMeasure("density callable produced negative values")
             rho = np.maximum(rho, 0.0)
-        value = combine(nodes, rho * wts)
+        value = wsum(nodes, rho * wts)
         if prev is not None:
             quad_err = abs(value - prev)
             if quad_err <= budget:
@@ -287,32 +293,53 @@ def _integrate_func_density(dens, combine, g_head, g_tail, tol, breaks=()):
     return value, stub_bound + tail_bound + quad_err
 
 
-def _gl_cells(grid, values, g):
-    """Integral of g * piecewise-linear density over the grid, per-cell GL."""
-    x0, x1 = grid[:-1], grid[1:]
-    mid = 0.5 * (x0 + x1)
-    half = 0.5 * (x1 - x0)
-    nodes = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    flat = nodes.ravel()
-    rho = np.interp(flat, grid, values)
-    gv = np.asarray(g(flat), dtype=np.float64)
-    cell = (gv * rho).reshape(nodes.shape) @ _GL_WEIGHTS
-    return float(np.dot(cell, half))
+def _integrate_gridded(dens, wsum):
+    """Integrate wsum against the piecewise-linear interpolant of ``dens``.
 
+    Both rules feed nodes and weights to the same ``wsum``: the trapezoid
+    rule as node weights on the grid, Gauss-Legendre as 16 nodes per cell
+    (and per half cell, whose difference bounds the Gauss value).
+    """
+    grid, vals = dens.grid, dens.values
 
-def _integrate_gridded(dens, g):
-    gv = np.asarray(g(dens.grid), dtype=np.float64)
-    if not np.all(np.isfinite(gv)):
-        raise DivergentIntegral("integrand not finite on the density grid")
-    val_trap = float(np.trapezoid(gv * dens.values, dens.grid))
-    val_gl = _gl_cells(dens.grid, dens.values, g)
-    # refined split to estimate interpolant error of the GL value
-    fine = np.sort(np.concatenate([dens.grid, 0.5 * (dens.grid[:-1] + dens.grid[1:])]))
-    vals_fine = np.interp(fine, dens.grid, dens.values)
-    val_gl2 = _gl_cells(fine, vals_fine, g)
+    def gauss(edges):
+        nodes, wts = _panel_nodes(edges)
+        return float(wsum(nodes, wts * np.interp(nodes, grid, vals)))
+
+    val_gl = gauss(grid)
+    val_gl2 = gauss(np.sort(np.concatenate([grid, 0.5 * (grid[:-1] + grid[1:])])))
     if dens.rule == "trapezoid":
-        return val_trap, abs(val_trap - val_gl) + abs(val_gl - val_gl2)
-    return val_gl2, abs(val_gl2 - val_gl) + 1e-15 * abs(val_gl2)
+        half = 0.5 * np.diff(grid)
+        val = float(wsum(grid, vals * (np.append(half, 0.0) + np.insert(half, 0, 0.0))))
+        bound = abs(val - val_gl) + abs(val_gl - val_gl2)
+    else:
+        val, bound = val_gl2, abs(val_gl2 - val_gl) + 1e-15 * abs(val_gl2)
+    if not math.isfinite(val + bound):
+        raise DivergentIntegral("integrand not finite on the density grid")
+    return val, bound
+
+
+def integrate_against(mu, wsum, g_head=(1.0, 0.0), g_tail=(1.0, 0.0, 0.0), tol=1e-10, breaks=()):
+    """integral g(lam) dmu, the one quadrature entry point of the package.
+
+    The integrand is given as a weighted sum: ``wsum(x, w)`` returns
+    ``sum_i w_i * g(x_i)`` for node and weight arrays.  Atoms are summed
+    exactly through it.  For a function density, ``g_head = (coef, power)``
+    bounds |g| near its lower endpoint, ``g_tail = (coef, power, decay)``
+    bounds |g| for large lambda, and interior kinks of g listed in
+    ``breaks`` stay on panel edges.  Returns ``(value, bound)``.
+    """
+    lam, w = mu.atom_arrays()
+    total = float(wsum(lam, w)) if lam.size else 0.0
+    bound = 0.0
+    dens = mu.density
+    if isinstance(dens, FuncDensity):
+        part, bound = _integrate_func_density(dens, wsum, g_head, g_tail, tol, breaks)
+        total += part
+    elif dens is not None:
+        part, bound = _integrate_gridded(dens, wsum)
+        total += part
+    return total, bound
 
 
 # ---------------------------------------------------------------------------
@@ -348,28 +375,15 @@ def laplace_deriv(mu, t, k, tol=1e-10):
     if tol <= 0:
         raise ValueError("tol must be positive")
     t = float(t)
-    lam, w = mu.atom_arrays()
-    total = _accel.exp_weighted_sum(lam, w, t, k) if lam.size else 0.0
-    bound = 0.0
-    if mu.density is not None:
-        combine = lambda nodes, wts: _accel.exp_weighted_sum(nodes, wts, t, k)
-        if isinstance(mu.density, FuncDensity):
-            g_head = _laplace_g_head(mu.density, t, k)
-            g_tail = (1.0, float(k), t)
-            part, bound = _integrate_func_density(mu.density, combine, g_head, g_tail, tol)
-        else:
-            part, bound = _integrate_gridded(mu.density, lambda x: _pow_exp(x, t, k))
-        total += part
+    dens = mu.density
+    g_head = _laplace_g_head(dens, t, k) if isinstance(dens, FuncDensity) else (1.0, 0.0)
+    total, bound = integrate_against(
+        mu, lambda x, w: _accel.exp_weighted_sum(x, w, t, k), g_head, (1.0, float(k), t), tol
+    )
     value = (-1.0) ** k * total
     if not math.isfinite(value):
         raise DivergentIntegral("transform overflowed at t = %g" % t)
     return LaplaceValue(value, bound, bound <= tol)
-
-
-def _pow_exp(x, t, k):
-    if k == 0:
-        return np.exp(-x * t)
-    return np.sign(x) ** k * np.exp(k * np.log(np.maximum(np.abs(x), 1e-300)) - x * t) * (x != 0)
 
 
 def laplace(mu, t, tol=1e-10):
@@ -379,53 +393,35 @@ def laplace(mu, t, tol=1e-10):
 
 def total_mass(mu, tol=1e-10):
     """Total mass of the measure; raises ``DivergentIntegral`` when infinite."""
-    lam, w = mu.atom_arrays()
-    total = float(w.sum()) if w.size else 0.0
-    if mu.density is not None:
-        combine = lambda nodes, wts: float(wts.sum())
-        if isinstance(mu.density, FuncDensity):
-            part, _ = _integrate_func_density(
-                mu.density, combine, (1.0, 0.0), (1.0, 0.0, 0.0), tol
-            )
-        else:
-            part, _ = _integrate_gridded(mu.density, lambda x: np.ones_like(x))
-        total += part
-    return total
+    return integrate_against(mu, lambda x, w: float(w.sum()), tol=tol)[0]
+
+
+def _tail_density(dens, T):
+    """The density part of tail_mass, with no Gauss node straddling |lam| = T."""
+    if dens is None:
+        return None
+    if isinstance(dens, GriddedDensity):
+        # knots at +-T put every Gauss cell of the interpolant on one side of the cut
+        grid = np.union1d(dens.grid, [c for c in (-T, T) if dens.lo < c < dens.hi])
+        return GriddedDensity(grid, np.interp(grid, dens.grid, dens.values), "gauss-composite")
+    if dens.lo < -T:
+        raise InvalidMeasure("function densities do not extend below their finite lo")
+    if dens.hi <= T:
+        return None
+    if T <= dens.lo:
+        return dens
+    # shifted window [T, hi): no endpoint singularity, sample a head bound
+    probe = dens.fn(np.linspace(T, T + min(1.0, 0.1 * max(T, 1.0)), 9))
+    head = HeadBound(coef=4.0 * float(np.max(probe)) + 1e-300, power=0.0, cutoff=1.0)
+    return FuncDensity(dens.fn, T, dens.hi, head, dens.tail_env)
 
 
 def tail_mass(mu, T, tol=1e-8):
     """Mass of {|lam| > T}; raises ``DivergentIntegral`` when infinite."""
     if T < 0:
         raise ValueError("T must be nonnegative")
-    lam, w = mu.atom_arrays()
-    total = float(w[np.abs(lam) > T].sum()) if w.size else 0.0
-    dens = mu.density
-    if dens is None:
-        return total
-    if isinstance(dens, GriddedDensity):
-        sel = np.abs(dens.grid) > T
-        if sel.any():
-            indic = lambda x: (np.abs(x) > T).astype(float)
-            part, _ = _integrate_gridded(dens, indic)
-            total += part
-        return total
-    if dens.lo < -T:
-        raise InvalidMeasure("function densities do not extend below their finite lo")
-    if dens.hi <= T:
-        return total
-    cut = max(dens.lo, T)
-    if cut == dens.lo:
-        combine = lambda nodes, wts: float(wts.sum())
-        part, _ = _integrate_func_density(dens, combine, (1.0, 0.0), (1.0, 0.0, 0.0), tol)
-        total += part
-        return total
-    # shifted window [cut, hi): no endpoint singularity, sample a head bound
-    probe = dens.fn(np.linspace(cut, cut + min(1.0, 0.1 * max(cut, 1.0)), 9))
-    head = HeadBound(coef=4.0 * float(np.max(probe)) + 1e-300, power=0.0, cutoff=1.0)
-    window = FuncDensity(dens.fn, cut, dens.hi, head, dens.tail_env)
-    combine = lambda nodes, wts: float(wts.sum())
-    part, _ = _integrate_func_density(window, combine, (1.0, 0.0), (1.0, 0.0, 0.0), tol)
-    return total + part
+    tail = Measure(atoms=mu.atoms, density=_tail_density(mu.density, T))
+    return integrate_against(tail, lambda x, w: float(w[np.abs(x) > T].sum()), tol=tol)[0]
 
 
 def one_wedge_integral(sigma, tol=1e-10):
@@ -435,47 +431,15 @@ def one_wedge_integral(sigma, tol=1e-10):
     Bernstein synthesis; raises ``DivergentIntegral`` otherwise and
     ``InvalidMeasure`` if any support lies at or below zero.
     """
-    lam, w = sigma.atom_arrays()
-    if lam.size and np.any(lam <= 0):
-        raise InvalidMeasure("one-wedge integral needs support in (0, inf)")
-    total = float(np.dot(w, np.minimum(1.0, lam))) if lam.size else 0.0
+    lam, _ = sigma.atom_arrays()
     dens = sigma.density
-    if dens is None:
-        return total
-    if isinstance(dens, GriddedDensity):
-        if dens.lo < 0:
-            raise InvalidMeasure("one-wedge integral needs support in (0, inf)")
-        part, _ = _integrate_gridded(dens, lambda x: np.minimum(1.0, x))
-        total += part
-        return total
-    if dens.lo < 0:
+    if (lam.size and np.any(lam <= 0)) or (dens is not None and dens.lo < 0):
         raise InvalidMeasure("one-wedge integral needs support in (0, inf)")
-    combine = lambda nodes, wts: float(np.dot(wts, np.minimum(1.0, nodes)))
-    g_head = (1.0, 1.0) if dens.lo == 0.0 else (min(1.0, dens.lo + 1.0), 0.0)
+    g_head = (1.0, 1.0) if dens is None or dens.lo == 0.0 else (min(1.0, dens.lo + 1.0), 0.0)
     # min(1, lam) kinks at 1; keep that point on a panel edge
-    part, _ = _integrate_func_density(dens, combine, g_head, (1.0, 0.0, 0.0), tol, breaks=(1.0,))
-    return total + part
-
-
-def integrate_against(mu, g, g_head, g_tail, tol=1e-10):
-    """integral g(lam) dmu with caller-supplied envelopes for g.
-
-    ``g`` is a vectorized callable; ``g_head = (coef, power)`` bounds |g|
-    near the density's lower endpoint, ``g_tail = (coef, power, decay)``
-    bounds |g| for large lambda.  Atoms are summed exactly.  Returns
-    ``(value, bound)``.
-    """
-    lam, w = mu.atom_arrays()
-    total = float(np.dot(w, np.asarray(g(lam), dtype=np.float64))) if lam.size else 0.0
-    bound = 0.0
-    if mu.density is not None:
-        if isinstance(mu.density, FuncDensity):
-            combine = lambda nodes, wts: float(np.dot(wts, np.asarray(g(nodes), dtype=np.float64)))
-            part, bound = _integrate_func_density(mu.density, combine, g_head, g_tail, tol)
-        else:
-            part, bound = _integrate_gridded(mu.density, g)
-        total += part
-    return total, bound
+    return integrate_against(
+        sigma, lambda x, w: float(np.dot(w, np.minimum(1.0, x))), g_head, tol=tol, breaks=(1.0,)
+    )[0]
 
 
 # ---------------------------------------------------------------------------

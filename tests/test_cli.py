@@ -109,6 +109,27 @@ def test_synth_nonconverged_exit(capsys, tmp_path):
     assert "converged=false" in out
 
 
+def test_synth_gridded_rep_reports_nonconvergence(capsys, tmp_path):
+    mu = pk.Measure(
+        density=msr.GriddedDensity(np.array([0.0, 1.0, 5.0, 20.0]), np.array([1.0, 0.5, 0.2, 0.0])),
+        support=(0.0, 20.0),
+    )
+    path = tmp_path / "coarse.json"
+    path.write_text(lk.rep_to_json(lk.LKIntervalRep(t0=0.0, c=0.0, d=0.0, mu=mu)))
+    code, doc, _ = run_json(capsys, "synth", "--rep", str(path), "--t", "1.0")
+    assert code == 3
+    assert doc["results"][0]["converged"] is False
+
+
+@pytest.mark.parametrize("name, form", [("log1p", "interval"), ("log", "reflection_negative")])
+def test_synth_form_mismatch_is_input_error(capsys, tmp_path, name, form):
+    path = tmp_path / "rep.json"
+    path.write_text(lk.rep_to_json(pk.get(name).lk_data))
+    code, doc, _ = run_json(capsys, "synth", "--rep", str(path), "--form", form, "--t", "1.0")
+    assert code == 2
+    assert list(doc) == ["error"]
+
+
 def test_synth_csv(capsys, rep_file, tmp_path):
     csv = tmp_path / "vals.csv"
     code, _ = run(capsys, "synth", "--rep", rep_file, "--t-grid", "0.5,2,4", "--csv", str(csv))

@@ -25,7 +25,7 @@ def test_delta_k_leading_term(k):
     f = handle(lambda t: t**k)
     d = 0.1
     want = (-1.0) ** k * math.factorial(k) * d**k
-    assert dc.delta_k(f, 0.7, d, k) == pytest.approx(want, rel=1e-9)
+    assert dc.delta_k(f, 0.7, d, k) == pytest.approx(want, rel=1e-9, abs=0.0)
 
 
 def test_delta_k_cm_sign():
@@ -45,7 +45,7 @@ def test_derivative_richardson(k, budget):
 def test_derivative_prefers_analytic():
     entry = pk.get("exp_decay")
     got = dc.derivative(entry.func, 2.0, 6)
-    assert got == pytest.approx(math.exp(-2.0), rel=1e-14)
+    assert got == pytest.approx(math.exp(-2.0), rel=1e-14, abs=0.0)
 
 
 def test_order_too_high():

@@ -32,14 +32,14 @@ def f_ref(lam, t):
 
 def test_e_lambda_closed_forms():
     assert lk.e_lambda(0.0, 3.0) == -4.5
-    assert lk.e_lambda(1.0, 1.0) == pytest.approx(-math.exp(-1.0), rel=1e-15)
+    assert lk.e_lambda(1.0, 1.0) == pytest.approx(-math.exp(-1.0), rel=1e-15, abs=0.0)
     # shift just translates the argument
-    assert lk.e_lambda(0.7, 2.5, t0=1.0) == pytest.approx(lk.e_lambda(0.7, 1.5), rel=1e-15)
+    assert lk.e_lambda(0.7, 2.5, t0=1.0) == pytest.approx(lk.e_lambda(0.7, 1.5), rel=1e-15, abs=0.0)
 
 
 def test_f_lambda_closed_forms():
     assert lk.f_lambda(0.0, 4.0) == 3.0
-    assert lk.f_lambda(2.0, 3.0) == pytest.approx((math.exp(-2.0) - math.exp(-6.0)) / 2.0, rel=1e-15)
+    assert lk.f_lambda(2.0, 3.0) == pytest.approx((math.exp(-2.0) - math.exp(-6.0)) / 2.0, rel=1e-15, abs=0.0)
     assert lk.f_lambda(1.0, 1.0) == 0.0
 
 
@@ -47,8 +47,8 @@ def test_f_lambda_closed_forms():
 @pytest.mark.parametrize("t", [0.3, 1.7, 3.0])
 def test_series_switch_matches_reference(lam, t):
     # both kernels stay accurate straight through the small-lambda switch
-    assert lk.e_lambda(lam, t) == pytest.approx(e_ref(lam, t), rel=1e-12)
-    assert lk.f_lambda(lam, t) == pytest.approx(f_ref(lam, t), rel=1e-12)
+    assert lk.e_lambda(lam, t) == pytest.approx(e_ref(lam, t), rel=1e-12, abs=0.0)
+    assert lk.f_lambda(lam, t) == pytest.approx(f_ref(lam, t), rel=1e-12, abs=0.0)
 
 
 def straddle_grid(u):
@@ -172,6 +172,17 @@ def test_synth_full_reports_convergence():
     assert lv.truncation_bound <= 1e-10
 
 
+def test_gridded_increasing_synthesis():
+    # int f_lam(t) e^{-lam} dlam = log((1 + t) / 2), here on a gridded model of e^{-lam}
+    g = np.linspace(0.0, 40.0, 4001)
+    mu = pk.Measure(density=msr.GriddedDensity(g, np.exp(-g)), support=(0.0, 40.0))
+    rep = lk.LKIncreasingRep(c=0.0, mu=mu)
+    for t in (0.5, 2.0, 4.0):
+        lv = lk.synth_increasing(rep, t, tol=1e-10, full=True)
+        assert abs(lv.value - math.log((1.0 + t) / 2.0)) <= 1e-4
+        assert not lv.converged
+
+
 def test_reflection_negative_synth_even():
     rep = pk.get("abs_power", alpha=1.0).lk_data
     assert lk.synth_reflection_negative(rep, -2.0) == lk.synth_reflection_negative(rep, 2.0)
@@ -185,14 +196,9 @@ def test_rep_json_roundtrip(name):
     back = lk.rep_from_json(text)
     assert type(back) is type(rep)
     assert lk.rep_to_json(back) == text
-    synth = {
-        "interval": lk.synth_interval,
-        "increasing": lk.synth_increasing,
-        "bernstein": lk.synth_bernstein,
-        "reflection_negative": lk.synth_reflection_negative,
-    }[pk.get(name).lk_form]
+    form = pk.get(name).lk_form
     for t in (0.5, 1.25):
-        assert synth(back, t) == synth(rep, t)
+        assert lk.synth(back, t, form=form) == lk.synth(rep, t, form=form)
 
 
 def test_rep_from_json_rejects_garbage():

@@ -27,7 +27,7 @@ def test_atom_laplace_exact(seed):
     for t in (0.0, 0.5, 1.7):
         lv = msr.laplace(mu, t)
         want = float(np.dot(w, np.exp(-lam * t)))
-        assert lv.value == pytest.approx(want, rel=1e-14)
+        assert lv.value == pytest.approx(want, rel=1e-14, abs=0.0)
         assert lv.converged
 
 
@@ -49,7 +49,7 @@ def test_exp_weighted_sum_log_space_survives_huge_terms():
     lam = np.array([-800.0])
     w = np.array([1e-300])
     got = _accel.exp_weighted_sum(lam, w, 1.0, 0)
-    assert got == pytest.approx(np.exp(np.log(1e-300) + 800.0), rel=1e-12)
+    assert got == pytest.approx(np.exp(np.log(1e-300) + 800.0), rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("t", [0.25, 1.0, 3.0])
@@ -98,7 +98,7 @@ def test_laplace_deriv_matches_analytic():
 def test_laplace_deriv_atoms_exact():
     mu = pk.Measure(atoms=((0.7, 1.3), (2.0, 0.4)))
     want = 1.3 * (-0.7) ** 2 * math.exp(-0.7) + 0.4 * (-2.0) ** 2 * math.exp(-2.0)
-    assert msr.laplace_deriv(mu, 1.0, 2).value == pytest.approx(want, rel=1e-14)
+    assert msr.laplace_deriv(mu, 1.0, 2).value == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def test_masses():
@@ -108,6 +108,25 @@ def test_masses():
     atoms = pk.Measure(atoms=((0.5, 1.0), (3.0, 2.0)))
     assert msr.total_mass(atoms) == 3.0
     assert msr.tail_mass(atoms, 1.0) == 2.0
+
+
+def test_gridded_tail_mass_cuts_the_interpolant():
+    g = np.linspace(0.0, 5.0, 11)
+    v = np.exp(-g)
+    mu = pk.Measure(density=msr.GriddedDensity(g, v), support=(0.0, 5.0))
+    assert msr.tail_mass(mu, 0.0) == pytest.approx(np.trapezoid(v, g), rel=0.0, abs=1e-12)
+    # the cut cell [2.25, 2.5] starts at the interpolated value
+    want = 0.125 * (np.interp(2.25, g, v) + v[5]) + np.trapezoid(v[5:], g[5:])
+    assert msr.tail_mass(mu, 2.25) == pytest.approx(want, rel=0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("T", [0.5, 1.0, 4.0])
+def test_singular_head_tail_mass(T):
+    # (alpha / Gamma(1 - alpha)) int_T^inf lam^(-3/2) dlam = 1/sqrt(pi T) at alpha = 1/2
+    sig = pk.Measure(
+        density=pk.density_from_spec("stable_sigma", {"alpha": 0.5}), support=(0, np.inf)
+    )
+    assert abs(msr.tail_mass(sig, T) - 1.0 / math.sqrt(math.pi * T)) <= 1e-8
 
 
 def test_one_wedge_integral():
@@ -153,9 +172,14 @@ def test_divergent_transforms():
         msr.laplace(leb, 0.0)
     with pytest.raises(pk.DivergentIntegral):
         msr.laplace(leb, -0.5)
+    stable = pk.Measure(
+        density=pk.density_from_spec("stable_sigma", {"alpha": 0.5}), support=(0, np.inf)
+    )
+    with pytest.raises(pk.DivergentIntegral):
+        msr.total_mass(stable)
     # negative support atoms are fine when the transform stays finite
     mu = pk.Measure(atoms=((-1.0, 2.0),))
-    assert msr.laplace(mu, 0.5).value == pytest.approx(2.0 * math.exp(0.5), rel=1e-14)
+    assert msr.laplace(mu, 0.5).value == pytest.approx(2.0 * math.exp(0.5), rel=1e-14, abs=0.0)
 
 
 def test_invalid_measures():
@@ -188,7 +212,7 @@ def test_gridded_density():
 def test_point_mass_helper():
     mu = msr.point_mass(2.0, 0.5)
     assert mu.atoms == ((2.0, 0.5),)
-    assert msr.laplace(mu, 1.0).value == pytest.approx(0.5 * math.exp(-2.0), rel=1e-15)
+    assert msr.laplace(mu, 1.0).value == pytest.approx(0.5 * math.exp(-2.0), rel=1e-15, abs=0.0)
 
 
 def test_json_roundtrip_is_exact():
