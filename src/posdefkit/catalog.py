@@ -4,8 +4,9 @@ integral-representation data.
 Every entry records which definiteness properties it is known to have
 (``known_flags``, each with its classical source) and, when available, the
 measure data that reproduces the function through the synthesis routines.
-``run_flag_check`` maps each claimed flag to the checker that can confirm
-it; the test suite runs that mapping over the whole catalog.
+``check_flag`` maps each flag to the checkers that can confirm it; the CLI
+``check-*`` subcommands and ``run_flag_check`` (which the test suite runs
+over the whole catalog) both go through it.
 
 Flag semantics follow the window: ``positive_definite`` and
 ``negative_definite`` refer to the sum kernel f((x+y)/2) on half-line
@@ -23,7 +24,7 @@ from . import levykhin as lk
 from .diffcalc import bernstein_check, completely_monotone_check
 from .errors import InvalidMeasure, UnknownName
 from .funcs import FuncHandle, chebyshev_grid
-from .kernelcheck import cnd_check, psd_check, schoenberg_check, window_gram
+from .kernelcheck import PASS, cnd_check, combine, psd_check, schoenberg_scan, window_gram
 from .measure import Envelope, FuncDensity, HeadBound, Measure
 from .reflection import reflection_negative_check, reflection_positive_check
 
@@ -150,7 +151,7 @@ class FlagCheckResult:
 
     @property
     def passed(self):
-        return all(v.passed for _, v in self.routes)
+        return combine(v for _, v in self.routes) == PASS
 
 
 def _falling(alpha, k):
@@ -548,38 +549,44 @@ def default_entries():
     return out
 
 
-def run_flag_check(entry, claim, n=12, tol=None):
-    """Confirm one flag claim with the checker it names.
+def check_flag(entry, flag, window=None, n=12, grid=chebyshev_grid, a=None, hs=None,
+               k_max=None, tol=None):
+    """Run the routes that confirm ``flag`` on ``entry``: ((route, verdict), ...).
 
-    Kernel choice tracks the window (``window_gram``): symmetric windows use
-    the difference kernel, half-line windows the sum kernel.
+    Grid routes sample ``grid(lo, hi, n)`` on ``window``, by default the
+    entry's check window, cut to [0, inf) for the difference tests.  The
+    kernel follows the window (``window_gram``) and names the route
+    (``psd_minus``, ``cnd_plus``, ...).  ``a`` is the reflection half-width
+    (inf by default for ``reflection_negative``).
     """
     f = entry.func
-    lo, hi = entry.check_window
-    flag = claim.flag
-    if flag == "positive_definite":
-        g = window_gram(f, chebyshev_grid(lo, hi, n))
-        routes = (("psd", psd_check(g, tol)),)
-    elif flag == "negative_definite":
-        g = window_gram(f, chebyshev_grid(lo, hi, n))
-        routes = (
-            ("cnd", cnd_check(g, tol)),
-            ("schoenberg", schoenberg_check(f, g.points, kind=g.kind, tol=tol)),
-        )
-    elif flag == "completely_monotone":
-        grid = chebyshev_grid(max(lo, 0.0), hi, n)
-        routes = (("cm", completely_monotone_check(f, grid, tol=tol)),)
-    elif flag == "bernstein":
-        grid = chebyshev_grid(max(lo, 0.0), hi, n)
-        routes = (("bernstein", bernstein_check(f, grid, tol=tol)),)
-    elif flag == "reflection_positive":
-        a = float(claim.params["a"])
-        routes = (("rp", reflection_positive_check(f, a, n, tol)),)
-    elif flag == "reflection_negative":
-        routes = (("rn", reflection_negative_check(f, math.inf, n, tol=tol)),)
-    else:
+    if flag == "reflection_positive":
+        if a is None:
+            raise ValueError("reflection_positive needs the half-width a")
+        return (("rp", reflection_positive_check(f, a, n, tol)),)
+    if flag == "reflection_negative":
+        return (("rn", reflection_negative_check(f, math.inf if a is None else a, n, hs, tol)),)
+    difference = {"completely_monotone": completely_monotone_check, "bernstein": bernstein_check}
+    if flag not in difference and flag not in ("positive_definite", "negative_definite"):
         raise UnknownName(f"no checker for flag {flag!r}")
-    return FlagCheckResult(entry.name, flag, routes)
+    if window is None:
+        lo, hi = entry.check_window
+        window = (max(lo, 0.0), hi) if flag in difference else (lo, hi)
+    points = grid(window[0], window[1], n)
+    if flag in difference:
+        kw = {} if k_max is None else {"k_max": k_max}
+        return ((flag, difference[flag](f, points, tol=tol, **kw)),)
+    g = window_gram(f, points)
+    if flag == "positive_definite":
+        return ((f"psd_{g.kind}", psd_check(g, tol)),)
+    return ((f"cnd_{g.kind}", cnd_check(g, tol)),
+            (f"schoenberg_{g.kind}", schoenberg_scan(g, hs, tol)))
+
+
+def run_flag_check(entry, claim, n=12, tol=None):
+    """Confirm one flag claim through ``check_flag`` on the entry's check window."""
+    routes = check_flag(entry, claim.flag, n=n, a=claim.params.get("a"), tol=tol)
+    return FlagCheckResult(entry.name, claim.flag, routes)
 
 
 def lk_synth_value(entry, t, tol=1e-10):

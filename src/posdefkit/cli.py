@@ -12,7 +12,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 
 import math
 
@@ -21,7 +20,7 @@ import numpy as np
 from . import __version__, catalog
 from . import levykhin as lk
 from . import measure as msr
-from .diffcalc import bernstein_check, completely_monotone_check, hankel_check
+from .diffcalc import hankel_check
 from .errors import (
     ConsistencyError,
     NotIncreasing,
@@ -29,39 +28,10 @@ from .errors import (
     PosdefkitError,
 )
 from .funcs import chebyshev_grid, uniform_grid
-from .kernelcheck import (
-    FAIL,
-    INCONCLUSIVE,
-    PASS,
-    cnd_check,
-    psd_check,
-    schoenberg_check,
-    window_gram,
-)
-from .reflection import (
-    boundary_derivative_check,
-    polya_check,
-    reflection_negative_check,
-    reflection_positive_check,
-)
+from .kernelcheck import FAIL, PASS, combine
+from .reflection import boundary_derivative_check, polya_check
 
-
-@dataclass
-class RunReport:
-    command: str
-    inputs: dict
-    results: list
-    timing_ms: float
-    version: str
-
-    def to_doc(self):
-        return {
-            "command": self.command,
-            "inputs": self.inputs,
-            "results": self.results,
-            "timing_ms": self.timing_ms,
-            "version": self.version,
-        }
+_GRIDS = {"cheb": chebyshev_grid, "uniform": uniform_grid}
 
 
 def _exit_for(verdict):
@@ -70,14 +40,6 @@ def _exit_for(verdict):
     if verdict == FAIL:
         return 1
     return 3
-
-
-def _combine(*verdicts):
-    if any(v == FAIL for v in verdicts):
-        return FAIL
-    if any(v == INCONCLUSIVE for v in verdicts):
-        return INCONCLUSIVE
-    return PASS
 
 
 def _parse_interval(text):
@@ -116,13 +78,9 @@ def _load_function(args):
 
 
 def _build_grid(args, window):
-    lo, hi = window
-    if getattr(args, "interval", None):
-        lo, hi = _parse_interval(args.interval)
-    n = getattr(args, "points", 12)
-    if getattr(args, "grid_kind", "cheb") == "uniform":
-        return uniform_grid(lo, hi, n)
-    return chebyshev_grid(lo, hi, n)
+    if args.interval:
+        window = _parse_interval(args.interval)
+    return _GRIDS[args.grid_kind](window[0], window[1], args.points)
 
 
 def _inputs_echo(args):
@@ -155,14 +113,14 @@ def _human_result(record):
     return "  ".join(parts)
 
 
-def _emit(args, report):
+def _emit(args, doc):
     if args.json:
-        sys.stdout.write(msr._render(report.to_doc()) + "\n")
+        sys.stdout.write(msr._render(doc) + "\n")
         return
-    print(f"posdefkit {report.command} (v{report.version})")
-    for record in report.results:
+    print(f"posdefkit {doc['command']} (v{doc['version']})")
+    for record in doc["results"]:
         print(_human_result(record))
-    print(f"timing_ms={report.timing_ms:.3f}")
+    print(f"timing_ms={doc['timing_ms']:.3f}")
 
 
 def _emit_error(args, message):
@@ -176,57 +134,33 @@ def _emit_error(args, message):
 # subcommand handlers
 
 
-def _cmd_check_pd(args):
+# the flag each check-* subcommand confirms through catalog.check_flag
+_CHECK_FLAGS = {
+    "check-pd": "positive_definite",
+    "check-nd": "negative_definite",
+    "check-rp": "reflection_positive",
+    "check-rn": "reflection_negative",
+    "check-cm": "completely_monotone",
+    "check-bernstein": "bernstein",
+}
+
+
+def _cmd_check(args):
     entry = _load_function(args)
-    gram = window_gram(entry.func, _build_grid(args, entry.check_window))
-    v = psd_check(gram, args.tol)
-    record = {"check": f"psd_{gram.kind}", **v.to_dict()}
-    return [record], _exit_for(v.verdict)
-
-
-def _cmd_check_nd(args):
-    entry = _load_function(args)
-    gram = window_gram(entry.func, _build_grid(args, entry.check_window))
-    v1 = cnd_check(gram, args.tol)
-    v2 = schoenberg_check(entry.func, gram.points, _parse_h_list(args.h_list),
-                          kind=gram.kind, tol=args.tol)
-    records = [
-        {"check": f"cnd_{gram.kind}", **v1.to_dict()},
-        {"check": f"schoenberg_{gram.kind}", **v2.to_dict()},
-    ]
-    return records, _exit_for(_combine(v1.verdict, v2.verdict))
-
-
-def _cmd_check_rp(args):
-    entry = _load_function(args)
-    report = reflection_positive_check(entry.func, args.a, args.points, args.tol)
-    return [report.to_dict()], _exit_for(report.verdict)
-
-
-def _cmd_check_rn(args):
-    entry = _load_function(args)
-    report = reflection_negative_check(
-        entry.func, args.a, args.points, _parse_h_list(args.h_list), args.tol
+    interval = getattr(args, "interval", None)
+    routes = catalog.check_flag(
+        entry, _CHECK_FLAGS[args.command],
+        window=_parse_interval(interval) if interval else None,
+        n=args.points,
+        grid=_GRIDS[getattr(args, "grid_kind", "cheb")],
+        a=getattr(args, "a", None),
+        hs=_parse_h_list(getattr(args, "h_list", None)),
+        k_max=getattr(args, "k_max", None),
+        tol=args.tol,
     )
-    return [report.to_dict()], _exit_for(report.verdict)
-
-
-def _cmd_check_cm(args):
-    entry = _load_function(args)
-    lo, hi = entry.check_window
-    grid = _build_grid(args, (max(lo, 0.0), hi))
-    kw = {} if args.k_max is None else {"k_max": args.k_max}
-    v = completely_monotone_check(entry.func, grid, tol=args.tol, **kw)
-    return [{"check": "completely_monotone", **v.to_dict()}], _exit_for(v.verdict)
-
-
-def _cmd_check_bernstein(args):
-    entry = _load_function(args)
-    lo, hi = entry.check_window
-    grid = _build_grid(args, (max(lo, 0.0), hi))
-    kw = {} if args.k_max is None else {"k_max": args.k_max}
-    v = bernstein_check(entry.func, grid, tol=args.tol, **kw)
-    return [{"check": "bernstein", **v.to_dict()}], _exit_for(v.verdict)
+    records = [v.to_dict() if name in ("rp", "rn") else {"check": name, **v.to_dict()}
+               for name, v in routes]
+    return records, _exit_for(combine(v for _, v in routes))
 
 
 def _cmd_hankel(args):
@@ -322,12 +256,7 @@ def _cmd_gallery(args):
 
 
 _COMMANDS = {
-    "check-pd": _cmd_check_pd,
-    "check-nd": _cmd_check_nd,
-    "check-rp": _cmd_check_rp,
-    "check-rn": _cmd_check_rn,
-    "check-cm": _cmd_check_cm,
-    "check-bernstein": _cmd_check_bernstein,
+    **dict.fromkeys(_CHECK_FLAGS, _cmd_check),
     "hankel": _cmd_hankel,
     "polya": _cmd_polya,
     "synth": _cmd_synth,
@@ -467,14 +396,13 @@ def main(argv=None):
     except (PosdefkitError, ValueError, TypeError, OSError) as exc:
         _emit_error(args, str(exc))
         return 2
-    report = RunReport(
-        command=args.command,
-        inputs=_inputs_echo(args),
-        results=results,
-        timing_ms=round((time.perf_counter() - start) * 1000.0, 3),
-        version=__version__,
-    )
-    _emit(args, report)
+    _emit(args, {
+        "command": args.command,
+        "inputs": _inputs_echo(args),
+        "results": results,
+        "timing_ms": round((time.perf_counter() - start) * 1000.0, 3),
+        "version": __version__,
+    })
     return code
 
 

@@ -149,21 +149,36 @@ def _scale(M):
     return max(1.0, float(np.abs(M).max())) if M.size else 1.0
 
 
+def combine(verdicts):
+    """FAIL if any verdict (a string or an object with ``.verdict``) failed,
+    else INCONCLUSIVE if any was, else PASS."""
+    seen = {getattr(v, "verdict", v) for v in verdicts}
+    if FAIL in seen:
+        return FAIL
+    if INCONCLUSIVE in seen:
+        return INCONCLUSIVE
+    return PASS
+
+
+def _symmetric(G, tol):
+    """The symmetrized matrix of a square finite Gram, its points and the tol."""
+    M, pts = _as_matrix(G)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError("Gram must be square")
+    if not np.all(np.isfinite(M)):
+        raise NonFiniteEntry("Gram matrix contains non-finite entries")
+    if tol is None:
+        tol = default_tol(M.shape[0])
+    return 0.5 * (M + M.T), pts, tol
+
+
 def psd_check(G, tol=None):
     """PASS iff the smallest eigenvalue is >= -tol*scale.
 
     FAIL carries the minimizing eigenvector as witness; entries must be
     finite (``NonFiniteEntry`` otherwise).  scale = max(1, max|G_ij|).
     """
-    M, pts = _as_matrix(G)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("Gram must be square")
-    if not np.all(np.isfinite(M)):
-        raise NonFiniteEntry("Gram matrix contains non-finite entries")
-    n = M.shape[0]
-    if tol is None:
-        tol = default_tol(n)
-    M = 0.5 * (M + M.T)
+    M, pts, tol = _symmetric(G, tol)
     vals, vecs = np.linalg.eigh(M)
     lam_min = float(vals[0])
     scale = _scale(M)
@@ -179,15 +194,8 @@ def cnd_check(G, tol=None):
     coordinate sum are probed.  FAIL carries the centered maximizing
     eigenvector as witness.
     """
-    M, pts = _as_matrix(G)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("Gram must be square")
-    if not np.all(np.isfinite(M)):
-        raise NonFiniteEntry("Gram matrix contains non-finite entries")
+    M, pts, tol = _symmetric(G, tol)
     n = M.shape[0]
-    if tol is None:
-        tol = default_tol(n)
-    M = 0.5 * (M + M.T)
     P = np.eye(n) - np.full((n, n), 1.0 / n)
     C = P @ M @ P
     C = 0.5 * (C + C.T)
@@ -202,35 +210,38 @@ def cnd_check(G, tol=None):
     return PositivityVerdict(FAIL, lam_max, tol, scale, w, pts)
 
 
-def schoenberg_check(psi, points, hs=None, kind="plus", tol=None):
-    """Check that exp(-h*psi) yields a PSD kernel for every h in hs.
+def schoenberg_scan(gram, hs=None, tol=None):
+    """Check that exp(-h*G) is PSD for every h in hs, on a built Gram G of psi.
 
-    The base Gram of ``psi`` is built once and exponentiated per h.  PASS
-    requires every h to pass; FAIL reports the first failing h and its
-    witness.  Non-finite base entries give INCONCLUSIVE.
+    PASS requires every h to pass; FAIL reports the first failing h and its
+    witness.  Non-finite base entries give INCONCLUSIVE.  ``hs`` (default
+    2**-k, k = 0..10) must be a nonempty list of finite h > 0.
     """
     if hs is None:
         hs = [2.0**-k for k in range(11)]
-    pts = _check_points(points)
-    if kind == "plus":
-        base = gram_plus(psi, pts).entries
-    elif kind == "minus":
-        base = gram_minus(psi, pts).entries
-    else:
-        raise ValueError("kind must be 'plus' or 'minus'")
-    n = pts.size
+    hs = [float(h) for h in hs]
+    if not hs or not all(math.isfinite(h) and h > 0 for h in hs):
+        raise ValueError("Schoenberg exponents must be a nonempty list of finite h > 0")
+    pts, base = gram.points, gram.entries
     if tol is None:
-        tol = default_tol(n)
+        tol = default_tol(gram.n)
     if not np.all(np.isfinite(base)):
         return PositivityVerdict(INCONCLUSIVE, math.nan, tol, math.nan, None, pts)
     worst = math.inf
     for h in hs:
-        K = np.exp(-float(h) * base)
-        v = psd_check(K, tol)
+        v = psd_check(np.exp(-h * base), tol)
         worst = min(worst, v.extremal_eig / v.scale)
         if not v.passed:
-            return PositivityVerdict(FAIL, v.extremal_eig, tol, v.scale, v.witness, pts, h=float(h))
+            return PositivityVerdict(FAIL, v.extremal_eig, tol, v.scale, v.witness, pts, h=h)
     return PositivityVerdict(PASS, worst, tol, 1.0, None, pts)
+
+
+def schoenberg_check(psi, points, hs=None, kind="plus", tol=None):
+    """``schoenberg_scan`` on the ``kind`` Gram of ``psi`` at the points."""
+    if kind not in ("plus", "minus"):
+        raise ValueError("kind must be 'plus' or 'minus'")
+    gram = gram_plus(psi, points) if kind == "plus" else gram_minus(psi, points)
+    return schoenberg_scan(gram, hs, tol)
 
 
 def quotient_space(K, tau_pairing, plus_indices, tol=None):

@@ -175,9 +175,6 @@ class Measure:
         a = np.asarray(self.atoms, dtype=np.float64)
         return a[:, 0], a[:, 1]
 
-    def is_discrete(self):
-        return self.density is None
-
 
 @dataclass(frozen=True)
 class LaplaceValue:
@@ -396,32 +393,35 @@ def total_mass(mu, tol=1e-10):
     return integrate_against(mu, lambda x, w: float(w.sum()), tol=tol)[0]
 
 
-def _tail_density(dens, T):
-    """The density part of tail_mass, with no Gauss node straddling |lam| = T."""
+def _tail_densities(dens, T):
+    """The density pieces of tail_mass, with no Gauss node straddling |lam| = T."""
     if dens is None:
-        return None
+        return []
     if isinstance(dens, GriddedDensity):
         # knots at +-T put every Gauss cell of the interpolant on one side of the cut
         grid = np.union1d(dens.grid, [c for c in (-T, T) if dens.lo < c < dens.hi])
-        return GriddedDensity(grid, np.interp(grid, dens.grid, dens.values), "gauss-composite")
-    if dens.lo < -T:
-        raise InvalidMeasure("function densities do not extend below their finite lo")
-    if dens.hi <= T:
-        return None
+        return [GriddedDensity(grid, np.interp(grid, dens.grid, dens.values), "gauss-composite")]
     if T <= dens.lo:
-        return dens
-    # shifted window [T, hi): no endpoint singularity, sample a head bound
-    probe = dens.fn(np.linspace(T, T + min(1.0, 0.1 * max(T, 1.0)), 9))
-    head = HeadBound(coef=4.0 * float(np.max(probe)) + 1e-300, power=0.0, cutoff=1.0)
-    return FuncDensity(dens.fn, T, dens.hi, head, dens.tail_env)
+        return [dens]
+    pieces = []
+    if dens.lo < -T:
+        # [lo, -T) keeps lo, so the density's own head bound still holds
+        pieces.append(FuncDensity(dens.fn, dens.lo, min(-T, dens.hi), dens.head))
+    if dens.hi > T:
+        # shifted window [T, hi): no endpoint singularity, sample a head bound
+        probe = dens.fn(np.linspace(T, T + min(1.0, 0.1 * max(T, 1.0)), 9))
+        head = HeadBound(coef=4.0 * float(np.max(probe)) + 1e-300, power=0.0, cutoff=1.0)
+        pieces.append(FuncDensity(dens.fn, T, dens.hi, head, dens.tail_env))
+    return pieces
 
 
 def tail_mass(mu, T, tol=1e-8):
     """Mass of {|lam| > T}; raises ``DivergentIntegral`` when infinite."""
     if T < 0:
         raise ValueError("T must be nonnegative")
-    tail = Measure(atoms=mu.atoms, density=_tail_density(mu.density, T))
-    return integrate_against(tail, lambda x, w: float(w[np.abs(x) > T].sum()), tol=tol)[0]
+    pieces = [Measure(atoms=mu.atoms)] + [Measure(density=d) for d in _tail_densities(mu.density, T)]
+    return sum(integrate_against(m, lambda x, w: float(w[np.abs(x) > T].sum()), tol=tol)[0]
+               for m in pieces)
 
 
 def one_wedge_integral(sigma, tol=1e-10):

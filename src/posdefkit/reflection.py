@@ -29,11 +29,12 @@ from .kernelcheck import (
     PASS,
     PositivityVerdict,
     cnd_check,
+    combine,
     default_tol,
     gram_minus,
     gram_plus,
     psd_check,
-    schoenberg_check,
+    schoenberg_scan,
 )
 
 _EPS = np.finfo(float).eps
@@ -114,8 +115,8 @@ def reflection_positive_check(phi, a, n=12, tol=None):
     symmetric, _ = _evenness(phi, grid_m, tol)
     minus_v = psd_check(gram_minus(phi, grid_m), tol)
     plus_v = psd_check(gram_plus(phi, grid_p), tol)
-    ok = symmetric and minus_v.passed and plus_v.passed
-    return ReflectionReport(minus_v, plus_v, a, symmetric, PASS if ok else FAIL)
+    verdict = combine((minus_v, plus_v)) if symmetric else FAIL
+    return ReflectionReport(minus_v, plus_v, a, symmetric, verdict)
 
 
 def reflection_negative_check(psi, a, n=12, hs=None, tol=None):
@@ -139,10 +140,13 @@ def reflection_negative_check(psi, a, n=12, hs=None, tol=None):
     symmetric, vals = _evenness(psi, grid_m, tol)
     if not symmetric:
         raise NotSymmetric("function must be even for the reflection tests")
-    minus_v = cnd_check(gram_minus(psi, grid_m), tol)
-    plus_v = cnd_check(gram_plus(psi, grid_p), tol)
-    sch_m = schoenberg_check(psi, grid_m, hs, kind="minus", tol=tol)
-    sch_p = schoenberg_check(psi, grid_p, hs, kind="plus", tol=tol)
+    # one Gram per kernel feeds both the cnd test and the exp(-h*psi) scan
+    gram_m = gram_minus(psi, grid_m)
+    minus_v = cnd_check(gram_m, tol)
+    gram_p = gram_plus(psi, grid_p)
+    plus_v = cnd_check(gram_p, tol)
+    sch_m = schoenberg_scan(gram_m, hs, tol)
+    sch_p = schoenberg_scan(gram_p, hs, tol)
     bern_v = None
     if math.isinf(a):
         psi0 = psi(0.0)
@@ -154,15 +158,9 @@ def reflection_negative_check(psi, a, n=12, hs=None, tol=None):
             name=(psi.name or "psi") + "_shifted",
         )
         bern_v = bernstein_check(shifted, grid_p, k_max=3, tol=tol)
-    routes = [minus_v, plus_v, sch_m, sch_p] + ([bern_v] if bern_v is not None else [])
-    if any(v.verdict == FAIL for v in routes):
-        verdict = FAIL
-    elif all(v.passed for v in routes):
-        verdict = PASS
-    else:
-        verdict = "INCONCLUSIVE"
+    routes = (minus_v, plus_v, sch_m, sch_p, bern_v)
     return ReflectionReport(
-        minus_v, plus_v, a, symmetric, verdict,
+        minus_v, plus_v, a, symmetric, combine(v for v in routes if v is not None),
         schoenberg_minus=sch_m, schoenberg_plus=sch_p, bernstein_verdict=bern_v,
     )
 

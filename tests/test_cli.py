@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import posdefkit as pk
-from posdefkit import cli
+from posdefkit import catalog, cli
 from posdefkit import levykhin as lk
 from posdefkit import measure as msr
 
@@ -55,6 +55,38 @@ def test_check_rn_exit_codes(capsys):
                    "--alpha", "1.5", "--a", "2", "--points", "6")
     assert bad == 1
     assert "FAIL" in out
+
+
+@pytest.mark.parametrize("cmd", ["check-nd", "check-rn"])
+@pytest.mark.parametrize("h_list", [",", "-1", "0", "nan", "1e400"])
+def test_bad_h_list_is_input_error(capsys, cmd, h_list):
+    name = "log1p" if cmd == "check-nd" else "abs_power"
+    code, doc, _ = run_json(capsys, cmd, "--function", f"catalog:{name}", f"--h-list={h_list}")
+    assert code == 2
+    assert list(doc) == ["error"]
+
+
+# every check-* subcommand, on an entry with a symmetric window (difference
+# kernel) and, where the check needs no evenness, one with a half-line window
+_CHECK_CASES = [
+    (cmd, name)
+    for cmd in sorted(c for c in cli._COMMANDS if c.startswith("check-"))
+    for name in (("green", "abs_power") if cmd in ("check-rp", "check-rn") else ("abs_power", "exp_decay"))
+]
+
+
+@pytest.mark.parametrize("cmd, name", _CHECK_CASES)
+def test_check_records_are_check_flag_routes(capsys, cmd, name):
+    flag = cli._CHECK_FLAGS[cmd]
+    a = 1.0 if flag == "reflection_positive" else None
+    routes = catalog.check_flag(pk.get(name), flag, a=a)
+    code, doc, _ = run_json(capsys, cmd, "--function", f"catalog:{name}")
+    assert code == {"PASS": 0, "FAIL": 1}[pk.kernelcheck.combine(v for _, v in routes)]
+    names = [r.get("check") for r in doc["results"]]
+    if flag.startswith("reflection_"):
+        assert names == [None]
+    else:
+        assert names == [route for route, _ in routes]
 
 
 def test_check_cm_and_bernstein(capsys):

@@ -137,6 +137,34 @@ def test_schoenberg_cnd_consistency():
     assert v.verdict == kc.PASS
 
 
+@pytest.mark.parametrize("hs", [[], [-1.0], [0.0], [float("nan")], [float("inf")], [0.5, -0.5]])
+def test_schoenberg_rejects_bad_exponents(hs):
+    f = fns.from_callable(lambda s: np.asarray(s, dtype=np.float64))
+    with pytest.raises(ValueError):
+        kc.schoenberg_check(f, fns.chebyshev_grid(0.1, 4.0, 6), hs=hs)
+
+
+@pytest.mark.parametrize(
+    "verdicts,want",
+    [
+        ((), kc.PASS),
+        ((kc.PASS,), kc.PASS),
+        ((kc.PASS, kc.PASS), kc.PASS),
+        ((kc.INCONCLUSIVE,), kc.INCONCLUSIVE),
+        ((kc.PASS, kc.INCONCLUSIVE), kc.INCONCLUSIVE),
+        ((kc.FAIL,), kc.FAIL),
+        ((kc.PASS, kc.FAIL), kc.FAIL),
+        ((kc.INCONCLUSIVE, kc.FAIL), kc.FAIL),
+        ((kc.FAIL, kc.INCONCLUSIVE, kc.PASS), kc.FAIL),
+    ],
+)
+def test_combine_truth_table(verdicts, want):
+    assert kc.combine(verdicts) == want
+    # objects carrying .verdict combine the same way as the strings
+    objs = [kc.PositivityVerdict(v, 0.0, 1e-9, 1.0) for v in verdicts]
+    assert kc.combine(iter(objs)) == want
+
+
 def test_default_tol_scales_with_n():
     assert kc.default_tol(1) == pytest.approx(1e-9)
     assert kc.default_tol(64) == pytest.approx(64e-9)

@@ -129,6 +129,18 @@ def test_singular_head_tail_mass(T):
     assert abs(msr.tail_mass(sig, T) - 1.0 / math.sqrt(math.pi * T)) <= 1e-8
 
 
+@pytest.mark.parametrize("T", [0.5, 1.0, 3.0])
+def test_two_sided_tail_mass(T):
+    # e^-|lam| on [-2, inf) plus atoms at -1.5 and 0.5; the [-2, -T) piece is
+    # empty at T = 3 and the atom at 0.5 is not beyond T = 0.5
+    dens = msr.FuncDensity(lambda x: np.exp(-np.abs(x)), -2.0, math.inf,
+                           msr.HeadBound(1.0, 0.0, 1.0), msr.Envelope(1.0, 0.0, 1.0))
+    mu = pk.Measure(atoms=((-1.5, 0.25), (0.5, 1.0)), density=dens)
+    lower = max(math.exp(-T) - math.exp(-2.0), 0.0)
+    atoms = 0.25 * (T < 1.5) + 1.0 * (T < 0.5)
+    assert abs(msr.tail_mass(mu, T) - (lower + math.exp(-T) + atoms)) <= 1e-8
+
+
 def test_one_wedge_integral():
     # int min(1, lam) e^{-lam}/lam dlam = 1 - e^{-1} + E1(1)
     sig = pk.Measure(density=pk.density_from_spec("log_sigma"), support=(0, np.inf))

@@ -63,6 +63,19 @@ def test_reflection_negative_powers(alpha, want):
     assert rep.verdict == want
 
 
+@pytest.mark.parametrize("alpha", [0.5, 1.5])
+def test_reflection_negative_scans_match_schoenberg_check(alpha):
+    psi = pk.get("abs_power", alpha=alpha).func
+    rep = rf.reflection_negative_check(psi, 2.0, 10)
+    for got, kind, lo in ((rep.schoenberg_minus, "minus", -2.0), (rep.schoenberg_plus, "plus", 0.0)):
+        want = pk.schoenberg_check(psi, fns.chebyshev_grid(lo, 2.0, 10), kind=kind)
+        assert (got.verdict, got.extremal_eig, got.h) == (want.verdict, want.extremal_eig, want.h)
+        if want.witness is None:
+            assert got.witness is None
+        else:
+            np.testing.assert_array_equal(got.witness, want.witness)
+
+
 def test_reflection_negative_unbounded_adds_bernstein_route():
     rep = rf.reflection_negative_check(pk.get("abs_power", alpha=0.5).func, np.inf)
     assert rep.verdict == "PASS"
