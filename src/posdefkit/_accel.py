@@ -2,20 +2,22 @@
 
 Each kernel takes an array of lambda values (any array-like; scalars become
 length-1 arrays) and evaluates one basis function or weighted sum over it.
+The argument t (or u) may be a scalar or an array that broadcasts against
+lambda, so one call serves a whole batch of t.
 
 Numerical conventions:
 
 - weighted exp sums are accumulated in log space per term, so an individually
   overflowing factor (huge weight, steep exp growth) cannot produce inf*0;
-- ``e_lambda``/``f_lambda`` use expm1-based formulas away from zero and a
-  six-term Taylor branch for |lambda*u| < 1e-2.  The wide switch matters for
+- ``e_lambda``/``f_lambda`` use closed forms away from zero and a six-term
+  Taylor branch for |lambda*u| < 1e-2.  The wide switch matters for
   ``e_lambda``: its direct form (expm1(-x) + x)/lam**2 cancels to x**2/2, so
   the relative error grows like 2*eps/x as x shrinks; at the 1e-2 boundary
   both branches agree to ~5e-14 and the series is exact to ~5e-17 below it;
-- the damped kernels fuse the factor exp(-lam*t0) into the basis function.
-  For |lambda*u| < 1 they multiply the expm1 form by it; beyond that they
-  use a difference of exponentials whose every term has a single exponent,
-  so large lam*|u| cannot make 0*inf.
+- the damped kernels fuse the factor exp(-lam*t0) into the basis function
+  (t0 = 0 gives e_lambda itself).  For |lambda*u| < 1 they multiply the
+  expm1 form by it; beyond that they use a difference of exponentials whose
+  every term has a single exponent, so large lam*|u| cannot make 0*inf.
 """
 
 import numpy as np
@@ -25,52 +27,30 @@ SERIES_SWITCH = 1e-2
 
 
 def exp_weighted_sum(lam, w, t, k):
-    """sum_i w_i * lam_i**k * exp(-lam_i*t) for w_i >= 0, integer k >= 0."""
+    """sum_i w_i * lam_i**k * exp(-lam_i*t) for each t (shaped like t), for
+    w_i >= 0 and integer k >= 0."""
     lam = np.ascontiguousarray(lam, dtype=np.float64)
     w = np.ascontiguousarray(w, dtype=np.float64)
-    t, k = float(t), int(k)
+    t, k = np.asarray(t, dtype=np.float64), int(k)
     keep = w > 0.0
-    if not keep.any():
-        return 0.0
-    lam = lam[keep]
-    w = w[keep]
+    lam, w = lam[keep], w[keep]
     nz = lam != 0.0
-    total = 0.0
-    if k == 0 and (~nz).any():
-        total += float(w[~nz].sum())
-    lam_nz = lam[nz]
-    w_nz = w[nz]
-    if lam_nz.size:
-        mag = np.log(w_nz) - lam_nz * t
-        if k > 0:
-            mag += k * np.log(np.abs(lam_nz))
-        terms = np.exp(mag)
-        if (k % 2) == 1:
-            terms = np.where(lam_nz < 0.0, -terms, terms)
-        total += float(terms.sum())
-    return total
-
-
-def e_lambda_vals(lam, u):
-    """(1 - lam*u - exp(-lam*u)) / lam**2 elementwise, stable near lam = 0."""
-    lam = np.ascontiguousarray(lam, dtype=np.float64)
-    u = float(u)
-    x = lam * u
-    small = np.abs(x) < SERIES_SWITCH
-    with np.errstate(divide="ignore", invalid="ignore"):
-        direct = -(np.expm1(-x) + x) / (lam * lam)
-    x2 = x * x
-    series = -u * u * (
-        0.5 - x / 6.0 + x2 / 24.0 - x2 * x / 120.0 + x2 * x2 / 720.0 - x2 * x2 * x / 5040.0
-    )
-    out = np.where(small, series, direct)
-    return np.where(lam == 0.0, -0.5 * u * u, out)
+    # lam = 0 adds its weight exactly for k = 0 and nothing for k > 0
+    total = float(w[~nz].sum()) if k == 0 else 0.0
+    lam, w = lam[nz], w[nz]
+    mag = np.log(w) - t.reshape(-1, 1) * lam
+    if k > 0:
+        mag += k * np.log(np.abs(lam))
+    terms = np.exp(mag)
+    if (k % 2) == 1:
+        terms = np.where(lam < 0.0, -terms, terms)
+    return (total + terms.sum(axis=1)).reshape(t.shape)
 
 
 def e_lambda_damped_vals(lam, u, t0):
     """e_lambda(u) * exp(-lam*t0) fused so large lam*|u| cannot make 0*inf."""
     lam = np.ascontiguousarray(lam, dtype=np.float64)
-    u, t0 = float(u), float(t0)
+    u, t0 = np.asarray(u, dtype=np.float64), float(t0)
     x = lam * u
     ax = np.abs(x)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -92,7 +72,7 @@ def e_lambda_damped_vals(lam, u, t0):
 def e_lambda_dt_damped_vals(lam, u, t0):
     """expm1(-lam*u)/lam * exp(-lam*t0) in overflow-safe form."""
     lam = np.ascontiguousarray(lam, dtype=np.float64)
-    u, t0 = float(u), float(t0)
+    u, t0 = np.asarray(u, dtype=np.float64), float(t0)
     x = lam * u
     small = np.abs(x) < 1.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -105,7 +85,7 @@ def e_lambda_dt_damped_vals(lam, u, t0):
 def f_lambda_vals(lam, t):
     """(exp(-lam) - exp(-lam*t)) / lam elementwise, with the lam = 0 limit t-1."""
     lam = np.ascontiguousarray(lam, dtype=np.float64)
-    t = float(t)
+    t = np.asarray(t, dtype=np.float64)
     u = t - 1.0
     y = lam * u
     small = np.abs(y) < SERIES_SWITCH
@@ -123,4 +103,4 @@ def f_lambda_vals(lam, t):
 def one_minus_exp_vals(lam, t):
     """1 - exp(-lam*t) elementwise via expm1."""
     lam = np.ascontiguousarray(lam, dtype=np.float64)
-    return -np.expm1(-lam * float(t))
+    return -np.expm1(-lam * np.asarray(t, dtype=np.float64))

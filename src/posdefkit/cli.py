@@ -10,10 +10,10 @@ only field that varies between runs.
 
 import argparse
 import json
+import math
+import re
 import sys
 import time
-
-import math
 
 import numpy as np
 
@@ -189,23 +189,16 @@ def _cmd_synth(args):
         ts.extend(np.linspace(float(lo), float(hi), int(n)).tolist())
     if not ts:
         raise ValueError("need --t or --t-grid")
-    results = []
-    all_converged = True
-    for t in ts:
-        val = lk.synth(rep, t, tol, full=True, form=args.form)
-        all_converged = all_converged and bool(val.converged)
-        results.append({
-            "t": t,
-            "value": float(val.value),
-            "truncation_bound": float(val.truncation_bound),
-            "converged": bool(val.converged),
-        })
+    val = lk.synth(rep, np.asarray(ts), tol, full=True, form=args.form)
+    results = [{"t": t, "value": float(v), "truncation_bound": float(b),
+                "converged": bool(b <= tol)}
+               for t, v, b in zip(ts, val.value, val.truncation_bound)]
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write("t,value\n")
             for rec in results:
                 fh.write(f"{rec['t']:.17g},{rec['value']:.17g}\n")
-    return results, (0 if all_converged else 3)
+    return results, (0 if val.converged else 3)
 
 
 def _cmd_analyze(args):
@@ -270,9 +263,16 @@ _COMMANDS = {
 # parser
 
 
+def _tolerance(text):
+    tol = float(text)
+    if not (math.isfinite(tol) and tol > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
+    return tol
+
+
 def _add_output_flags(sp):
     sp.add_argument("--json", action="store_true", help="emit the report as JSON")
-    sp.add_argument("--tol", type=float, default=None,
+    sp.add_argument("--tol", type=_tolerance, default=None,
                     help="tolerance override (default scales with grid size)")
 
 
@@ -380,10 +380,20 @@ def _build_parser():
     return parser
 
 
+def _attach_signed_values(argv):
+    """'--interval -1,1' as '--interval=-1,1' (likewise --h-list): argparse
+    would read a list starting with '-' as an option."""
+    out = []
+    for tok in argv:
+        glue = out and out[-1] in ("--interval", "--h-list") and re.match(r"-\.?\d", tok)
+        out.append(out.pop() + "=" + tok if glue else tok)
+    return out
+
+
 def main(argv=None):
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_signed_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     handler = _COMMANDS[args.command]

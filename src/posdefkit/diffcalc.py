@@ -43,11 +43,11 @@ def delta_k(f, t, delta, k):
 
 
 def _central_difference(f, t, h, k):
-    """Central k-th difference with step h, O(h^2) accurate."""
-    offsets = (k / 2.0 - np.arange(k + 1)) * h
-    vals = np.atleast_1d(f(t + offsets))
+    """Central k-th difference with step h at each t, O(h^2) accurate."""
+    offsets = (k / 2.0 - np.arange(k + 1)) * h[..., None]
+    vals = np.asarray(f(t[..., None] + offsets))
     coeff = np.array([(-1.0) ** j * math.comb(k, j) for j in range(k + 1)])
-    return float(np.dot(coeff, vals)) / h**k
+    return vals @ coeff / h**k
 
 
 def _numeric_derivative(f, t, k, cap):
@@ -55,14 +55,15 @@ def _numeric_derivative(f, t, k, cap):
         raise OrderTooHigh(
             f"numeric differentiation supports order <= {cap}; provide analytic derivatives"
         )
+    t = np.asarray(t, dtype=np.float64)
     # balance roundoff 2^k*eps/h^k against the O(h^6) Richardson remainder
-    h0 = _EPS ** (1.0 / (k + 6)) * max(1.0, abs(t))
-    dist = f.interior_distance(t)
-    if math.isfinite(dist):
-        reach = (k / 2.0 + 0.01) * 4.0
-        if dist <= 0:
-            raise DomainError("numeric derivative needs an interior point")
-        h0 = min(h0, 0.9 * dist / reach)
+    h0 = _EPS ** (1.0 / (k + 6)) * np.maximum(1.0, np.abs(t))
+    lo, hi = f.domain
+    dist = np.minimum(t - lo, hi - t)
+    if np.any(dist <= 0):
+        raise DomainError("numeric derivative needs an interior point")
+    # a step of h0 reaches (k/2 + 0.01) * 4 * h0 from t; infinite dist keeps h0
+    h0 = np.minimum(h0, 0.9 * dist / ((k / 2.0 + 0.01) * 4.0))
     d1 = _central_difference(f, t, h0, k)
     d2 = _central_difference(f, t, 2 * h0, k)
     d4 = _central_difference(f, t, 4 * h0, k)
@@ -73,8 +74,9 @@ def _numeric_derivative(f, t, k, cap):
 
 
 def derivative(f, t, k):
-    """k-th derivative of ``f`` at ``t``: analytic when available, else
-    central differences with two Richardson eliminations (numeric k <= 4)."""
+    """k-th derivative of ``f`` at ``t`` (a scalar or an array): analytic when
+    available, else central differences with two Richardson eliminations
+    (numeric k <= 4)."""
     k = int(k)
     if k < 0:
         raise OrderTooHigh("derivative order must be >= 0")

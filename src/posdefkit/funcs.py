@@ -13,10 +13,10 @@ class FuncHandle:
     """A scalar function on an interval, vectorized over numpy arrays.
 
     ``deriv(t, k)`` returns the k-th derivative for 0 <= k <= d_max when
-    analytic derivatives are available; ``deriv(t, 0)`` must agree with the
-    function itself.  Domain endpoints are admitted when the formula extends
-    continuously there; evaluations that come out non-finite raise
-    ``DomainError``.
+    analytic derivatives are available, for a scalar or an array t;
+    ``deriv(t, 0)`` must agree with the function itself.  Domain endpoints
+    are admitted when the formula extends continuously there; evaluations
+    that come out non-finite raise ``DomainError``.
     """
 
     fn: object
@@ -26,42 +26,32 @@ class FuncHandle:
     name: str = ""
 
     def __call__(self, t):
+        return self._checked(self.fn, t, self.name or "function")
+
+    def _checked(self, fn, t, what):
+        """fn at t inside the domain; a float for a scalar t, else an array."""
         arr = np.asarray(t, dtype=np.float64)
         lo, hi = self.domain
-        if np.any(arr < lo) or np.any(arr > hi):
-            raise DomainError(
-                f"{self.name or 'function'} evaluated outside its domain [{lo:g}, {hi:g}]"
-            )
-        out = np.asarray(self.fn(arr), dtype=np.float64)
-        if not np.all(np.isfinite(out)):
-            raise DomainError(f"{self.name or 'function'} is not finite at a requested point")
-        if np.ndim(t) == 0:
-            return float(out)
-        return out
+        if (arr < lo).any() or (arr > hi).any():
+            raise DomainError(f"{what} evaluated outside its domain [{lo:g}, {hi:g}]")
+        out = np.asarray(fn(arr), dtype=np.float64)
+        if not np.isfinite(out).all():
+            raise DomainError(f"{what} is not finite at a requested point")
+        return float(out) if arr.ndim == 0 else out
 
     def deriv_at(self, t, k):
-        """Analytic k-th derivative; raises ``OrderTooHigh`` beyond d_max."""
+        """Analytic k-th derivative at a scalar or an array t; raises
+        ``OrderTooHigh`` beyond d_max."""
         k = int(k)
         if k == 0:
             return self(t)
+        name = self.name or "function"
         if self.deriv is None or k > self.d_max:
-            raise OrderTooHigh(
-                f"analytic derivatives of order {k} are not available for {self.name or 'function'}"
-            )
-        lo, hi = self.domain
-        if t < lo or t > hi:
-            raise DomainError(f"derivative requested outside [{lo:g}, {hi:g}]")
-        val = float(self.deriv(float(t), k))
-        if not math.isfinite(val):
-            raise DomainError(f"derivative of {self.name or 'function'} not finite at t={t:g}")
-        return val
+            raise OrderTooHigh(f"analytic derivatives of order {k} are not available for {name}")
+        return self._checked(lambda arr: self.deriv(arr, k), t, f"derivative of {name}")
 
     def has_analytic(self, k):
         return self.deriv is not None and int(k) <= self.d_max
-
-    def interior_distance(self, t):
-        lo, hi = self.domain
-        return min(t - lo, hi - t)
 
 
 def from_callable(fn, domain=(-math.inf, math.inf), name=""):

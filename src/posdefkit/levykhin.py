@@ -55,7 +55,7 @@ def e_lambda(lam, t, t0=0.0):
     Vanishes together with its t-derivative at t = t0.  Small |lam*u| is
     routed through a Taylor branch, so the value is continuous in lam at 0.
     """
-    return float(_accel.e_lambda_vals(lam, float(t) - float(t0))[0])
+    return float(_accel.e_lambda_damped_vals(lam, float(t) - float(t0), 0.0)[0])
 
 
 def f_lambda(lam, t):
@@ -77,15 +77,11 @@ def _probe_laplace(mu, points, what):
     # Finiteness at the probes extends to their convex hull (the transform
     # is log-convex in t); the gap out to the open endpoints is inherent to
     # finite probing and documented rather than papered over.
-    for t in points:
-        try:
-            lv = msr.laplace(mu, float(t), tol=_PROBE_TOL)
-        except DivergentIntegral as exc:
-            raise InvalidRep(
-                f"{what}: transform of the measure diverges at t = {t:g}"
-            ) from exc
-        if not math.isfinite(lv.value):
-            raise InvalidRep(f"{what}: transform not finite at t = {t:g}")
+    try:
+        msr.laplace(mu, points, tol=_PROBE_TOL)
+    except DivergentIntegral as exc:
+        raise InvalidRep(f"{what}: transform of the measure diverges on "
+                         f"[{min(points):g}, {max(points):g}]: {exc}") from exc
 
 
 def _require_halfline(mu, what):
@@ -175,70 +171,74 @@ def _stub_reach(mu):
     return 0.0
 
 
+def _batch(t, message="", lo=-math.inf, hi=math.inf):
+    """t as a 1-d float array; a DomainError names the first t that is not
+    finite, else the first outside (lo, hi), as a scalar call there would."""
+    ts = np.ravel(np.asarray(t, dtype=np.float64))
+    for bad, text in ((~np.isfinite(ts), "synthesis needs a finite t, got {:g}"),
+                      ((ts <= lo) | (ts >= hi), message)):
+        if bad.any():
+            raise DomainError(text.format(ts[bad][0]))
+    return ts
+
+
 def _synth(mu, kernel, g_head, g_tail, offset, t, tol, full, what):
-    """offset + integral kernel(lam) dmu, checked finite; a LaplaceValue when ``full``."""
-    part, bound = msr.integrate_against(
-        mu, lambda x, w: float(np.dot(w, kernel(x))), g_head, g_tail, tol
-    )
+    """offset + integral kernel(lam) dmu for each t, shaped like t and checked
+    finite; a LaplaceValue when ``full``.  ``kernel`` maps nodes to one row per t."""
+    part, worst, bounds = msr.integrate_against(mu, lambda x, w: kernel(x) @ w, g_head, g_tail, tol)
     value = offset + part
-    if not math.isfinite(value):
-        raise DivergentIntegral(f"{what} overflowed at t = {t:g}")
-    if full:
-        return msr.LaplaceValue(value, bound, bound <= tol)
-    return value
+    bad = ~np.isfinite(value)
+    if bad.any():
+        raise DivergentIntegral(f"{what} overflowed at t = {np.ravel(t)[bad][0]:g}")
+    lv = msr.LaplaceValue.shaped(t, value, bounds, worst <= tol)
+    return lv if full else lv.value
 
 
 def synth_interval(rep, t, tol=1e-10, full=False):
     """c + d(t-t0) + integral e_lam(t) e^{-lam t0} dmu at t inside the interval.
 
     Atom sums are exact; the density part carries a quadrature bound <= tol.
-    ``full=True`` returns a LaplaceValue exposing that bound.
+    ``full=True`` returns a LaplaceValue exposing that bound.  Like every
+    synthesizer here, it takes a scalar or an array of t.
     """
-    t = float(t)
     a, b = rep.interval
-    if not a < t < b:
-        raise DomainError(f"t = {t:g} outside the open interval ({a:g}, {b:g})")
-    u, t0 = t - rep.t0, rep.t0
+    ts = _batch(t, f"t = {{:g}} outside the open interval ({a:g}, {b:g})", a, b)
+    u, t0 = ts - rep.t0, rep.t0
+    um = float(np.max(np.abs(u)))
     # |e_lam(u)| <= u^2/2 * e^{|lam u|} over the stub
-    g_head = (0.5 * u * u * math.exp(_stub_reach(rep.mu) * (abs(u) + abs(t0))), 0.0)
-    return _synth(rep.mu, lambda x: _accel.e_lambda_damped_vals(x, u, t0), g_head,
-                  (2.0 + abs(u), -1.0, min(t, t0)), rep.c + rep.d * u, t, tol, full,
+    g_head = (0.5 * um * um * math.exp(_stub_reach(rep.mu) * (um + abs(t0))), 0.0)
+    return _synth(rep.mu, lambda x: _accel.e_lambda_damped_vals(x, u[:, None], t0), g_head,
+                  (2.0 + um, -1.0, min(float(ts.min()), t0)), rep.c + rep.d * u, t, tol, full,
                   "interval synthesis")
 
 
 def synth_increasing(rep, t, tol=1e-10, full=False):
     """c + integral f_lam(t) dmu for t > 0; equals c exactly at t = 1."""
-    t = float(t)
-    if not math.isfinite(t):
-        raise DomainError(f"synthesis needs a finite t, got {t:g}")
-    if t <= 0:
-        raise DomainError("increasing synthesis is defined for t > 0")
-    u = abs(t - 1.0)
-    g_head = (u * math.exp(_stub_reach(rep.mu) * u), 0.0)
-    return _synth(rep.mu, lambda x: _accel.f_lambda_vals(x, t), g_head,
-                  (2.0, -1.0, min(1.0, t)), rep.c, t, tol, full, "increasing synthesis")
+    ts = _batch(t, "increasing synthesis is defined for t > 0", 0.0)
+    um = float(np.max(np.abs(ts - 1.0)))
+    g_head = (um * math.exp(_stub_reach(rep.mu) * um), 0.0)
+    return _synth(rep.mu, lambda x: _accel.f_lambda_vals(x, ts[:, None]), g_head,
+                  (2.0, -1.0, min(1.0, float(ts.min()))), rep.c, t, tol, full,
+                  "increasing synthesis")
+
+
+def _bernstein(rep, ts, t, tol, full):
+    dens = rep.sigma.density
+    # 1 - e^{-lam t} <= lam t
+    g_head = (float(ts.max()), 1.0) if dens is not None and dens.lo == 0.0 else (1.0, 0.0)
+    return _synth(rep.sigma, lambda x: _accel.one_minus_exp_vals(x, ts[:, None]), g_head,
+                  (1.0, 0.0, 0.0), rep.a + rep.b * ts, t, tol, full, "Bernstein synthesis")
 
 
 def synth_bernstein(rep, t, tol=1e-10, full=False):
     """a + b*t + integral (1 - e^{-lam t}) dsigma for t > 0; nonnegative."""
-    t = float(t)
-    if not math.isfinite(t):
-        raise DomainError(f"synthesis needs a finite t, got {t:g}")
-    if t <= 0:
-        raise DomainError("Bernstein synthesis is defined for t > 0")
-    dens = rep.sigma.density
-    # 1 - e^{-lam t} <= lam t
-    g_head = (t, 1.0) if dens is not None and dens.lo == 0.0 else (1.0, 0.0)
-    return _synth(rep.sigma, lambda x: _accel.one_minus_exp_vals(x, t), g_head,
-                  (1.0, 0.0, 0.0), rep.a + rep.b * t, t, tol, full, "Bernstein synthesis")
+    ts = _batch(t, "Bernstein synthesis is defined for t > 0", 0.0)
+    return _bernstein(rep, ts, t, tol, full)
 
 
 def synth_reflection_negative(rep, t, tol=1e-10, full=False):
-    """Even extension a + b|t| + integral (1 - e^{-lam |t|}) dsigma; a at t = 0."""
-    t = float(t)
-    if t == 0.0:
-        return msr.LaplaceValue(rep.a, 0.0, True) if full else rep.a
-    return synth_bernstein(rep, abs(t), tol, full)
+    """Even extension a + b|t| + integral (1 - e^{-lam |t|}) dsigma; exactly a at t = 0."""
+    return _bernstein(rep, _batch(np.abs(t)), t, tol, full)
 
 
 def synth(rep, t, tol=1e-10, full=False, form=None):
@@ -262,18 +262,14 @@ def synth(rep, t, tol=1e-10, full=False, form=None):
 # function handles around the synthesizers
 
 
-def _vectorize(scalar_fn):
-    def fn(arr):
-        flat = np.atleast_1d(np.asarray(arr, dtype=np.float64)).ravel()
-        out = np.array([scalar_fn(float(tt)) for tt in flat])
-        return out.reshape(np.shape(arr))
-
-    return fn
-
-
 def _synth_handle(rep, tol, form, domain, name, deriv=None):
+    def fn(t):
+        # one batched synthesis over the distinct arguments
+        uniq, inv = np.unique(t, return_inverse=True)
+        return synth(rep, uniq, tol, form=form)[inv].reshape(np.shape(t))
+
     return FuncHandle(
-        fn=_vectorize(lambda t: synth(rep, t, tol, form=form)),
+        fn=fn,
         domain=domain,
         deriv=deriv,
         d_max=8 if deriv is not None else 0,
@@ -290,15 +286,17 @@ def interval_handle(rep, tol=1e-10):
     """
 
     def d1(t):
-        u, t0 = t - rep.t0, rep.t0
-        g_head = ((abs(u) + 1.0) * math.exp(_stub_reach(rep.mu) * (abs(u) + abs(t0))), 0.0)
-        return _synth(rep.mu, lambda x: _accel.e_lambda_dt_damped_vals(x, u, t0), g_head,
-                      (2.0, -1.0, min(t, t0)), rep.d, t, tol, False,
+        ts = _batch(t)
+        u, t0 = ts - rep.t0, rep.t0
+        um = float(np.max(np.abs(u)))
+        g_head = ((um + 1.0) * math.exp(_stub_reach(rep.mu) * (um + abs(t0))), 0.0)
+        return _synth(rep.mu, lambda x: _accel.e_lambda_dt_damped_vals(x, u[:, None], t0),
+                      g_head, (2.0, -1.0, min(float(ts.min()), t0)), rep.d, t, tol, False,
                       "interval first derivative")
 
     def deriv(t, k):
         if k == 1:
-            return d1(float(t))
+            return d1(t)
         return -msr.laplace_deriv(rep.mu, t, k - 2, tol).value
 
     return _synth_handle(rep, tol, "interval", rep.interval, "interval_synth", deriv)
@@ -380,7 +378,7 @@ def analyze_interval(psi, t0, fit_grid, lambda_grid=None, tol=1e-8):
         lambda_grid = default_lambda_grid()
     c = psi(t0)
     d = derivative(psi, t0, 1)
-    y = np.array([-derivative(psi, float(s), 2) for s in fit])
+    y = -np.asarray(derivative(psi, fit, 2))
     if y.min() < -float(tol):
         i = int(np.argmin(y))
         raise NotNegativeDefinite(
@@ -408,7 +406,7 @@ def analyze_increasing(psi, fit_grid, lambda_grid=None, tol=1e-8):
         lambda_grid = default_lambda_grid()
     tol = float(tol)
     c = psi(1.0)
-    y = np.array([derivative(psi, float(s), 1) for s in fit])
+    y = np.asarray(derivative(psi, fit, 1))
     if y.min() < -tol:
         i = int(np.argmin(y))
         raise NotIncreasing(f"derivative is negative at t = {fit[i]:g}")
@@ -427,7 +425,7 @@ def analyze_increasing(psi, fit_grid, lambda_grid=None, tol=1e-8):
 
 def _derivative_handle(psi):
     """psi' as a handle: analytic order shift when psi has derivatives."""
-    fn = _vectorize(lambda t: derivative(psi, t, 1))
+    fn = lambda t: derivative(psi, t, 1)
     deriv = None
     d_max = 0
     if psi.deriv is not None and psi.d_max >= 2:

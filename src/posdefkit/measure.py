@@ -21,8 +21,17 @@ sums atoms exactly and dispatches the density part to one of the two
 quadrature routines.  Integrals over function densities use composite
 16-point Gauss-Legendre panels on a geometrically graded mesh toward
 ``lo``; the reported ``truncation_bound`` adds the analytic stub and tail
-bounds to the observed refinement difference, so ``converged`` is an
-honest claim.
+bounds and a rounding allowance to the observed refinement difference, so
+``converged`` is an honest claim.
+
+One call integrates a whole batch of t: the integrand family is given as
+one weighted sum per t.  The batch shares one truncation point and one
+stub, both sized for its worst-case integrand bounds, and one mesh per
+refinement level, on which the density is evaluated once.  Refinement
+continues until every t has converged, and each t gets its own bound.
+The integrand is summed over blocks of nodes holding a fixed number
+(``_BLOCK``) of node-by-t elements, so memory stays flat however large the
+batch.
 """
 
 import json
@@ -40,6 +49,12 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 # refinement levels double the panel count per octave
 _MAX_LEVEL = 4
 _MAX_PANELS = 8192
+# every quadrature bound adds this share of the density part: a refinement
+# difference below a few ulps of the value is summation noise, not accuracy
+_ROUNDING = 16.0 * np.finfo(float).eps
+# node-by-t elements per call of a batch's wsum: 64 KiB of float64
+# temporaries, where a 64-point Gram batch at once took hundreds of MiB
+_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -178,11 +193,22 @@ class Measure:
 
 @dataclass(frozen=True)
 class LaplaceValue:
-    """A transform value with an honest error bound."""
+    """A transform value with an honest error bound.
+
+    For an array of t, ``value`` and ``truncation_bound`` are arrays shaped
+    like t and ``converged`` says whether every bound met the tolerance.
+    """
 
     value: float
     truncation_bound: float
     converged: bool
+
+    @classmethod
+    def shaped(cls, t, values, bounds, converged):
+        """From 1-d batch results: floats for a scalar t, arrays shaped like t otherwise."""
+        if np.ndim(t) == 0:
+            return cls(float(values[0]), float(bounds[0]), bool(converged))
+        return cls(values.reshape(np.shape(t)), bounds.reshape(np.shape(t)), bool(converged))
 
 
 def point_mass(lam, weight=1.0):
@@ -251,9 +277,11 @@ def _choose_truncation(env, g_power, g_decay, g_coef, lo, budget):
 def _integrate_func_density(dens, wsum, g_head, g_tail, tol, breaks=()):
     """Integrate wsum against the density with stub/tail/refinement bounds.
 
-    wsum(nodes, weights) must return sum_i weights_i * g(nodes_i);
-    g_head = (coef, power) bounds |g| near lo; g_tail = (coef, power, decay)
-    bounds |g| for large lambda (only used when the support is unbounded).
+    wsum(nodes, weights) must return sum_i weights_i * g_t(nodes_i) for each
+    t of the batch; g_head = (coef, power) bounds every |g_t| near lo and
+    g_tail = (coef, power, decay) bounds every |g_t| for large lambda (only
+    used when the support is unbounded).  Returns one value and one bound
+    per t.
     """
     budget = tol / 10.0
     if math.isinf(dens.hi):
@@ -281,11 +309,11 @@ def _integrate_func_density(dens, wsum, g_head, g_tail, tol, breaks=()):
             rho = np.maximum(rho, 0.0)
         value = wsum(nodes, rho * wts)
         if prev is not None:
-            quad_err = abs(value - prev)
-            if quad_err <= budget:
+            quad_err = np.abs(value - prev)
+            if quad_err.max() <= budget:
                 break
         prev = value
-    if not math.isfinite(value):
+    if not np.all(np.isfinite(value)):
         raise DivergentIntegral("quadrature overflowed; transform diverges on this input")
     return value, stub_bound + tail_bound + quad_err
 
@@ -295,48 +323,53 @@ def _integrate_gridded(dens, wsum):
 
     Both rules feed nodes and weights to the same ``wsum``: the trapezoid
     rule as node weights on the grid, Gauss-Legendre as 16 nodes per cell
-    (and per half cell, whose difference bounds the Gauss value).
+    (and per half cell, whose difference bounds the Gauss value).  Returns
+    one value and one bound per t.
     """
     grid, vals = dens.grid, dens.values
 
     def gauss(edges):
         nodes, wts = _panel_nodes(edges)
-        return float(wsum(nodes, wts * np.interp(nodes, grid, vals)))
+        return wsum(nodes, wts * np.interp(nodes, grid, vals))
 
     val_gl = gauss(grid)
     val_gl2 = gauss(np.sort(np.concatenate([grid, 0.5 * (grid[:-1] + grid[1:])])))
     if dens.rule == "trapezoid":
         half = 0.5 * np.diff(grid)
-        val = float(wsum(grid, vals * (np.append(half, 0.0) + np.insert(half, 0, 0.0))))
-        bound = abs(val - val_gl) + abs(val_gl - val_gl2)
+        val = wsum(grid, vals * (np.append(half, 0.0) + np.insert(half, 0, 0.0)))
+        bound = np.abs(val - val_gl) + np.abs(val_gl - val_gl2)
     else:
-        val, bound = val_gl2, abs(val_gl2 - val_gl) + 1e-15 * abs(val_gl2)
-    if not math.isfinite(val + bound):
+        val, bound = val_gl2, np.abs(val_gl2 - val_gl) + 1e-15 * np.abs(val_gl2)
+    if not np.all(np.isfinite(val + bound)):
         raise DivergentIntegral("integrand not finite on the density grid")
     return val, bound
 
 
 def integrate_against(mu, wsum, g_head=(1.0, 0.0), g_tail=(1.0, 0.0, 0.0), tol=1e-10, breaks=()):
-    """integral g(lam) dmu, the one quadrature entry point of the package.
+    """integral g_t(lam) dmu for a batch of t, the one quadrature entry point of the package.
 
-    The integrand is given as a weighted sum: ``wsum(x, w)`` returns
-    ``sum_i w_i * g(x_i)`` for node and weight arrays.  Atoms are summed
-    exactly through it.  For a function density, ``g_head = (coef, power)``
-    bounds |g| near its lower endpoint, ``g_tail = (coef, power, decay)``
-    bounds |g| for large lambda, and interior kinks of g listed in
-    ``breaks`` stay on panel edges.  Returns ``(value, bound)``.
+    The integrands are given as weighted sums: ``wsum(x, w)`` returns
+    ``sum_i w_i * g_t(x_i)`` for node and weight arrays, one sum per t (a
+    scalar for a single integrand).  Atoms are summed exactly through it.
+    For a function density, ``g_head = (coef, power)`` bounds every |g_t|
+    near its lower endpoint, ``g_tail = (coef, power, decay)`` bounds every
+    |g_t| for large lambda, and interior kinks listed in ``breaks`` stay on
+    panel edges.  Returns ``(values, worst, bounds)``: one value and one
+    bound per t, and the largest bound, which decides convergence.
     """
     lam, w = mu.atom_arrays()
-    total = float(wsum(lam, w)) if lam.size else 0.0
-    bound = 0.0
+    total = np.asarray(wsum(lam, w), dtype=np.float64)
     dens = mu.density
+    if dens is None:
+        return total, 0.0, np.zeros_like(total)
+    step = max(1, _BLOCK // total.size)
+    blocked = lambda x, w: sum(wsum(x[i:i + step], w[i:i + step]) for i in range(0, x.size, step))
     if isinstance(dens, FuncDensity):
-        part, bound = _integrate_func_density(dens, wsum, g_head, g_tail, tol, breaks)
-        total += part
-    elif dens is not None:
-        part, bound = _integrate_gridded(dens, wsum)
-        total += part
-    return total, bound
+        part, bound = _integrate_func_density(dens, blocked, g_head, g_tail, tol, breaks)
+    else:
+        part, bound = _integrate_gridded(dens, blocked)
+    bound = bound + _ROUNDING * np.abs(part)
+    return total + part, float(np.max(bound)), bound
 
 
 # ---------------------------------------------------------------------------
@@ -344,11 +377,11 @@ def integrate_against(mu, wsum, g_head=(1.0, 0.0), g_tail=(1.0, 0.0, 0.0), tol=1
 
 
 def _laplace_g_head(dens, t, k):
-    """(coef, power) bound for lam**k * exp(-lam*t) near dens.lo."""
+    """(coef, power) bound for lam**k * exp(-lam*t) near dens.lo, for every t of the batch."""
     cut = dens.head.cutoff  # stub panel can reach the full head cutoff
     top = abs(dens.lo) + cut
-    # sup of exp(-lam*t) over the stub (lo, lo+cut]
-    grow = math.exp(-t * dens.lo) if t >= 0.0 else math.exp(-t * (dens.lo + cut))
+    # sup of exp(-lam*t) over the stub (lo, lo+cut]; convex in t, so the batch's ends bound it
+    grow = max(math.exp(-s * (dens.lo if s >= 0.0 else dens.lo + cut)) for s in (t.min(), t.max()))
     if dens.lo == 0.0:
         return grow, float(k)
     return (top**k if k else 1.0) * grow, 0.0
@@ -360,7 +393,8 @@ def laplace_deriv(mu, t, k, tol=1e-10):
     Returns ``LaplaceValue`` with ``value = (-1)**k * integral lam**k e^{-lam t} dmu``
     and a truncation bound combining analytic stub/tail envelopes with the
     observed quadrature refinement difference.  ``converged`` is True when
-    that bound is at or below ``tol``.
+    that bound is at or below ``tol``.  An array of t is one batched
+    integration with a value and a bound per t.
 
     Raises ``DivergentIntegral`` when the transform provably diverges at
     ``t`` (non-decaying tail, non-integrable endpoint).
@@ -371,16 +405,18 @@ def laplace_deriv(mu, t, k, tol=1e-10):
     tol = float(tol)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    t = float(t)
+    ts = np.ravel(np.asarray(t, dtype=np.float64))
     dens = mu.density
-    g_head = _laplace_g_head(dens, t, k) if isinstance(dens, FuncDensity) else (1.0, 0.0)
-    total, bound = integrate_against(
-        mu, lambda x, w: _accel.exp_weighted_sum(x, w, t, k), g_head, (1.0, float(k), t), tol
+    g_head = _laplace_g_head(dens, ts, k) if isinstance(dens, FuncDensity) else (1.0, 0.0)
+    total, worst, bound = integrate_against(
+        mu, lambda x, w: _accel.exp_weighted_sum(x, w, ts, k), g_head,
+        (1.0, float(k), float(ts.min())), tol
     )
     value = (-1.0) ** k * total
-    if not math.isfinite(value):
-        raise DivergentIntegral("transform overflowed at t = %g" % t)
-    return LaplaceValue(value, bound, bound <= tol)
+    bad = ~np.isfinite(value)
+    if bad.any():
+        raise DivergentIntegral("transform overflowed at t = %g" % ts[bad][0])
+    return LaplaceValue.shaped(t, value, bound, worst <= tol)
 
 
 def laplace(mu, t, tol=1e-10):
@@ -390,38 +426,26 @@ def laplace(mu, t, tol=1e-10):
 
 def total_mass(mu, tol=1e-10):
     """Total mass of the measure; raises ``DivergentIntegral`` when infinite."""
-    return integrate_against(mu, lambda x, w: float(w.sum()), tol=tol)[0]
-
-
-def _tail_densities(dens, T):
-    """The density pieces of tail_mass, with no Gauss node straddling |lam| = T."""
-    if dens is None:
-        return []
-    if isinstance(dens, GriddedDensity):
-        # knots at +-T put every Gauss cell of the interpolant on one side of the cut
-        grid = np.union1d(dens.grid, [c for c in (-T, T) if dens.lo < c < dens.hi])
-        return [GriddedDensity(grid, np.interp(grid, dens.grid, dens.values), "gauss-composite")]
-    if T <= dens.lo:
-        return [dens]
-    pieces = []
-    if dens.lo < -T:
-        # [lo, -T) keeps lo, so the density's own head bound still holds
-        pieces.append(FuncDensity(dens.fn, dens.lo, min(-T, dens.hi), dens.head))
-    if dens.hi > T:
-        # shifted window [T, hi): no endpoint singularity, sample a head bound
-        probe = dens.fn(np.linspace(T, T + min(1.0, 0.1 * max(T, 1.0)), 9))
-        head = HeadBound(coef=4.0 * float(np.max(probe)) + 1e-300, power=0.0, cutoff=1.0)
-        pieces.append(FuncDensity(dens.fn, T, dens.hi, head, dens.tail_env))
-    return pieces
+    return float(integrate_against(mu, lambda x, w: w.sum(), tol=tol)[0])
 
 
 def tail_mass(mu, T, tol=1e-8):
     """Mass of {|lam| > T}; raises ``DivergentIntegral`` when infinite."""
     if T < 0:
         raise ValueError("T must be nonnegative")
-    pieces = [Measure(atoms=mu.atoms)] + [Measure(density=d) for d in _tail_densities(mu.density, T)]
-    return sum(integrate_against(m, lambda x, w: float(w[np.abs(x) > T].sum()), tol=tol)[0]
-               for m in pieces)
+    dens = mu.density
+    g_head = (1.0, 0.0)
+    if isinstance(dens, GriddedDensity):
+        # knots at +-T put every Gauss cell of the interpolant on one side of the cut
+        grid = np.union1d(dens.grid, [c for c in (-T, T) if dens.lo < c < dens.hi])
+        dens = GriddedDensity(grid, np.interp(grid, dens.grid, dens.values), "gauss-composite")
+    elif dens is not None and -T <= dens.lo < T:
+        # the indicator is <= ((lam - lo)/(T - lo))**p for any p >= 0; p = 4
+        # keeps the stub integrable against heads down to (lam - lo)**-4.9
+        g_head = ((T - dens.lo) ** -4.0, 4.0)
+    # the cuts at +-T stay on panel edges, so no Gauss panel straddles them
+    return float(integrate_against(Measure(mu.atoms, dens), lambda x, w: w[np.abs(x) > T].sum(),
+                                   g_head, tol=tol, breaks=(-T, T))[0])
 
 
 def one_wedge_integral(sigma, tol=1e-10):
@@ -437,9 +461,9 @@ def one_wedge_integral(sigma, tol=1e-10):
         raise InvalidMeasure("one-wedge integral needs support in (0, inf)")
     g_head = (1.0, 1.0) if dens is None or dens.lo == 0.0 else (min(1.0, dens.lo + 1.0), 0.0)
     # min(1, lam) kinks at 1; keep that point on a panel edge
-    return integrate_against(
-        sigma, lambda x, w: float(np.dot(w, np.minimum(1.0, x))), g_head, tol=tol, breaks=(1.0,)
-    )[0]
+    return float(integrate_against(
+        sigma, lambda x, w: np.dot(w, np.minimum(1.0, x)), g_head, tol=tol, breaks=(1.0,)
+    )[0])
 
 
 # ---------------------------------------------------------------------------

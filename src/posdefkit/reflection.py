@@ -10,7 +10,7 @@ and tolerance, nothing stronger.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .errors import (
 from .funcs import FuncHandle, chebyshev_grid
 from .kernelcheck import (
     FAIL,
+    INCONCLUSIVE,
     PASS,
     PositivityVerdict,
     cnd_check,
@@ -91,11 +92,18 @@ class BoundaryReport:
     necessary_witness: float | None
 
 
+def _window(a, n, tol, finite=True):
+    """a checked positive (and finite if ``finite``), n and the tol for n points."""
+    a = float(a)
+    if not (a > 0 and (math.isfinite(a) or not finite)):
+        raise DomainError("a must be positive and finite" if finite else "a must be positive")
+    return a, int(n), default_tol(int(n)) if tol is None else tol
+
+
 def _evenness(f, sym_grid, tol):
-    vals = np.atleast_1d(f(sym_grid))
-    scale = max(1.0, float(np.abs(vals).max()))
-    asym = float(np.abs(vals - np.atleast_1d(f(-sym_grid))).max())
-    return asym <= tol * scale, vals
+    # one evaluation of f on the grid and its mirror image
+    vals, mirror = np.split(np.atleast_1d(f(np.concatenate([sym_grid, -sym_grid]))), 2)
+    return float(np.abs(vals - mirror).max()) <= tol * max(1.0, float(np.abs(vals).max()))
 
 
 def reflection_positive_check(phi, a, n=12, tol=None):
@@ -104,15 +112,10 @@ def reflection_positive_check(phi, a, n=12, tol=None):
     The report combines evenness (within tol*scale), the difference kernel
     on a symmetric grid, and the sum kernel on a (0, a) grid.
     """
-    a = float(a)
-    if not (a > 0 and math.isfinite(a)):
-        raise DomainError("a must be positive and finite")
-    n = int(n)
-    if tol is None:
-        tol = default_tol(n)
+    a, n, tol = _window(a, n, tol)
     grid_m = chebyshev_grid(-a, a, n)
     grid_p = chebyshev_grid(0.0, a, n)
-    symmetric, _ = _evenness(phi, grid_m, tol)
+    symmetric = _evenness(phi, grid_m, tol)
     minus_v = psd_check(gram_minus(phi, grid_m), tol)
     plus_v = psd_check(gram_plus(phi, grid_p), tol)
     verdict = combine((minus_v, plus_v)) if symmetric else FAIL
@@ -128,16 +131,11 @@ def reflection_negative_check(psi, a, n=12, hs=None, tol=None):
     individually so a FAIL shows which necessary condition broke.  Raises
     ``NotSymmetric`` when psi is not even within tol*scale.
     """
-    a = float(a)
-    if not a > 0:
-        raise DomainError("a must be positive")
-    n = int(n)
-    if tol is None:
-        tol = default_tol(n)
+    a, n, tol = _window(a, n, tol, finite=False)
     a_eff = a if math.isfinite(a) else _UNBOUNDED_HORIZON
     grid_m = chebyshev_grid(-a_eff, a_eff, n)
     grid_p = chebyshev_grid(0.0, a_eff, n)
-    symmetric, vals = _evenness(psi, grid_m, tol)
+    symmetric = _evenness(psi, grid_m, tol)
     if not symmetric:
         raise NotSymmetric("function must be even for the reflection tests")
     # one Gram per kernel feeds both the cnd test and the exp(-h*psi) scan
@@ -150,13 +148,8 @@ def reflection_negative_check(psi, a, n=12, hs=None, tol=None):
     bern_v = None
     if math.isinf(a):
         psi0 = psi(0.0)
-        shifted = FuncHandle(
-            fn=lambda arr: np.asarray(psi(np.asarray(arr, dtype=np.float64))) - psi0,
-            domain=(0.0, psi.domain[1]),
-            deriv=psi.deriv,
-            d_max=psi.d_max,
-            name=(psi.name or "psi") + "_shifted",
-        )
+        shifted = replace(psi, fn=lambda t: psi.fn(t) - psi0, domain=(0.0, psi.domain[1]),
+                          name=(psi.name or "psi") + "_shifted")
         bern_v = bernstein_check(shifted, grid_p, k_max=3, tol=tol)
     routes = (minus_v, plus_v, sch_m, sch_p, bern_v)
     return ReflectionReport(
@@ -201,11 +194,7 @@ def extendable_check(psi, a, tol=None):
     is true.  Raises ``NotConvex`` when the sampled convexity or
     nonnegativity precondition fails.
     """
-    a = float(a)
-    if not (a > 0 and math.isfinite(a)):
-        raise DomainError("a must be positive and finite")
-    if tol is None:
-        tol = default_tol(24)
+    a, _, tol = _window(a, 24, tol)
     pts = np.concatenate(([0.0], chebyshev_grid(0.0, a, 22), [a]))
     vals = np.atleast_1d(psi(pts))
     scale = max(1.0, float(np.abs(vals).max()))
@@ -234,11 +223,16 @@ def extendable_check(psi, a, tol=None):
     return bool(slope_a <= tol), extension
 
 
-def _transform_abs_handle(mu, a):
-    def fn(arr):
-        flat = np.atleast_1d(np.asarray(arr, dtype=np.float64)).ravel()
-        out = np.array([msr.laplace(mu, abs(float(tt)), tol=1e-10).value for tt in flat])
-        return out.reshape(np.shape(arr))
+def _transform_abs_handle(mu, a, misses):
+    """phi(t) = transform of mu at |t|, one batched transform over the
+    distinct |t| per call; a call whose bounds miss tol appends to ``misses``."""
+
+    def fn(t):
+        uniq, inv = np.unique(np.abs(t), return_inverse=True)
+        lv = msr.laplace(mu, uniq, tol=1e-10)
+        if not lv.converged:
+            misses.append(lv)
+        return lv.value[inv].reshape(np.shape(t))
 
     return FuncHandle(fn=fn, domain=(-a, a), name="transform_even")
 
@@ -247,33 +241,31 @@ def boundary_derivative_check(mu, a, n=12, tol=None):
     """Boundary-derivative test for phi(t) = transform of mu at |t|.
 
     ``sufficient`` is the one-sided slope condition at a (slope <= tol
-    implies reflection positivity); ``rp`` is the direct kernel check; when
-    rp passes and phi is nonconstant, ``necessary_witness`` is b = a/1000
+    implies reflection positivity); ``rp`` is the direct kernel check, with
+    verdict INCONCLUSIVE when a transform value behind it did not converge;
+    when rp passes and phi is nonconstant, ``necessary_witness`` is b = a/1000
     when the transform slope there is < -tol.  The slope never decreases
     (phi is convex), so no larger b can qualify when this one fails.  A
     nonpositive boundary slope together with a failed kernel check is a
     contradiction and raises ``ConsistencyError``.
     """
-    a = float(a)
-    if not (a > 0 and math.isfinite(a)):
-        raise DomainError("a must be positive and finite")
-    n = int(n)
-    if tol is None:
-        tol = default_tol(n)
-    for t in (1e-3 * a, 0.5 * a, a):
-        msr.laplace(mu, float(t), tol=1e-6)  # DivergentIntegral if unusable
-    slope = msr.laplace_deriv(mu, a, 1).value
+    a, n, tol = _window(a, n, tol)
+    msr.laplace(mu, a * np.array([1e-3, 0.5, 1.0]), tol=1e-6)  # DivergentIntegral if unusable
+    b = 1e-3 * a
+    slope, slope_b = msr.laplace_deriv(mu, np.array([a, b]), 1).value
     sufficient = slope <= tol
-    phi = _transform_abs_handle(mu, a)
+    misses = []
+    phi = _transform_abs_handle(mu, a, misses)
     rp = reflection_positive_check(phi, a, n, tol)
+    if misses:
+        rp = replace(rp, verdict=INCONCLUSIVE)
     witness = None
     if rp.passed:
         grid = chebyshev_grid(-a, a, max(n, 12))
         vals = np.atleast_1d(phi(grid))
         scale = max(1.0, float(np.abs(vals).max()))
         nonconstant = float(vals.max() - vals.min()) > tol * scale
-        b = 1e-3 * a
-        if nonconstant and msr.laplace_deriv(mu, b, 1).value < -tol:
+        if nonconstant and slope_b < -tol:
             witness = b
     if sufficient and rp.verdict == FAIL:
         raise ConsistencyError(
@@ -301,7 +293,8 @@ def periodic_rp(mu_plus, beta, t, tol=1e-10):
     r = math.fmod(float(t), beta)
     if r < 0.0:
         r += beta
-    return msr.laplace(mu_plus, r, tol).value + msr.laplace(mu_plus, beta - r, tol).value
+    near, far = msr.laplace(mu_plus, np.array([r, beta - r]), tol).value
+    return float(near + far)
 
 
 def double_integral_rp(atoms, t, tol=1e-10):

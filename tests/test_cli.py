@@ -66,6 +66,32 @@ def test_bad_h_list_is_input_error(capsys, cmd, h_list):
     assert list(doc) == ["error"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["check-pd", "--function", "catalog:exp_decay", "--tol", "nan"],
+    ["check-nd", "--function", "catalog:log1p", "--tol", "-1"],
+    ["check-pd", "--function", "catalog:exp_decay", "--tol", "inf"],
+    ["check-cm", "--function", "catalog:neg_power", "--tol=0"],
+])
+def test_bad_tol_is_input_error(capsys, argv):
+    assert cli.main(argv) == 2
+    assert "must be finite and > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd, name, flag, value, want", [
+    ("check-pd", "green", "--interval", "-1,1", 0),
+    ("check-nd", "abs_power", "--interval", "-1.5,1.5", 0),
+    ("check-nd", "log1p", "--h-list", "-1,2", 2),
+])
+def test_signed_list_values_parse_with_or_without_equals(capsys, cmd, name, flag, value, want):
+    fn = ["--function", f"catalog:{name}"]
+    code, doc, _ = run_json(capsys, cmd, *fn, flag, value)
+    code_eq, doc_eq, _ = run_json(capsys, cmd, *fn, f"{flag}={value}")
+    assert code == code_eq == want
+    doc.pop("timing_ms", None)
+    doc_eq.pop("timing_ms", None)
+    assert doc == doc_eq
+
+
 # every check-* subcommand, on an entry with a symmetric window (difference
 # kernel) and, where the check needs no evenness, one with a half-line window
 _CHECK_CASES = [
@@ -199,6 +225,17 @@ def test_thm59(capsys, tmp_path):
     assert rec["sufficient"] is True
     assert rec["rp"]["verdict"] == "PASS"
     assert rec["necessary_witness"] is not None
+
+
+def test_thm59_unconverged_transform_is_inconclusive(capsys, tmp_path):
+    # a coarse gridded density: its transform bounds are far above tol
+    mu = tmp_path / "coarse.json"
+    dens = msr.GriddedDensity(np.array([0.0, 1.0, 5.0, 20.0]), np.array([1.0, 0.5, 0.2, 0.0]))
+    mu.write_text(pk.measure_to_json(pk.Measure(density=dens, support=(0.0, 20.0))))
+    code, doc, _ = run_json(capsys, "thm59", "--measure", str(mu), "--a", "1")
+    assert code == 3
+    assert doc["results"][0]["rp"]["verdict"] == "INCONCLUSIVE"
+    assert doc["results"][0]["necessary_witness"] is None
 
 
 def test_gallery_lists_catalog(capsys):

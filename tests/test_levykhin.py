@@ -1,6 +1,8 @@
 """Elementary integrand kernels, representation fitting, and synthesis."""
+import dataclasses
 import json
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -212,3 +214,79 @@ def test_interval_handle_respects_interval():
     lo, hi = rep.interval
     with pytest.raises(pk.DomainError):
         psi(lo - 1.0 if np.isfinite(lo) else -1.0)
+
+
+# batched synthesis: one adaptive integration per batch of distinct t
+
+_BATCH = np.array([0.02, 0.4, 1.0, 2.7, 6.0])
+_CLOSED_FORMS = [
+    ("log1p", {}, "bernstein", np.log1p),
+    ("power", {"alpha": 0.5}, "bernstein", np.sqrt),
+    ("signed_power", {"alpha": 1.5}, "interval", lambda t: -t**1.5),
+]
+
+
+@pytest.mark.parametrize("name, params, form, closed", _CLOSED_FORMS)
+def test_batched_synthesis_matches_batch_of_one_and_closed_form(name, params, form, closed):
+    rep = pk.get(name, **params).lk_data
+    lv = lk.synth(rep, _BATCH, full=True)
+    assert lv.converged and lv.value.shape == _BATCH.shape
+    for t, value, bound in zip(_BATCH, lv.value, lv.truncation_bound):
+        one = lk.synth(rep, float(t), full=True)
+        assert abs(value - one.value) <= bound + one.truncation_bound
+        assert abs(value - closed(t)) <= 1e-10
+
+
+def test_batch_with_far_apart_t_shares_truncation_and_converges(monkeypatch):
+    # log t = integral f_lam(t) e^0 dlam: the tail decays like e^{-0.02 lam} at t = 0.02
+    rep = pk.get("log").lk_data
+    calls = []
+    choose = msr._choose_truncation
+    monkeypatch.setattr(msr, "_choose_truncation", lambda *a: calls.append(a) or choose(*a))
+    lv = lk.synth_increasing(rep, np.array([0.02, 6.0]), full=True)
+    assert len(calls) == 1 and calls[0][2] == 0.02
+    assert lv.converged and np.all(lv.truncation_bound <= 1e-10)
+    assert np.all(np.abs(lv.value - np.log([0.02, 6.0])) <= 1e-10)
+
+
+def test_gram_evaluates_the_density_once_per_refinement_level():
+    dens = pk.density_from_spec("log_sigma")
+    calls = []
+    counted = dataclasses.replace(dens, fn=lambda lam: calls.append(1) or dens.fn(lam))
+    rep = lk.BernsteinRep(a=0.0, b=0.0, sigma=pk.Measure(density=counted, support=(0, np.inf)))
+    calls.clear()
+    g = pk.gram_plus(lk.bernstein_handle(rep), fns.chebyshev_grid(0.1, 3.0, 12))
+    # 78 distinct entries, one batch: at most one density call per level
+    assert 2 <= len(calls) <= msr._MAX_LEVEL + 1
+    assert np.abs(g.entries - np.log1p(0.5 * np.add.outer(g.points, g.points))).max() <= 1e-10
+
+
+@pytest.mark.parametrize("fn, name, bad", [
+    (lk.synth_interval, "neg_tlogt", -0.5),
+    (lk.synth_interval, "neg_tlogt", math.nan),
+    (lk.synth_increasing, "log", 0.0),
+    (lk.synth_increasing, "log", math.inf),
+    (lk.synth_bernstein, "log1p", -1.0),
+    (lk.synth_reflection_negative, "abs_power", math.nan),
+])
+def test_batch_rejects_a_bad_t_like_the_scalar_call(fn, name, bad):
+    rep = pk.get(name).lk_data
+    with pytest.raises(pk.DomainError) as scalar:
+        fn(rep, bad)
+    with pytest.raises(pk.DomainError) as batch:
+        fn(rep, np.array([1.5, bad, 2.0]))
+    assert str(batch.value) == str(scalar.value)
+
+
+def test_large_gram_memory_stays_flat():
+    # 2,080 distinct t in one batch: the node-by-t products are formed in blocks
+    h = lk.interval_handle(pk.get("signed_power", alpha=1.5).lk_data)
+    grid = fns.chebyshev_grid(0.1, 4.0, 64)
+    tracemalloc.start()
+    try:
+        g = pk.gram_plus(h, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert np.abs(g.entries + (0.5 * np.add.outer(grid, grid)) ** 1.5).max() <= 1e-10

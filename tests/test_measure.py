@@ -36,12 +36,15 @@ def test_exp_weighted_sum_odd_k_negative_lambda(k):
     # odd k flips the sign of every negative-lambda term; lambda = 0 drops out
     lam = np.array([-2.0, -0.7, -0.05, -1e-6, 0.0])
     w = np.array([0.4, 1.3, 2.0, 0.9, 5.0])
-    for t in (0.1, 1.0, 4.0):
+    ts = np.array([0.1, 1.0, 4.0])
+    batched = _accel.exp_weighted_sum(lam, w, ts, k)
+    for t, got_b in zip(ts, batched):
         want = mp.fsum(
             mp.mpf(wi) * mp.mpf(li) ** k * mp.e ** (-mp.mpf(li) * t) for li, wi in zip(lam, w)
         )
         got = _accel.exp_weighted_sum(lam, w, t, k)
         assert got == pytest.approx(float(want), rel=1e-12, abs=0.0)
+        assert got_b == pytest.approx(float(want), rel=1e-12, abs=0.0)
 
 
 def test_exp_weighted_sum_log_space_survives_huge_terms():
@@ -83,6 +86,34 @@ def test_singular_head_laplace():
     for t in (0.5, 2.0, 9.0):
         lv = msr.laplace(mu, t)
         assert abs(lv.value - math.sqrt(math.pi / t)) <= 5e-11
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_batched_transform_matches_batch_of_one_and_closed_form(k):
+    # one shared mesh for the batch; each value keeps its own bound
+    mu = exp_measure()
+    ts = np.array([0.02, 0.3, 1.0, 2.5, 6.0])
+    lv = msr.laplace_deriv(mu, ts, k)
+    assert lv.value.shape == lv.truncation_bound.shape == ts.shape
+    assert lv.converged and np.all(lv.truncation_bound <= TOL)
+    for t, value, bound in zip(ts, lv.value, lv.truncation_bound):
+        one = msr.laplace_deriv(mu, t, k)
+        assert isinstance(one.value, float)
+        assert abs(value - one.value) <= bound + one.truncation_bound
+        want = (-1.0) ** k * math.factorial(k) / (1.0 + t) ** (k + 1)
+        assert abs(value - want) <= TOL
+
+
+def test_batch_shares_one_truncation_point(monkeypatch):
+    # t = 0.02 decays far slower than t = 6; the batch truncates once, for 0.02
+    calls = []
+    choose = msr._choose_truncation
+    monkeypatch.setattr(msr, "_choose_truncation", lambda *a: calls.append(a) or choose(*a))
+    mu = pk.Measure(density=pk.density_from_spec("gamma", {"alpha": 1.5}), support=(0, np.inf))
+    lv = msr.laplace(mu, np.array([6.0, 0.02]))
+    assert len(calls) == 1 and calls[0][2] == 0.02
+    assert lv.converged and np.all(lv.truncation_bound <= TOL)
+    assert np.all(np.abs(lv.value - (1.0 + np.array([6.0, 0.02])) ** -1.5) <= TOL)
 
 
 def test_laplace_deriv_matches_analytic():
