@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gamma as _gamma_fn
 
 from . import levykhin as lk
 from .diffcalc import bernstein_check, completely_monotone_check
@@ -30,6 +29,13 @@ from .reflection import reflection_negative_check, reflection_positive_check
 
 # ---------------------------------------------------------------------------
 # named densities (serializable by reference from measure JSON)
+
+
+def _gamma_fn(x):
+    # imported on first use, so that importing posdefkit does not load scipy
+    from scipy.special import gamma
+
+    return gamma(x)
 
 
 def _power_decay_density(coef, power, decay, name, params):

@@ -28,6 +28,7 @@ from .errors import (
     PosdefkitError,
 )
 from .funcs import chebyshev_grid, uniform_grid
+from .jsonfmt import render
 from .kernelcheck import FAIL, PASS, combine
 from .reflection import boundary_derivative_check, polya_check
 
@@ -115,7 +116,7 @@ def _human_result(record):
 
 def _emit(args, doc):
     if args.json:
-        sys.stdout.write(msr._render(doc) + "\n")
+        sys.stdout.write(render(doc) + "\n")
         return
     print(f"posdefkit {doc['command']} (v{doc['version']})")
     for record in doc["results"]:
@@ -125,7 +126,7 @@ def _emit(args, doc):
 
 def _emit_error(args, message):
     if getattr(args, "json", False):
-        sys.stdout.write(msr._render({"error": message}) + "\n")
+        sys.stdout.write(render({"error": message}) + "\n")
     else:
         print(f"error: {message}")
 

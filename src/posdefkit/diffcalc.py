@@ -26,6 +26,14 @@ _NUMERIC_CAP_INTERNAL = 6
 DEFAULT_DELTAS = (1e-1, 1e-2, 1e-3)
 
 
+def _binomial_rows(ks, width):
+    """Row i holds the signed binomials (-1)^j C(k_i, j) for j < width, zero past k_i."""
+    rows = np.zeros((len(ks), width))
+    for i, k in enumerate(ks):
+        rows[i, : k + 1] = [(-1.0) ** j * math.comb(k, j) for j in range(k + 1)]
+    return rows
+
+
 def delta_k(f, t, delta, k):
     """k-th iterated forward difference sum_j (-1)^j C(k,j) f(t + j*delta)."""
     k = int(k)
@@ -38,16 +46,7 @@ def delta_k(f, t, delta, k):
         raise DomainError("difference stencil leaves the function domain")
     pts = t + delta * np.arange(k + 1)
     vals = np.atleast_1d(f(pts))
-    coeff = np.array([(-1.0) ** j * math.comb(k, j) for j in range(k + 1)])
-    return float(np.dot(coeff, vals))
-
-
-def _central_difference(f, t, h, k):
-    """Central k-th difference with step h at each t, O(h^2) accurate."""
-    offsets = (k / 2.0 - np.arange(k + 1)) * h[..., None]
-    vals = np.asarray(f(t[..., None] + offsets))
-    coeff = np.array([(-1.0) ** j * math.comb(k, j) for j in range(k + 1)])
-    return vals @ coeff / h**k
+    return float(np.dot(_binomial_rows([k], k + 1)[0], vals))
 
 
 def _numeric_derivative(f, t, k, cap):
@@ -64,9 +63,13 @@ def _numeric_derivative(f, t, k, cap):
         raise DomainError("numeric derivative needs an interior point")
     # a step of h0 reaches (k/2 + 0.01) * 4 * h0 from t; infinite dist keeps h0
     h0 = np.minimum(h0, 0.9 * dist / ((k / 2.0 + 0.01) * 4.0))
-    d1 = _central_difference(f, t, h0, k)
-    d2 = _central_difference(f, t, 2 * h0, k)
-    d4 = _central_difference(f, t, 4 * h0, k)
+    # central k-th differences with steps h0, 2h0 and 4h0 (each O(h^2)) from
+    # one call of f on the union of the three stencils
+    hs = (h0, 2 * h0, 4 * h0)
+    offsets = (k / 2.0 - np.arange(k + 1)) * np.stack(hs)[..., None]
+    vals = np.asarray(f(t[..., None] + offsets))
+    coeff = _binomial_rows([k], k + 1)[0]
+    d1, d2, d4 = (v @ coeff / h**k for v, h in zip(vals, hs))
     # eliminate h^2 then h^4
     r1 = (4.0 * d1 - d2) / 3.0
     r2 = (4.0 * d2 - d4) / 3.0
@@ -88,27 +91,46 @@ def derivative(f, t, k):
 
 
 def _difference_scan(f, grid, k_range, deltas, tol, sign):
-    """Scan Delta_delta^k f over grid x deltas x k_range.
+    """Scan Delta_delta^k f over grid x deltas x k_range with one call of f.
 
-    sign=+1 demands the differences be >= -tol*scale (complete monotonicity),
-    sign=-1 demands them <= tol*scale (Bernstein derivative device).  Returns
-    (worst normalized value, witness triple or None).
+    f is evaluated on every stencil t + d_eff*j, j = 0..max(k_range), with
+    d_eff = delta*max(1, |t|), and all orders come from one product with the
+    signed binomial rows.  sign=+1 demands the differences be >= -tol*scale
+    (complete monotonicity), sign=-1 demands them <= tol*scale (Bernstein
+    derivative device), with scale = max(1, |f(t)|).  Returns (worst
+    normalized value, witness or None, failed); the witness is the first
+    worst (t, d_eff, k) in (t, delta, k) order.
     """
-    worst = math.inf
-    witness = None
-    for t in np.atleast_1d(grid):
-        t = float(t)
-        local = max(1.0, abs(f(t)))
-        for d in deltas:
-            d_eff = float(d) * max(1.0, abs(t))
-            for k in k_range:
-                val = delta_k(f, t, d_eff, k)
-                margin = (sign * val) / local
-                if margin < worst:
-                    worst = margin
-                    witness = (t, d_eff, k)
+    ks = list(k_range)
+    deltas = np.asarray(deltas, dtype=np.float64)
+    if np.any(deltas <= 0):
+        raise ValueError("delta must be positive")
+    t = np.atleast_1d(np.asarray(grid, dtype=np.float64))
+    width = max(ks, default=0) + 1
+    d_eff = deltas * np.maximum(1.0, np.abs(t))[:, None]
+    pts = t[:, None, None] + d_eff[..., None] * np.arange(width)
+    lo, hi = f.domain
+    bad = (t < lo) | (t > hi) | (pts[..., -1] > hi).any(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if lo <= t[i] <= hi:
+            raise DomainError("difference stencil leaves the function domain")
+        f(t[i])  # raises the handle's own out-of-domain error
+    if not (ks and pts.size):
+        return math.inf, None, False
+    vals = np.asarray(f(pts.ravel())).reshape(-1, width)  # one row per (t, delta)
+    diffs = (vals @ _binomial_rows(ks, width).T).reshape(t.size, deltas.size, len(ks))
+    local = np.maximum(1.0, np.abs(vals[:: deltas.size, 0]))  # f(t) opens each t's first row
+    margins = (sign * diffs) / local[:, None, None]
+    # a NaN difference (overflow) never counts as the worst
+    margins[np.isnan(margins)] = np.inf
+    i = int(np.argmin(margins))
+    worst = float(margins.flat[i])
     failed = worst < -tol
-    return worst, (witness if failed else None), failed
+    if not failed:
+        return worst, None, False
+    i_t, i_d, i_k = np.unravel_index(i, margins.shape)
+    return worst, (float(t[i_t]), float(d_eff[i_t, i_d]), ks[i_k]), True
 
 
 def completely_monotone_check(f, grid, k_max=4, deltas=None, tol=None):

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from . import _accel
 from . import measure as msr
@@ -34,6 +33,7 @@ from .errors import (
     NotNegativeDefinite,
 )
 from .funcs import FuncHandle
+from .jsonfmt import render
 
 _PROBE_TOL = 1e-6
 # exp() overflows just above 709; dictionary columns beyond this are unusable
@@ -353,6 +353,8 @@ def _nnls_fit(fit, y, lambda_grid):
     # columns span many orders of magnitude; normalizing keeps the active-set
     # solver convergent and the nonnegativity constraint is scale-invariant
     # (max-norm: entries reach the overflow edge, so L2 squaring is unsafe)
+    from scipy import optimize
+
     norms = np.abs(A).max(axis=0)
     w, _ = optimize.nnls(A / norms, y, maxiter=50 * A.shape[1])
     w = w / norms
@@ -500,7 +502,7 @@ def rep_to_json(rep):
         doc = {"form": "bernstein", "a": rep.a, "b": rep.b, "sigma": msr.measure_doc(rep.sigma)}
     else:
         raise TypeError("not a representation object")
-    return msr._render(doc)
+    return render(doc)
 
 
 def rep_from_json(text):

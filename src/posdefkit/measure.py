@@ -39,10 +39,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from . import _accel
 from .errors import DivergentIntegral, InvalidMeasure
+from .jsonfmt import render
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
@@ -81,6 +81,8 @@ class Envelope:
         a = p + 1.0
         if s > 0.0:
             if a > 0.0:
+                from scipy import special
+
                 # c * Gamma(a) * Q(a, s*T) / s**a
                 return c * special.gamma(a) * special.gammaincc(a, s * T) / s**a
             # lam**(a-1) decreasing beyond T
@@ -470,34 +472,6 @@ def one_wedge_integral(sigma, tol=1e-10):
 # JSON interface
 
 
-def _fmt(x):
-    return format(float(x), ".17g")
-
-
-def _render(obj):
-    if isinstance(obj, float):
-        if math.isinf(obj):
-            # spellings the stdlib parser accepts back
-            return "Infinity" if obj > 0 else "-Infinity"
-        if math.isnan(obj):
-            return "NaN"
-        return _fmt(obj)
-    if isinstance(obj, dict):
-        items = (f'"{k}": {_render(v)}' for k, v in obj.items())
-        return "{" + ", ".join(items) + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_render(v) for v in obj) + "]"
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    raise TypeError(f"cannot render {type(obj)!r}")
-
-
 def measure_doc(mu):
     """Plain-dict form of a measure, for embedding in larger documents.
 
@@ -550,7 +524,7 @@ def measure_from_doc(doc):
 
 def measure_to_json(mu):
     """Serialize a measure; floats carry 17 significant digits."""
-    return _render(measure_doc(mu))
+    return render(measure_doc(mu))
 
 
 def measure_from_json(text):

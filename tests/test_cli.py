@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import posdefkit as pk
-from posdefkit import catalog, cli
+from posdefkit import catalog, cli, jsonfmt
 from posdefkit import levykhin as lk
 from posdefkit import measure as msr
 
@@ -259,7 +259,21 @@ def test_json_documents_are_deterministic(capsys):
 def test_json_round_trips_byte_identically(capsys):
     _, doc, text = run_json(capsys, "check-rn", "--function", "catalog:abs_power",
                             "--alpha", "1.5", "--a", "2", "--points", "6")
-    assert msr._render(doc) + "\n" == text
+    assert jsonfmt.render(doc) + "\n" == text
+
+
+@pytest.mark.parametrize("code", [
+    "import posdefkit",
+    "from posdefkit import cli; assert cli.main(['check-pd', '--function', 'catalog:exp_decay']) == 0",
+])
+def test_light_commands_do_not_import_scipy(code):
+    # scipy is imported where it is used, so a light command starts fast
+    out = subprocess.run(
+        [sys.executable, "-c", code + "; import sys; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "False"
 
 
 def test_console_entry_point():
