@@ -18,12 +18,21 @@ Numerical conventions:
   (t0 = 0 gives e_lambda itself).  For |lambda*u| < 1 they multiply the
   expm1 form by it; beyond that they use a difference of exponentials whose
   every term has a single exponent, so large lam*|u| cannot make 0*inf.
+  ``e_lambda_damped_vals`` forms only the branches its block uses: a block
+  wholly inside the series range skips the closed forms;
+- the Bernstein sum of w_i * (1 - exp(-lam_i*t)) skips expm1 at saturated
+  nodes, lam_i * min(t) >= 40: there exp(-lam_i*t) <= e^-40 < 2^-54, so
+  1 - exp(-lam_i*t) is exactly 1.0 in binary64 for every t of the call.
+  Their columns of the block are set to 1.0, so the product with the
+  weights is the one of the fully evaluated block, bit for bit.
 """
 
 import numpy as np
 
 # |lambda*u| below this uses the Taylor branch
 SERIES_SWITCH = 1e-2
+# lambda*t at or above this makes -expm1(-lambda*t) exactly 1.0
+SATURATION = 40.0
 
 
 def exp_weighted_sum(lam, w, t, k):
@@ -53,19 +62,21 @@ def e_lambda_damped_vals(lam, u, t0):
     u, t0 = np.asarray(u, dtype=np.float64), float(t0)
     x = lam * u
     ax = np.abs(x)
+    near = ax < SERIES_SWITCH
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         damp = np.exp(-lam * t0)
-        # the difference form cancels like eps/x**2 for small x; below
-        # |x| = 1 the product form is accurate and expm1 cannot overflow
-        prod = -(np.expm1(-x) + x) * damp
-        diff = damp * (1.0 - x) - np.exp(-lam * t0 - x)
-        direct = np.where(ax < 1.0, prod, diff) / (lam * lam)
-    x2 = x * x
-    poly = (
-        0.5 - x / 6.0 + x2 / 24.0 - x2 * x / 120.0 + x2 * x2 / 720.0 - x2 * x2 * x / 5040.0
-    )
-    series = -u * u * poly * damp
-    out = np.where(ax < SERIES_SWITCH, series, direct)
+        x2 = x * x
+        poly = (
+            0.5 - x / 6.0 + x2 / 24.0 - x2 * x / 120.0 + x2 * x2 / 720.0 - x2 * x2 * x / 5040.0
+        )
+        out = -u * u * poly * damp
+        if not near.all():
+            # the difference form cancels like eps/x**2 for small x; below
+            # |x| = 1 the product form is accurate and expm1 cannot overflow
+            prod = -(np.expm1(-x) + x) * damp
+            diff = damp * (1.0 - x) - np.exp(-lam * t0 - x)
+            direct = np.where(ax < 1.0, prod, diff) / (lam * lam)
+            out = np.where(near, out, direct)
     return np.where(lam == 0.0, -0.5 * u * u, out)
 
 
@@ -100,7 +111,23 @@ def f_lambda_vals(lam, t):
     return np.where(lam == 0.0, u, out)
 
 
-def one_minus_exp_vals(lam, t):
-    """1 - exp(-lam*t) elementwise via expm1."""
+def one_minus_exp_sum(lam, w, t):
+    """sum_i w_i * (1 - exp(-lam_i*t)) for each t (shaped like t), via expm1.
+
+    The t-by-node block gets expm1 only up to the last live node; the
+    saturated nodes after it (lam_i * min(t) >= SATURATION, every saturated
+    node of a sorted quadrature mesh) get their exact column of 1.0.
+    """
     lam = np.ascontiguousarray(lam, dtype=np.float64)
-    return -np.expm1(-lam * np.asarray(t, dtype=np.float64))
+    w = np.ascontiguousarray(w, dtype=np.float64)
+    t = np.asarray(t, dtype=np.float64)
+    # a batch reaching t <= 0 saturates nothing
+    tmin = max(float(t.min()), 0.0) if t.size else 0.0
+    live = np.flatnonzero(~(lam * tmin >= SATURATION))
+    k = int(live[-1]) + 1 if live.size else 0
+    block = np.empty((t.size, lam.size))
+    head = block[:, :k]
+    np.expm1(-t.reshape(-1, 1) * lam[:k], out=head)
+    np.negative(head, out=head)
+    block[:, k:] = 1.0
+    return (block @ w).reshape(t.shape)

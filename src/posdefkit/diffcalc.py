@@ -145,6 +145,8 @@ def completely_monotone_check(f, grid, k_max=4, deltas=None, tol=None):
     if tol is None:
         tol = default_tol(grid.size)
     k_max = int(k_max)
+    if k_max < 0:
+        raise ValueError("k_max must be >= 0")
     if k_max > _K_CAP:
         raise OrderTooHigh(f"k_max must be <= {_K_CAP}")
     worst, witness, failed = _difference_scan(
@@ -170,6 +172,8 @@ def bernstein_check(psi, grid, k_max=3, deltas=None, tol=None):
     if tol is None:
         tol = default_tol(grid.size)
     k_max = int(k_max)
+    if k_max < 0:
+        raise ValueError("k_max must be >= 0")
     if k_max + 1 > _K_CAP:
         raise OrderTooHigh(f"k_max must be <= {_K_CAP - 1}")
     vals = np.atleast_1d(psi(grid))

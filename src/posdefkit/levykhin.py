@@ -13,6 +13,11 @@ second derivative of the interval form is the negated transform of mu, the
 first derivative of the increasing form is the transform itself, which is
 what the analysis routines invert (nonnegative least squares on a lambda
 dictionary; see ``analyze_interval``).
+
+The function handles integrate their distinct arguments as one batch and
+keep the last batch: a call on the same distinct arguments (in any order
+or multiplicity) returns the stored values, the same bits a new quadrature
+gives, so a Gram that two checks evaluate on one grid costs one quadrature.
 """
 
 import json
@@ -182,10 +187,11 @@ def _batch(t, message="", lo=-math.inf, hi=math.inf):
     return ts
 
 
-def _synth(mu, kernel, g_head, g_tail, offset, t, tol, full, what):
-    """offset + integral kernel(lam) dmu for each t, shaped like t and checked
-    finite; a LaplaceValue when ``full``.  ``kernel`` maps nodes to one row per t."""
-    part, worst, bounds = msr.integrate_against(mu, lambda x, w: kernel(x) @ w, g_head, g_tail, tol)
+def _synth(mu, wsum, g_head, g_tail, offset, t, tol, full, what):
+    """offset + integral g_t(lam) dmu for each t, shaped like t and checked
+    finite; a LaplaceValue when ``full``.  ``wsum(x, w)`` is the weighted sum
+    of ``integrate_against``: one sum_i w_i g_t(x_i) per t."""
+    part, worst, bounds = msr.integrate_against(mu, wsum, g_head, g_tail, tol)
     value = offset + part
     bad = ~np.isfinite(value)
     if bad.any():
@@ -207,7 +213,7 @@ def synth_interval(rep, t, tol=1e-10, full=False):
     um = float(np.max(np.abs(u)))
     # |e_lam(u)| <= u^2/2 * e^{|lam u|} over the stub
     g_head = (0.5 * um * um * math.exp(_stub_reach(rep.mu) * (um + abs(t0))), 0.0)
-    return _synth(rep.mu, lambda x: _accel.e_lambda_damped_vals(x, u[:, None], t0), g_head,
+    return _synth(rep.mu, lambda x, w: _accel.e_lambda_damped_vals(x, u[:, None], t0) @ w, g_head,
                   (2.0 + um, -1.0, min(float(ts.min()), t0)), rep.c + rep.d * u, t, tol, full,
                   "interval synthesis")
 
@@ -217,7 +223,7 @@ def synth_increasing(rep, t, tol=1e-10, full=False):
     ts = _batch(t, "increasing synthesis is defined for t > 0", 0.0)
     um = float(np.max(np.abs(ts - 1.0)))
     g_head = (um * math.exp(_stub_reach(rep.mu) * um), 0.0)
-    return _synth(rep.mu, lambda x: _accel.f_lambda_vals(x, ts[:, None]), g_head,
+    return _synth(rep.mu, lambda x, w: _accel.f_lambda_vals(x, ts[:, None]) @ w, g_head,
                   (2.0, -1.0, min(1.0, float(ts.min()))), rep.c, t, tol, full,
                   "increasing synthesis")
 
@@ -226,7 +232,7 @@ def _bernstein(rep, ts, t, tol, full):
     dens = rep.sigma.density
     # 1 - e^{-lam t} <= lam t
     g_head = (float(ts.max()), 1.0) if dens is not None and dens.lo == 0.0 else (1.0, 0.0)
-    return _synth(rep.sigma, lambda x: _accel.one_minus_exp_vals(x, ts[:, None]), g_head,
+    return _synth(rep.sigma, lambda x, w: _accel.one_minus_exp_sum(x, w, ts), g_head,
                   (1.0, 0.0, 0.0), rep.a + rep.b * ts, t, tol, full, "Bernstein synthesis")
 
 
@@ -263,10 +269,20 @@ def synth(rep, t, tol=1e-10, full=False, form=None):
 
 
 def _synth_handle(rep, tol, form, domain, name, deriv=None):
+    # (bytes of the distinct arguments, their values) of the last batch; a
+    # batch's values depend only on (rep, arguments, tol, form), so a repeat
+    # returns the same bits without a quadrature
+    last = (None, None)
+
     def fn(t):
+        nonlocal last
         # one batched synthesis over the distinct arguments
-        uniq, inv = np.unique(t, return_inverse=True)
-        return synth(rep, uniq, tol, form=form)[inv].reshape(np.shape(t))
+        uniq, inv = np.unique(np.asarray(t, dtype=np.float64), return_inverse=True)
+        key, values = last
+        if key != uniq.tobytes():
+            key, values = uniq.tobytes(), synth(rep, uniq, tol, form=form)
+            last = (key, values)
+        return values[inv].reshape(np.shape(t))
 
     return FuncHandle(
         fn=fn,
@@ -290,7 +306,7 @@ def interval_handle(rep, tol=1e-10):
         u, t0 = ts - rep.t0, rep.t0
         um = float(np.max(np.abs(u)))
         g_head = ((um + 1.0) * math.exp(_stub_reach(rep.mu) * (um + abs(t0))), 0.0)
-        return _synth(rep.mu, lambda x: _accel.e_lambda_dt_damped_vals(x, u[:, None], t0),
+        return _synth(rep.mu, lambda x, w: _accel.e_lambda_dt_damped_vals(x, u[:, None], t0) @ w,
                       g_head, (2.0, -1.0, min(float(ts.min()), t0)), rep.d, t, tol, False,
                       "interval first derivative")
 

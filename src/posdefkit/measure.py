@@ -264,15 +264,36 @@ def _stub_epsilon(head, g_coef, g_power, budget, span):
 
 
 def _choose_truncation(env, g_power, g_decay, g_coef, lo, budget):
-    """Smallest doubling point T with combined tail bound <= budget."""
-    T = max(env.cutoff, abs(lo) + 1.0, 1.0)
-    for _ in range(600):
-        b = env.tail(T, extra_power=g_power, extra_decay=g_decay, extra_coef=g_coef)
+    """Smallest doubling point T = T0 * 2**k with combined tail bound <= budget.
+
+    The search runs upward from k = 0 and gives up past T = 1e300 or after
+    600 steps.  A pure power-law tail, c * T**a / (-a) with a < 0, starts it
+    at the k of its closed form instead, stepped down while the bound one
+    doubling lower already meets the budget, so both find the same T.
+    """
+    T0 = max(env.cutoff, abs(lo) + 1.0, 1.0)
+
+    def tail(k):
+        return env.tail(math.ldexp(T0, k), extra_power=g_power, extra_decay=g_decay,
+                        extra_coef=g_coef)
+
+    k = 0
+    c, a = env.coef * g_coef, env.power + g_power + 1.0
+    if env.decay + g_decay == 0.0 and a < 0.0 and c > 0.0 and budget > 0.0:
+        # c * T**a / (-a) <= budget  <=>  log2 T >= log2((-a) * budget / c) / a
+        need = (math.log2(-a) + math.log2(budget) - math.log2(c)) / a - math.log2(T0)
+        if math.isfinite(need):
+            k = min(max(math.ceil(need), 0), 599)
+            # the search stops at the first T above 1e300
+            while k > 0 and (T0 * 2.0 ** (k - 1) > 1e300 or tail(k - 1) <= budget):
+                k -= 1
+    for k in range(k, 600):
+        T = math.ldexp(T0, k)
+        b = tail(k)
         if b <= budget:
             return T, b
         if T > 1e300:
             break
-        T *= 2.0
     raise DivergentIntegral("tail bound cannot be brought below tolerance; transform diverges")
 
 

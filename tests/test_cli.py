@@ -77,6 +77,14 @@ def test_bad_tol_is_input_error(capsys, argv):
     assert "must be finite and > 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cmd, name", [("check-cm", "log1p"), ("check-bernstein", "cosh")])
+def test_negative_k_max_is_input_error(capsys, cmd, name):
+    # an empty range of orders used to pass with nothing checked
+    code, doc, _ = run_json(capsys, cmd, "--function", f"catalog:{name}", "--k-max", "-1")
+    assert code == 2
+    assert list(doc) == ["error"] and "k_max must be >= 0" in doc["error"]
+
+
 @pytest.mark.parametrize("cmd, name, flag, value, want", [
     ("check-pd", "green", "--interval", "-1,1", 0),
     ("check-nd", "abs_power", "--interval", "-1.5,1.5", 0),

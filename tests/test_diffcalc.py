@@ -62,6 +62,12 @@ def test_order_too_high():
         dc.completely_monotone_check(f, np.array([0.5, 1.0, 2.0]), k_max=40)
 
 
+@pytest.mark.parametrize("check", [dc.completely_monotone_check, dc.bernstein_check])
+def test_negative_k_max_is_rejected(check):
+    with pytest.raises(ValueError, match="k_max must be >= 0"):
+        check(pk.get("log1p").func, np.array([0.5, 1.0, 2.0]), k_max=-1)
+
+
 def test_completely_monotone_verdicts():
     grid = fns.chebyshev_grid(0.1, 4.0, 8)
     assert dc.completely_monotone_check(pk.get("exp_decay").func, grid).verdict == "PASS"

@@ -2,6 +2,8 @@
 import dataclasses
 import json
 import math
+import sys
+import threading
 import tracemalloc
 
 import mpmath as mp
@@ -87,12 +89,87 @@ def test_damped_kernels_match_reference(u, t0):
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
-@pytest.mark.parametrize("t", [1e-6, 0.3, 2.0, 40.0])
-def test_one_minus_exp_matches_reference(t):
-    lams = np.array([1e-9, 5e-5, 2e-3, 0.3, 4.0, 250.0, -1e-7, -0.7, -2.0])
-    got = _accel.one_minus_exp_vals(lams, t)
-    want = [float(1 - mp.e ** (-mp.mpf(lam) * mp.mpf(t))) for lam in lams]
-    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+def e_damped_where(lam, u, t0):
+    """Every branch of the damped kernel over the whole block, then np.where."""
+    lam = np.asarray(lam, dtype=np.float64)
+    u = np.asarray(u, dtype=np.float64)
+    x = lam * u
+    ax = np.abs(x)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        damp = np.exp(-lam * t0)
+        prod = -(np.expm1(-x) + x) * damp
+        diff = damp * (1.0 - x) - np.exp(-lam * t0 - x)
+        direct = np.where(ax < 1.0, prod, diff) / (lam * lam)
+    x2 = x * x
+    poly = (
+        0.5 - x / 6.0 + x2 / 24.0 - x2 * x / 120.0 + x2 * x2 / 720.0 - x2 * x2 * x / 5040.0
+    )
+    series = -u * u * poly * damp
+    out = np.where(ax < _accel.SERIES_SWITCH, series, direct)
+    return np.where(lam == 0.0, -0.5 * u * u, out)
+
+
+_U = np.array([-0.3, 0.7, 2.5])
+_DAMPED_BLOCKS = {
+    "series": np.concatenate([np.geomspace(1e-9, 3e-3, 20), -np.geomspace(1e-9, 3e-3, 20)]),
+    "straddle": np.concatenate([straddle_grid(u)[1:] for u in _U]),
+    "direct": np.concatenate([np.geomspace(5.0, 500.0, 20), -np.geomspace(5.0, 50.0, 10)]),
+    "zero": np.array([0.0, 1e-6, -2e-4, 3e-3, 0.0]),
+    "zero_and_direct": np.array([0.0, 0.05, 1.3, 40.0]),
+}
+
+
+@pytest.mark.parametrize("block", list(_DAMPED_BLOCKS))
+@pytest.mark.parametrize("t0", [0.0, 0.5, 3.0])
+def test_damped_kernel_is_bit_equal_to_all_branches(block, t0):
+    # a block evaluates only the branches it uses; the values keep every bit
+    lams = _DAMPED_BLOCKS[block]
+    for u in (_U[:, None], 0.7, -0.3):
+        got = _accel.e_lambda_damped_vals(lams, u, t0)
+        want = e_damped_where(lams, u, t0)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_saturation_threshold_gives_exactly_one():
+    assert _accel.SATURATION == 40.0
+    assert -np.expm1(-40.0) == 1.0
+    # the array loop too, from the threshold up
+    assert np.all(-np.expm1(-np.geomspace(40.0, 1e300, 257)) == 1.0)
+
+
+_OME_LAMS = np.array([1e-9, 5e-5, 2e-3, 0.3, 4.0, 25.0, 250.0, 3e4, 1e8, -1e-7, -0.7, -2.0])
+
+
+def one_minus_exp_ref(lams, w, t):
+    t = mp.mpf(t)
+    return float(mp.fsum(mp.mpf(wi) * (1 - mp.e ** (-mp.mpf(lam) * t)) for lam, wi in zip(lams, w)))
+
+
+@pytest.mark.parametrize("ts", [
+    np.geomspace(1e-6, 40.0, 7),  # saturates lam >= 4e7 only
+    np.array([2.0, 6.0, 40.0]),  # saturates lam >= 20
+    np.array([0.0, 1e-6, 0.3, 2.0, 40.0]),  # t = 0: nothing saturates
+    np.array(40.0),
+], ids=["1e-06_to_40", "2_to_40", "with_zero", "scalar_40"])
+def test_one_minus_exp_sum_matches_reference(ts):
+    pos = _OME_LAMS > 0
+    w = np.random.default_rng(0).uniform(0.1, 2.0, _OME_LAMS.size)
+    got = _accel.one_minus_exp_sum(_OME_LAMS[pos], w[pos], ts)
+    assert got.shape == ts.shape
+    want = [one_minus_exp_ref(_OME_LAMS[pos], w[pos], t) for t in ts.ravel()]
+    np.testing.assert_allclose(got.ravel(), want, rtol=1e-12, atol=0.0)
+    # each node alone, negative lambdas included
+    for i, lam in enumerate(_OME_LAMS):
+        got = _accel.one_minus_exp_sum(_OME_LAMS, np.eye(_OME_LAMS.size)[i], ts)
+        want = [one_minus_exp_ref([lam], [1.0], t) for t in ts.ravel()]
+        np.testing.assert_allclose(got.ravel(), want, rtol=1e-12, atol=0.0)
+
+
+def test_one_minus_exp_sum_saturates_nothing_below_zero():
+    # lam * |t| >= 40 at every t, but at t < 0 the value is far from 1
+    lams, w, ts = np.array([0.3, 25.0, 250.0]), np.array([0.5, 1.0, 2.0]), np.array([-0.5, 3.0])
+    want = [one_minus_exp_ref(lams, w, t) for t in ts]
+    np.testing.assert_allclose(_accel.one_minus_exp_sum(lams, w, ts), want, rtol=1e-12, atol=0.0)
 
 
 def test_default_lambda_grid():
@@ -290,3 +367,95 @@ def test_large_gram_memory_stays_flat():
         tracemalloc.stop()
     assert peak < 4 * 2**20
     assert np.abs(g.entries + (0.5 * np.add.outer(grid, grid)) ** 1.5).max() <= 1e-10
+
+
+# a synthesized handle keeps its last batch
+
+_HANDLES = {
+    "interval": lambda: lk.interval_handle(pk.get("signed_power", alpha=1.5).lk_data),
+    "increasing": lambda: lk.increasing_handle(pk.get("log").lk_data),
+    "bernstein": lambda: lk.bernstein_handle(pk.get("power", alpha=0.5).lk_data),
+    "reflection_negative":
+        lambda: lk.reflection_negative_handle(pk.get("abs_power", alpha=0.5).lk_data),
+}
+
+
+def count_integrations(monkeypatch):
+    calls = []
+    integrate = msr.integrate_against
+    monkeypatch.setattr(msr, "integrate_against",
+                        lambda *a, **k: calls.append(1) or integrate(*a, **k))
+    return calls
+
+
+@pytest.mark.parametrize("form", list(_HANDLES))
+def test_repeated_gram_costs_no_quadrature(monkeypatch, form):
+    make = _HANDLES[form]
+    h, fresh = make(), make()
+    grid = fns.chebyshev_grid(0.1, 3.0, 8)
+    first = pk.gram_plus(h, grid).entries
+    calls = count_integrations(monkeypatch)
+    second = pk.gram_plus(h, grid).entries
+    assert calls == []
+    assert second.tobytes() == first.tobytes()
+    # the same distinct arguments in another order and multiplicity also hit
+    args = 0.5 * np.add.outer(grid, grid)
+    assert h(args[::-1].T).tobytes() == first[::-1].T.tobytes()
+    assert calls == []
+    # another grid of the same size integrates again and becomes the kept batch
+    moved = pk.gram_plus(h, grid + 0.05).entries
+    assert len(calls) == 1
+    assert moved.tobytes() == pk.gram_plus(fresh, grid + 0.05).entries.tobytes()
+    pk.gram_plus(h, grid + 0.05)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("args", [[0.4, 1.1, 2.5], [0.4, 1.1, 0.4, 2.5]])
+@pytest.mark.parametrize("form", list(_HANDLES))
+def test_changing_a_returned_array_leaves_the_next_result(form, args):
+    h = _HANDLES[form]()
+    args = np.array(args)
+    out = h(args)
+    keep = out.copy()
+    out[:] = -1.0
+    assert h(args).tobytes() == keep.tobytes()
+
+
+@pytest.mark.parametrize("form", list(_HANDLES))
+def test_fresh_handle_gives_the_bits_of_a_reused_one(form):
+    make = _HANDLES[form]
+    reused = make()
+    args = np.array([0.3, 0.9, 2.0])
+    reused(args)
+    reused(np.array([1.5]))
+    again = reused(args)
+    assert make()(args).tobytes() == again.tobytes()
+
+
+def test_threads_sharing_a_handle_never_mix_batches():
+    # each call reads the kept (arguments, values) pair once; a lost update
+    # only costs a quadrature, a mixed pair would return another batch's values
+    rep = lk.BernsteinRep(a=0.0, b=0.5, sigma=pk.Measure(atoms=((0.7, 1.0), (3.0, 0.5))))
+    h = lk.bernstein_handle(rep)
+    batches = [np.array([0.2, 1.0, 2.5]), np.array([0.3, 1.5, 4.0]), np.array([0.2, 4.0, 9.0])]
+    want = [lk.synth_bernstein(rep, b) for b in batches]
+    wrong = []
+
+    def work(i):
+        for j in range(60):
+            k = (i + j) % len(batches)
+            if h(batches[k]).tobytes() != want[k].tobytes():
+                wrong.append(k)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=30)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert wrong == []

@@ -4,6 +4,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 import posdefkit as pk
@@ -114,6 +116,56 @@ def test_batch_shares_one_truncation_point(monkeypatch):
     assert len(calls) == 1 and calls[0][2] == 0.02
     assert lv.converged and np.all(lv.truncation_bound <= TOL)
     assert np.all(np.abs(lv.value - (1.0 + np.array([6.0, 0.02])) ** -1.5) <= TOL)
+
+
+def doubling_search(env, g_power, g_decay, g_coef, lo, budget):
+    """The step-by-step doubling from T0, the reference for the truncation point."""
+    T = max(env.cutoff, abs(lo) + 1.0, 1.0)
+    for _ in range(600):
+        b = env.tail(T, extra_power=g_power, extra_decay=g_decay, extra_coef=g_coef)
+        if b <= budget:
+            return T, b
+        if T > 1e300:
+            break
+        T *= 2.0
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    coef=st.floats(1e-30, 1e30),
+    power=st.floats(-6.0, 2.0),
+    decay=st.sampled_from([0.0, 0.0, 0.0, 1e-3, 0.5]),
+    cutoff=st.floats(1e-3, 1e6),
+    g_power=st.sampled_from([0.0, 0.0, 1.0, -0.5, 2.0, 3.0]),
+    g_decay=st.sampled_from([0.0, 0.0, 0.02, 1.0]),
+    g_coef=st.floats(1e-10, 1e10),
+    lo=st.one_of(st.floats(-1e3, 1e3), st.floats(1e200, 1e305)),
+    budget=st.floats(1e-300, 1.0),
+)
+def test_truncation_point_matches_the_doubling_search(coef, power, decay, cutoff, g_power,
+                                                       g_decay, g_coef, lo, budget):
+    # pure power-law tails (decay 0, power + g_power < -1) take the closed form
+    env = msr.Envelope(coef, power, decay, cutoff)
+    want = doubling_search(env, g_power, g_decay, g_coef, lo, budget)
+    if want is None:
+        with pytest.raises(pk.DivergentIntegral):
+            msr._choose_truncation(env, g_power, g_decay, g_coef, lo, budget)
+    else:
+        assert msr._choose_truncation(env, g_power, g_decay, g_coef, lo, budget) == want
+
+
+def test_power_law_truncation_takes_few_tail_bounds(monkeypatch):
+    # the alpha = 1/2 stable sigma against the Bernstein kernel: T = 2**72
+    calls = []
+    tail = msr.Envelope.tail
+    monkeypatch.setattr(msr.Envelope, "tail", lambda *a, **k: calls.append(1) or tail(*a, **k))
+    env = pk.density_from_spec("stable_sigma", {"alpha": 0.5}).tail_env
+    T, b = msr._choose_truncation(env, 0.0, 0.0, 1.0, 0.0, 1e-11)
+    assert len(calls) <= 3
+    calls.clear()
+    assert doubling_search(env, 0.0, 0.0, 1.0, 0.0, 1e-11) == (T, b)
+    assert len(calls) > 60
 
 
 def test_laplace_deriv_matches_analytic():
