@@ -47,6 +47,8 @@ def exp_weighted_sum(lam, w, t, k):
     # lam = 0 adds its weight exactly for k = 0 and nothing for k > 0
     total = float(w[~nz].sum()) if k == 0 else 0.0
     lam, w = lam[nz], w[nz]
+    if not lam.size:
+        return np.full(t.shape, total)
     mag = np.log(w) - t.reshape(-1, 1) * lam
     if k > 0:
         mag += k * np.log(np.abs(lam))
@@ -121,6 +123,8 @@ def one_minus_exp_sum(lam, w, t):
     lam = np.ascontiguousarray(lam, dtype=np.float64)
     w = np.ascontiguousarray(w, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
+    if not lam.size:
+        return np.zeros(t.shape)
     # a batch reaching t <= 0 saturates nothing
     tmin = max(float(t.min()), 0.0) if t.size else 0.0
     live = np.flatnonzero(~(lam * tmin >= SATURATION))

@@ -2,8 +2,8 @@
 
 Exit codes: 0 for PASS or successful synthesis/analysis, 1 for FAIL (the
 report carries the witness), 2 for usage or malformed input, 3 for
-inconclusive outcomes (non-converged quadrature, or routes that contradict
-each other).  Reports go to stdout: JSON with ``--json``, a short table
+inconclusive outcomes (non-converged quadrature or eigen solver, or routes
+that contradict each other).  Reports go to stdout: JSON with ``--json``, a short table
 otherwise.  Results are deterministic for fixed flags; ``timing_ms`` is the
 only field that varies between runs.
 """
@@ -401,7 +401,7 @@ def main(argv=None):
     start = time.perf_counter()
     try:
         results, code = handler(args)
-    except ConsistencyError as exc:
+    except (ConsistencyError, np.linalg.LinAlgError) as exc:
         _emit_error(args, str(exc))
         return 3
     except (PosdefkitError, ValueError, TypeError, OSError) as exc:

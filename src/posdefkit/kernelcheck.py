@@ -3,7 +3,9 @@
 Two kernel constructions recur everywhere: the plus kernel ``f((x+y)/2)``
 (positive definiteness in the Laplace-transform sense) and the minus kernel
 ``f((x-y)/2)`` (the group sense on symmetric intervals).  Verdicts come from
-a full symmetric eigendecomposition so a witness vector is always available;
+the eigenvalues alone (``eigvalsh``); only a FAIL runs ``eigh`` for its
+witness vector and decides again on eigh's eigenvalue, so a FAIL keeps the
+bits of a full eigendecomposition and a PASS eigenvalue moves by rounding.
 PASS means the extremal eigenvalue is within ``tol*scale`` of the admissible
 side, FAIL requires a margin beyond it, and INCONCLUSIVE is reserved for
 grams built from evaluations that did not converge.
@@ -139,10 +141,28 @@ def gram_custom(k2, points):
 
 
 def _as_matrix(G):
+    """The entries of a square Gram and its points (None for a plain matrix)."""
     if isinstance(G, KernelGram):
-        return G.entries, G.points
-    M = np.asarray(G, dtype=np.float64)
-    return M, None
+        M, pts = G.entries, G.points
+    else:
+        M, pts = np.asarray(G, dtype=np.float64), None
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError("Gram must be square")
+    return M, pts
+
+
+def _extremal(M, passes, pick, lam=None):
+    """Values first, vectors on FAIL: eigenvalue ``pick`` (0 smallest, -1
+    largest) of symmetric M, given as ``lam`` if the caller has it from
+    ``eigvalsh``, and its eigenvector from ``eigh`` if ``passes`` rejects it
+    there too (None on a PASS)."""
+    if lam is None:
+        lam = np.linalg.eigvalsh(M)[pick]
+    if passes(float(lam)):
+        return float(lam), None
+    vals, vecs = np.linalg.eigh(M)
+    lam = float(vals[pick])
+    return lam, None if passes(lam) else vecs[:, pick].copy()
 
 
 def _scale(M):
@@ -163,8 +183,6 @@ def combine(verdicts):
 def _symmetric(G, tol):
     """The symmetrized matrix of a square finite Gram, its points and the tol."""
     M, pts = _as_matrix(G)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("Gram must be square")
     if not np.all(np.isfinite(M)):
         raise NonFiniteEntry("Gram matrix contains non-finite entries")
     if tol is None:
@@ -179,12 +197,9 @@ def psd_check(G, tol=None):
     finite (``NonFiniteEntry`` otherwise).  scale = max(1, max|G_ij|).
     """
     M, pts, tol = _symmetric(G, tol)
-    vals, vecs = np.linalg.eigh(M)
-    lam_min = float(vals[0])
     scale = _scale(M)
-    if lam_min >= -tol * scale:
-        return PositivityVerdict(PASS, lam_min, tol, scale, None, pts)
-    return PositivityVerdict(FAIL, lam_min, tol, scale, vecs[:, 0].copy(), pts)
+    lam_min, w = _extremal(M, lambda lam: lam >= -tol * scale, 0)
+    return PositivityVerdict(PASS if w is None else FAIL, lam_min, tol, scale, w, pts)
 
 
 def cnd_check(G, tol=None):
@@ -199,41 +214,52 @@ def cnd_check(G, tol=None):
     P = np.eye(n) - np.full((n, n), 1.0 / n)
     C = P @ M @ P
     C = 0.5 * (C + C.T)
-    vals, vecs = np.linalg.eigh(C)
-    lam_max = float(vals[-1])
     scale = _scale(M)
-    if lam_max <= tol * scale:
+    lam_max, w = _extremal(C, lambda lam: lam <= tol * scale, -1)
+    if w is None:
         return PositivityVerdict(PASS, lam_max, tol, scale, None, pts)
-    w = vecs[:, -1]
     w = P @ w
     w /= np.linalg.norm(w)
     return PositivityVerdict(FAIL, lam_max, tol, scale, w, pts)
 
 
 def schoenberg_scan(gram, hs=None, tol=None):
-    """Check that exp(-h*G) is PSD for every h in hs, on a built Gram G of psi.
+    """Check that exp(-h*G) is PSD for every h in hs, on a Gram G of psi
+    (a KernelGram, or a plain matrix with grid None).
 
     PASS requires every h to pass; FAIL reports the first failing h and its
-    witness.  Non-finite base entries give INCONCLUSIVE.  ``hs`` (default
-    2**-k, k = 0..10) must be a nonempty list of finite h > 0.
+    witness.  Non-finite base entries give INCONCLUSIVE; an overflowing
+    exp(-h*G) raises ``NonFiniteEntry`` unless an earlier h failed.  One
+    ``eigvalsh`` call decides the stack of h before the first overflow.
+    ``hs`` (default 2**-k, k = 0..10) must be a nonempty list of finite h > 0.
     """
     if hs is None:
         hs = [2.0**-k for k in range(11)]
     hs = [float(h) for h in hs]
     if not hs or not all(math.isfinite(h) and h > 0 for h in hs):
         raise ValueError("Schoenberg exponents must be a nonempty list of finite h > 0")
-    pts, base = gram.points, gram.entries
+    base, pts = _as_matrix(gram)
     if tol is None:
-        tol = default_tol(gram.n)
+        tol = default_tol(base.shape[0])
     if not np.all(np.isfinite(base)):
         return PositivityVerdict(INCONCLUSIVE, math.nan, tol, math.nan, None, pts)
-    worst = math.inf
-    for h in hs:
-        v = psd_check(np.exp(-h * base), tol)
-        worst = min(worst, v.extremal_eig / v.scale)
-        if not v.passed:
-            return PositivityVerdict(FAIL, v.extremal_eig, tol, v.scale, v.witness, pts, h=h)
-    return PositivityVerdict(PASS, worst, tol, 1.0, None, pts)
+    with np.errstate(over="ignore"):
+        E = np.multiply(-np.array(hs)[:, None, None], base)
+        np.exp(E, out=E)
+        E += E.transpose(0, 2, 1)
+        E *= 0.5
+    finite = np.isfinite(E).all(axis=(1, 2))
+    k = len(hs) if finite.all() else int(np.argmin(finite))
+    lams = np.linalg.eigvalsh(E[:k])[:, 0]
+    scales = np.max(E[:k], axis=(1, 2), initial=1.0)  # entries are >= 0
+    for i in np.flatnonzero(lams < -tol * scales):
+        scale = float(scales[i])
+        lams[i], w = _extremal(E[i], lambda lam: lam >= -tol * scale, 0, lams[i])
+        if w is not None:
+            return PositivityVerdict(FAIL, float(lams[i]), tol, scale, w, pts, h=hs[i])
+    if k < len(hs):
+        raise NonFiniteEntry("Gram matrix contains non-finite entries")
+    return PositivityVerdict(PASS, min((lams / scales).tolist()), tol, 1.0, None, pts)
 
 
 def schoenberg_check(psi, points, hs=None, kind="plus", tol=None):
@@ -274,13 +300,11 @@ def quotient_space(K, tau_pairing, plus_indices, tol=None):
     if asym > tol * _scale(gram_tau):
         raise ValueError("kernel is not invariant under the reflection pairing")
     gram_tau = 0.5 * (gram_tau + gram_tau.T)
-    vals, vecs = np.linalg.eigh(gram_tau)
+    vals = np.linalg.eigvalsh(gram_tau)
     scale = _scale(gram_tau)
-    if vals[0] < -tol * scale:
+    lam, w = _extremal(gram_tau, lambda lam: lam >= -tol * scale, 0, vals[0])
+    if w is not None:
         raise NotReflectionPositive(
-            "reflected kernel has a negative direction",
-            witness=vecs[:, 0].copy(),
-            extremal_eig=float(vals[0]),
-        )
+            "reflected kernel has a negative direction", witness=w, extremal_eig=lam)
     rank = int(np.sum(vals > tol * scale))
-    return QuotientSpace(gram_tau, rank, int(vals.size - rank), vals.copy())
+    return QuotientSpace(gram_tau, rank, int(vals.size - rank), vals)

@@ -85,6 +85,25 @@ def test_negative_k_max_is_input_error(capsys, cmd, name):
     assert list(doc) == ["error"] and "k_max must be >= 0" in doc["error"]
 
 
+def test_unconverged_eigen_solver_exits_3(capsys, monkeypatch):
+    # numpy's LinAlgError is a ValueError, yet it is no input error
+    def no_convergence(M):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+    code, doc, _ = run_json(capsys, "check-nd", "--function", "catalog:log1p")
+    assert code == 3
+    assert doc == {"error": "Eigenvalues did not converge"}
+
+
+def test_overflowing_schoenberg_exponent_is_input_error(capsys):
+    # exp(-h*log x) overflows at h = 1e308: a non-finite Gram, not a solver fault
+    code, doc, _ = run_json(capsys, "check-nd", "--function", "catalog:log",
+                            "--interval", "0.1,0.5", "--h-list", "1e308")
+    assert code == 2
+    assert doc == {"error": "Gram matrix contains non-finite entries"}
+
+
 @pytest.mark.parametrize("cmd, name, flag, value, want", [
     ("check-pd", "green", "--interval", "-1,1", 0),
     ("check-nd", "abs_power", "--interval", "-1.5,1.5", 0),

@@ -1,6 +1,10 @@
 """Gram construction and definiteness verdicts on hand-checkable matrices."""
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import posdefkit as pk
 from posdefkit import funcs as fns
@@ -197,3 +201,134 @@ def test_quotient_space_rejects_gaussian():
     tau = np.array([3, 2, 1, 0])
     with pytest.raises(pk.NotReflectionPositive):
         kc.quotient_space(K, tau, plus_indices=np.array([2, 3]))
+
+
+EPS = np.finfo(np.float64).eps
+
+
+def _test_matrix(kind, n, seed):
+    """A symmetric PSD, CND or indefinite matrix, or an asymmetric one."""
+    rng = np.random.default_rng(seed)
+    size = 10.0 ** rng.uniform(-2.0, 1.5)
+    if kind == "psd":
+        A = rng.normal(size=(n, n))
+        return size * (A @ A.T) / n
+    if kind == "cnd":
+        x = rng.uniform(-3.0, 3.0, n)
+        return size * np.abs(x[:, None] - x[None, :]) ** rng.uniform(0.2, 2.0)
+    A = size * rng.normal(size=(n, n))
+    return A if kind == "asym" else 0.5 * (A + A.T)
+
+
+def _reference_scan(G, hs, tol):
+    """Per-h full eigendecomposition of the symmetrized exp(-h*G), the rule
+    the stacked scan must reproduce; also reports whether any decided
+    eigenvalue lay within rounding of the threshold."""
+    n, worst, near = G.shape[0], math.inf, False
+    for h in hs:
+        E = np.exp(-h * G)
+        if not np.all(np.isfinite(E)):
+            return "raise", None, None, None, None, near
+        M = 0.5 * (E + E.T)
+        vals, vecs = np.linalg.eigh(M)
+        lam, scale = float(vals[0]), max(1.0, float(np.abs(M).max()))
+        near |= abs(lam + tol * scale) <= 4 * n * EPS * scale
+        worst = min(worst, lam / scale)
+        if lam < -tol * scale:
+            return kc.FAIL, lam, vecs[:, 0], h, scale, near
+    return kc.PASS, worst, None, None, 1.0, near
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 16),
+    kind=st.sampled_from(["psd", "cnd", "indefinite", "asym"]),
+    seed=st.integers(0, 2**32 - 1),
+    hs=st.lists(st.floats(1e-3, 20.0), min_size=1, max_size=8),
+)
+def test_schoenberg_scan_matches_per_h_eigh(n, kind, seed, hs):
+    G = _test_matrix(kind, n, seed)
+    tol = kc.default_tol(n)
+    with np.errstate(over="ignore"):
+        verdict, lam, witness, h, scale, near = _reference_scan(G, hs, tol)
+    assume(not near)
+    if verdict == "raise":
+        with pytest.raises(pk.NonFiniteEntry):
+            kc.schoenberg_scan(G, hs)
+        return
+    v = kc.schoenberg_scan(G, hs)
+    assert (v.verdict, v.h, v.scale) == (verdict, h, scale)
+    assert v.grid is None
+    if verdict == kc.FAIL:
+        assert v.extremal_eig == lam
+        np.testing.assert_array_equal(v.witness, witness)
+    else:
+        assert abs(v.extremal_eig - lam) <= n * EPS
+        assert v.witness is None
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_fail_witness_is_eigh_bit_for_bit(seed):
+    G = _test_matrix("asym", 7, seed)
+    M = 0.5 * (G + G.T)
+    vals, vecs = np.linalg.eigh(M)
+    v = kc.psd_check(G)
+    assert v.verdict == kc.FAIL and v.extremal_eig == vals[0]
+    np.testing.assert_array_equal(v.witness, vecs[:, 0])
+
+    P = np.eye(7) - np.full((7, 7), 1.0 / 7)
+    C = P @ M @ P
+    vals, vecs = np.linalg.eigh(0.5 * (C + C.T))
+    w = P @ vecs[:, -1]
+    w /= np.linalg.norm(w)
+    v = kc.cnd_check(G)
+    assert v.verdict == kc.FAIL and v.extremal_eig == vals[-1]
+    np.testing.assert_array_equal(v.witness, w)
+
+
+def test_schoenberg_scan_reads_a_plain_matrix():
+    # the identity is not cnd, so exp(-h I) fails at the first h
+    v = kc.schoenberg_scan(np.eye(3))
+    assert v.verdict == kc.FAIL and v.h == 1.0 and v.grid is None
+    # exp(h I) is diagonally dominant; all-ones is rank one
+    assert kc.schoenberg_scan(-np.eye(3), [0.5]).verdict == kc.PASS
+    assert kc.schoenberg_scan(np.zeros((2, 2))).verdict == kc.PASS
+    with pytest.raises(ValueError, match="square"):
+        kc.schoenberg_scan(np.ones((2, 3)))
+
+
+def test_schoenberg_overflow_order():
+    x = np.linspace(0.0, 1.0, 4)
+    D = np.abs(x[:, None] - x[None, :])
+    # D - 1000 is cnd; exp(-h*(D - 1000)) passes until it overflows at h = 1
+    with pytest.raises(pk.NonFiniteEntry, match="non-finite"):
+        kc.schoenberg_scan(D - 1000.0, [0.01, 0.1, 1.0, 0.02])
+    # -D - 1000 fails at h = 0.5, before the overflow at h = 1 is reached
+    v = kc.schoenberg_scan(-D - 1000.0, [0.5, 1.0])
+    assert v.verdict == kc.FAIL and v.h == 0.5
+    with pytest.raises(pk.NonFiniteEntry):
+        kc.schoenberg_scan(-D - 1000.0, [1.0, 0.5])
+
+
+def test_passing_checks_compute_no_eigenvectors(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting_eigvalsh(M):
+        calls.append(np.shape(M))
+        return eigvalsh(M)
+
+    def no_eigh(M):
+        raise AssertionError("eigh called on a PASS")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    pts = np.array([-1.5, -0.5, 0.5, 1.5])
+    D = np.abs(pts[:, None] - pts[None, :])
+    assert kc.psd_check(np.exp(-D)).verdict == kc.PASS
+    assert kc.cnd_check(D).verdict == kc.PASS
+    calls.clear()
+    assert kc.schoenberg_scan(kc.gram_minus(np.abs, pts)).verdict == kc.PASS
+    assert calls == [(11, 4, 4)]
+    qs = kc.quotient_space(np.exp(-D), np.array([3, 2, 1, 0]), plus_indices=np.array([2, 3]))
+    assert qs.rank == 1

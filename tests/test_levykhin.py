@@ -172,6 +172,27 @@ def test_one_minus_exp_sum_saturates_nothing_below_zero():
     np.testing.assert_allclose(_accel.one_minus_exp_sum(lams, w, ts), want, rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("t", [np.array(2.0), np.array([0.0, 1.5, 40.0]), np.ones((2, 3))],
+                         ids=["scalar", "array", "matrix"])
+def test_kernels_return_zeros_for_no_nodes(monkeypatch, t):
+    def no_block(*args, **kwargs):
+        raise AssertionError("a node block was built")
+
+    for name in ("exp", "expm1", "log"):
+        monkeypatch.setattr(_accel.np, name, no_block)
+    empty = np.array([])
+    # no nodes at all, only zero weights, and only lam = 0 with k > 0
+    for got in (_accel.one_minus_exp_sum(empty, empty, t),
+                _accel.exp_weighted_sum(empty, empty, t, 0),
+                _accel.exp_weighted_sum([0.5, 2.0], [0.0, 0.0], t, 1),
+                _accel.exp_weighted_sum([0.0], [3.0], t, 2)):
+        assert got.shape == t.shape and got.dtype == np.float64
+        np.testing.assert_array_equal(got, np.zeros(t.shape))
+    # lam = 0 adds its weight exactly for k = 0
+    np.testing.assert_array_equal(_accel.exp_weighted_sum([0.0, 0.0], [3.0, 0.25], t, 0),
+                                  np.full(t.shape, 3.25))
+
+
 def test_default_lambda_grid():
     # leading zero carries the drift term; the rest is a geometric ladder
     g = lk.default_lambda_grid()
