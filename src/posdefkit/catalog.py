@@ -8,6 +8,12 @@ measure data that reproduces the function through the synthesis routines.
 ``check-*`` subcommands and ``run_flag_check`` (which the test suite runs
 over the whole catalog) both go through it.
 
+Every builder goes through ``_entry``, the one place an entry and its
+function handle are tied: the entry's domain is the handle's, derivatives
+run to order 8 whenever a builder gives them, and the synthesis form is the
+representation's own, except for ``abs_power``, whose Bernstein data
+synthesizes in the even ``reflection_negative`` form.
+
 Flag semantics follow the window: ``positive_definite`` and
 ``negative_definite`` refer to the sum kernel f((x+y)/2) on half-line
 windows (the transform sense) and to the difference kernel on symmetric
@@ -16,6 +22,7 @@ windows (the Fourier sense).
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -24,8 +31,10 @@ from .diffcalc import bernstein_check, completely_monotone_check
 from .errors import InvalidMeasure, UnknownName
 from .funcs import FuncHandle, chebyshev_grid
 from .kernelcheck import PASS, cnd_check, combine, psd_check, schoenberg_scan, window_gram
-from .measure import Envelope, FuncDensity, HeadBound, Measure
+from .measure import HALF_LINE, Envelope, FuncDensity, HeadBound, Measure
 from .reflection import reflection_negative_check, reflection_positive_check
+
+_LINE = (-math.inf, math.inf)
 
 # ---------------------------------------------------------------------------
 # named densities (serializable by reference from measure JSON)
@@ -60,20 +69,6 @@ def _power_decay_density(coef, power, decay, name, params):
     )
 
 
-def _lebesgue():
-    return _power_decay_density(1.0, 0.0, 0.0, "lebesgue", {})
-
-
-def _exp_density():
-    # exp(-lam) dlam
-    return _power_decay_density(1.0, 0.0, 1.0, "exp", {})
-
-
-def _log_sigma():
-    # exp(-lam)/lam dlam
-    return _power_decay_density(1.0, -1.0, 1.0, "log_sigma", {})
-
-
 def _stable_sigma(alpha=0.5):
     # (alpha / Gamma(1-alpha)) lam^(-1-alpha) dlam, the alpha-stable jump density
     alpha = float(alpha)
@@ -99,9 +94,10 @@ def _raw_power_decay(coef=1.0, power=0.0, decay=0.0):
 
 
 _DENSITY_SPECS = {
-    "lebesgue": _lebesgue,
-    "exp": _exp_density,
-    "log_sigma": _log_sigma,
+    # dlam, exp(-lam) dlam and exp(-lam)/lam dlam
+    "lebesgue": partial(_power_decay_density, 1.0, 0.0, 0.0, "lebesgue", {}),
+    "exp": partial(_power_decay_density, 1.0, 0.0, 1.0, "exp", {}),
+    "log_sigma": partial(_power_decay_density, 1.0, -1.0, 1.0, "log_sigma", {}),
     "stable_sigma": _stable_sigma,
     "gamma": _gamma_density,
     "power_decay": _raw_power_decay,
@@ -117,8 +113,9 @@ def density_from_spec(name, params=None):
     return builder(**dict(params or {}))
 
 
-def _halfline_density_measure(dens):
-    return Measure(atoms=(), density=dens, support=(0.0, math.inf))
+def _halfline(atoms=(), density=None):
+    """A measure on the half-line; no arguments give the zero measure."""
+    return Measure(atoms=atoms, density=density, support=HALF_LINE)
 
 
 # ---------------------------------------------------------------------------
@@ -160,11 +157,33 @@ class FlagCheckResult:
         return combine(v for _, v in self.routes) == PASS
 
 
+def _entry(name, fn, domain, flags, deriv=None, rep=None, form=None, **fields):
+    """The entry ``name`` with its handle on ``domain``, named ``name(p1,p2)``
+    after the params: derivatives run to order 8 when ``deriv`` is given, and
+    the synthesis form is ``rep``'s own unless ``form`` names another."""
+    params = fields.get("params", {})
+    label = f"{name}({','.join(format(v, 'g') for v in params.values())})" if params else name
+    func = FuncHandle(fn=fn, domain=domain, deriv=deriv, d_max=0 if deriv is None else 8,
+                      name=label)
+    return CatalogEntry(name=name, func=func, domain=func.domain, known_flags=tuple(flags),
+                        lk_form=None if rep is None else form or rep.form, lk_data=rep, **fields)
+
+
 def _falling(alpha, k):
-    out = 1.0
-    for j in range(k):
-        out *= alpha - j
-    return out
+    return math.prod((alpha - j for j in range(k)), start=1.0)
+
+
+def _power_law(name, coef, p, flags, **fields):
+    """The entry ``name`` of coef * t**p on the half-line, with its derivatives."""
+    return _entry(name, lambda t: coef * np.power(t, p), HALF_LINE, flags,
+                  deriv=lambda t, k: coef * _falling(p, k) * t ** (p - k), **fields)
+
+
+def _fractional_power_rep(alpha):
+    """Bernstein data (a, b, sigma) of t**alpha for 0 <= alpha <= 1."""
+    if alpha in (0.0, 1.0):
+        return lk.BernsteinRep(a=1.0 - alpha, b=alpha, sigma=_halfline())
+    return lk.BernsteinRep(a=0.0, b=0.0, sigma=_halfline(density=_stable_sigma(alpha)))
 
 
 # ---------------------------------------------------------------------------
@@ -175,93 +194,56 @@ def _power_entry(alpha=0.5):
     alpha = float(alpha)
     if not 0.0 < alpha <= 2.0:
         raise ValueError("power needs 0 < alpha <= 2")
-    func = FuncHandle(
-        fn=lambda t: np.power(t, alpha),
-        domain=(0.0, math.inf),
-        deriv=lambda t, k: _falling(alpha, k) * t ** (alpha - k),
-        d_max=8,
-        name=f"power({alpha:g})",
-    )
-    flags = []
-    lk_form = None
-    lk_data = None
+    flags = ()
+    rep = None
     if alpha <= 1.0:
-        flags = [
+        flags = (
             FlagClaim("bernstein", {}, "fractional powers t^alpha, alpha <= 1 (Bernstein)"),
             FlagClaim("negative_definite", {},
                       "exp(-h t^alpha) is completely monotone for alpha <= 1 (Schoenberg)"),
-        ]
-        lk_form = "bernstein"
-        if alpha == 1.0:
-            sigma = Measure(atoms=(), density=None, support=(0.0, math.inf))
-            lk_data = lk.BernsteinRep(a=0.0, b=1.0, sigma=sigma)
-        else:
-            lk_data = lk.BernsteinRep(
-                a=0.0, b=0.0,
-                sigma=_halfline_density_measure(_stable_sigma(alpha)),
-            )
-    return CatalogEntry(
-        name="power", func=func, domain=func.domain, known_flags=tuple(flags),
-        lk_form=lk_form, lk_data=lk_data, params={"alpha": alpha},
-        summary="t**alpha on the positive half-line",
-    )
+        )
+        rep = _fractional_power_rep(alpha)
+    return _power_law("power", 1.0, alpha, flags, rep=rep, params={"alpha": alpha},
+                      summary="t**alpha on the positive half-line")
 
 
 def _log1p_entry():
-    func = FuncHandle(
-        fn=np.log1p,
-        domain=(0.0, math.inf),
-        deriv=lambda t, k: (-1.0) ** (k - 1) * math.factorial(k - 1) / (1.0 + t) ** k,
-        d_max=8,
-        name="log1p",
-    )
     flags = (
         FlagClaim("bernstein", {}, "log(1+t) as an integral of 1 - exp(-lam t)"),
         FlagClaim("negative_definite", {}, "(1+t)^-h is completely monotone (Schoenberg)"),
     )
-    rep = lk.BernsteinRep(a=0.0, b=0.0, sigma=_halfline_density_measure(_log_sigma()))
-    return CatalogEntry(
-        name="log1p", func=func, domain=func.domain, known_flags=flags,
-        lk_form="bernstein", lk_data=rep, summary="log(1 + t)",
+    return _entry(
+        "log1p", np.log1p, HALF_LINE, flags,
+        deriv=lambda t, k: (-1.0) ** (k - 1) * math.factorial(k - 1) / (1.0 + t) ** k,
+        rep=lk.BernsteinRep(a=0.0, b=0.0,
+                            sigma=_halfline(density=density_from_spec("log_sigma"))),
+        summary="log(1 + t)",
     )
 
 
 def _log_entry():
-    func = FuncHandle(
-        fn=np.log,
-        domain=(0.0, math.inf),
-        deriv=lambda t, k: (-1.0) ** (k - 1) * math.factorial(k - 1) / t**k,
-        d_max=8,
-        name="log",
-    )
     flags = (
         FlagClaim("negative_definite", {},
                   "t^-h is completely monotone for every h > 0 (Schoenberg)"),
     )
-    rep = lk.LKIncreasingRep(c=0.0, mu=_halfline_density_measure(_lebesgue()))
-    return CatalogEntry(
-        name="log", func=func, domain=func.domain, known_flags=flags,
-        lk_form="increasing", lk_data=rep,
+    return _entry(
+        "log", np.log, HALF_LINE, flags,
+        deriv=lambda t, k: (-1.0) ** (k - 1) * math.factorial(k - 1) / t**k,
+        rep=lk.LKIncreasingRep(c=0.0, mu=_halfline(density=density_from_spec("lebesgue"))),
         summary="log t, the Frullani integral of (exp(-lam) - exp(-lam t))/lam",
     )
 
 
 def _ratio_entry():
-    func = FuncHandle(
-        fn=lambda t: t / (1.0 + t),
-        domain=(0.0, math.inf),
-        deriv=lambda t, k: (-1.0) ** (k + 1) * math.factorial(k) / (1.0 + t) ** (k + 1),
-        d_max=8,
-        name="ratio",
-    )
     flags = (
         FlagClaim("bernstein", {}, "t/(1+t) = integral of (1 - exp(-lam t)) exp(-lam)"),
         FlagClaim("negative_definite", {}, "Bernstein functions are negative definite"),
     )
-    rep = lk.BernsteinRep(a=0.0, b=0.0, sigma=_halfline_density_measure(_exp_density()))
-    return CatalogEntry(
-        name="ratio", func=func, domain=func.domain, known_flags=flags,
-        lk_form="bernstein", lk_data=rep, summary="t / (1 + t)",
+    return _entry(
+        "ratio", lambda t: t / (1.0 + t), HALF_LINE, flags,
+        deriv=lambda t, k: (-1.0) ** (k + 1) * math.factorial(k) / (1.0 + t) ** (k + 1),
+        rep=lk.BernsteinRep(a=0.0, b=0.0, sigma=_halfline(density=density_from_spec("exp"))),
+        summary="t / (1 + t)",
     )
 
 
@@ -269,23 +251,14 @@ def _neg_power_entry(alpha=1.0):
     alpha = float(alpha)
     if alpha <= 0:
         raise ValueError("neg_power needs alpha > 0")
-    func = FuncHandle(
-        fn=lambda t: np.power(t, -alpha),
-        domain=(0.0, math.inf),
-        deriv=lambda t, k: _falling(-alpha, k) * t ** (-alpha - k),
-        d_max=8,
-        name=f"neg_power({alpha:g})",
-    )
     flags = (
         FlagClaim("completely_monotone", {},
                   "t^-alpha is the transform of the gamma density (Hausdorff-Bernstein-Widder)"),
         FlagClaim("positive_definite", {},
                   "completely monotone functions have PSD sum kernels (Widder)"),
     )
-    return CatalogEntry(
-        name="neg_power", func=func, domain=func.domain, known_flags=flags,
-        params={"alpha": alpha}, summary="t**(-alpha) on the positive half-line",
-    )
+    return _power_law("neg_power", 1.0, -alpha, flags, params={"alpha": alpha},
+                      summary="t**(-alpha) on the positive half-line")
 
 
 def _neg_tlogt_entry():
@@ -294,25 +267,14 @@ def _neg_tlogt_entry():
             return -np.log(t) - 1.0
         return -math.factorial(k - 2) * (-1.0) ** k * t ** (1 - k)
 
-    func = FuncHandle(
-        fn=lambda t: -t * np.log(t),
-        domain=(0.0, math.inf),
-        deriv=deriv,
-        d_max=8,
-        name="neg_tlogt",
-    )
     flags = (
         FlagClaim("negative_definite", {},
                   "t^(h t) has PSD sum kernels for h > 0 (entropy function)"),
     )
-    rep = lk.LKIntervalRep(
-        t0=1.0, c=0.0, d=-1.0,
-        mu=_halfline_density_measure(_lebesgue()),
-        interval=(0.0, math.inf),
-    )
-    return CatalogEntry(
-        name="neg_tlogt", func=func, domain=func.domain, known_flags=flags,
-        lk_form="interval", lk_data=rep,
+    mu = _halfline(density=density_from_spec("lebesgue"))
+    rep = lk.LKIntervalRep(t0=1.0, c=0.0, d=-1.0, mu=mu, interval=HALF_LINE)
+    return _entry(
+        "neg_tlogt", lambda t: -t * np.log(t), HALF_LINE, flags, deriv=deriv, rep=rep,
         summary="-t log t; second derivative is -1/t, the transform of Lebesgue measure",
     )
 
@@ -322,51 +284,35 @@ def _signed_power_entry(alpha=1.5):
     alpha = float(alpha)
     if not 1.0 <= alpha <= 2.0:
         raise ValueError("signed_power needs 1 <= alpha <= 2")
-    func = FuncHandle(
-        fn=lambda t: -np.power(t, alpha),
-        domain=(0.0, math.inf),
-        deriv=lambda t, k: -_falling(alpha, k) * t ** (alpha - k),
-        d_max=8,
-        name=f"signed_power({alpha:g})",
-    )
     flags = (
         FlagClaim("negative_definite", {},
                   "-t^alpha, 1 <= alpha <= 2, on the additive half-line (Schoenberg)"),
     )
     if alpha == 2.0:
-        mu = Measure(atoms=((0.0, 2.0),), density=None, support=(0.0, math.inf))
+        mu = _halfline(((0.0, 2.0),))
     elif alpha == 1.0:
-        mu = Measure(atoms=(), density=None, support=(0.0, math.inf))
+        mu = _halfline()
     else:
         coef = alpha * (alpha - 1.0) / float(_gamma_fn(2.0 - alpha))
-        mu = _halfline_density_measure(_raw_power_decay(coef, 1.0 - alpha, 0.0))
-    rep = lk.LKIntervalRep(t0=1.0, c=-1.0, d=-alpha, mu=mu, interval=(0.0, math.inf))
-    return CatalogEntry(
-        name="signed_power", func=func, domain=func.domain, known_flags=flags,
-        lk_form="interval", lk_data=rep, params={"alpha": alpha},
-        summary="-t**alpha for 1 <= alpha <= 2",
-    )
+        mu = _halfline(density=_raw_power_decay(coef, 1.0 - alpha, 0.0))
+    rep = lk.LKIntervalRep(t0=1.0, c=-1.0, d=-alpha, mu=mu, interval=HALF_LINE)
+    return _power_law("signed_power", -1.0, alpha, flags, rep=rep, params={"alpha": alpha},
+                      summary="-t**alpha for 1 <= alpha <= 2")
 
 
 def _green_entry(lam=1.0):
     lam = float(lam)
     if lam <= 0:
         raise ValueError("green needs lam > 0")
-    func = FuncHandle(
-        fn=lambda t: np.exp(-lam * np.abs(t)),
-        domain=(-math.inf, math.inf),
-        name=f"green({lam:g})",
-    )
     flags = (
         FlagClaim("positive_definite", {},
                   "exp(-lam|t|) is the Cauchy characteristic function (Bochner)"),
         FlagClaim("reflection_positive", {"a": 1.0},
                   "one-sided transform restricted to a symmetric interval"),
     )
-    return CatalogEntry(
-        name="green", func=func, domain=func.domain, known_flags=flags,
-        params={"lam": lam}, summary="exp(-lam |t|) on the line",
-        check_window=(-2.0, 2.0),
+    return _entry(
+        "green", lambda t: np.exp(-lam * np.abs(t)), _LINE, flags,
+        params={"lam": lam}, summary="exp(-lam |t|) on the line", check_window=(-2.0, 2.0),
     )
 
 
@@ -380,15 +326,12 @@ def _thermal_green_entry(lam=1.0, beta=2.0):
         x = np.abs(np.asarray(t, dtype=np.float64))
         return np.exp(-lam * x) + np.exp(-lam * (beta - x))
 
-    func = FuncHandle(fn=fn, domain=(-math.inf, math.inf),
-                      name=f"thermal_green({lam:g},{beta:g})")
     flags = (
         FlagClaim("reflection_positive", {"a": beta / 2.0},
                   "periodic continuation has nonnegative Fourier coefficients"),
     )
-    return CatalogEntry(
-        name="thermal_green", func=func, domain=func.domain, known_flags=flags,
-        params={"lam": lam, "beta": beta},
+    return _entry(
+        "thermal_green", fn, _LINE, flags, params={"lam": lam, "beta": beta},
         summary="exp(-lam|t|) + exp(-lam(beta - |t|)), the beta-periodic kernel",
         check_window=(-beta / 2.0, beta / 2.0),
     )
@@ -398,35 +341,18 @@ def _abs_power_entry(alpha=1.0):
     alpha = float(alpha)
     if not 0.0 <= alpha <= 2.0:
         raise ValueError("abs_power needs 0 <= alpha <= 2")
-    func = FuncHandle(
-        fn=lambda t: np.power(np.abs(t), alpha),
-        domain=(-math.inf, math.inf),
-        name=f"abs_power({alpha:g})",
-    )
     flags = ()
-    lk_form = None
-    lk_data = None
+    rep = None
     if alpha <= 1.0:
         flags = (
             FlagClaim("reflection_negative", {},
                       "|t|^alpha is the exponent of a symmetric stable law for alpha <= 1"),
         )
-        lk_form = "reflection_negative"
-        if alpha == 0.0:
-            sigma = Measure(atoms=(), density=None, support=(0.0, math.inf))
-            lk_data = lk.BernsteinRep(a=1.0, b=0.0, sigma=sigma)
-        elif alpha == 1.0:
-            sigma = Measure(atoms=(), density=None, support=(0.0, math.inf))
-            lk_data = lk.BernsteinRep(a=0.0, b=1.0, sigma=sigma)
-        else:
-            lk_data = lk.BernsteinRep(
-                a=0.0, b=0.0,
-                sigma=_halfline_density_measure(_stable_sigma(alpha)),
-            )
-    return CatalogEntry(
-        name="abs_power", func=func, domain=func.domain, known_flags=flags,
-        lk_form=lk_form, lk_data=lk_data, params={"alpha": alpha},
-        summary="|t|**alpha on the line", check_window=(-2.0, 2.0),
+        rep = _fractional_power_rep(alpha)
+    return _entry(
+        "abs_power", lambda t: np.power(np.abs(t), alpha), _LINE, flags,
+        rep=rep, form="reflection_negative",
+        params={"alpha": alpha}, summary="|t|**alpha on the line", check_window=(-2.0, 2.0),
     )
 
 
@@ -435,82 +361,49 @@ def _one_minus_cexp_entry(c=1.0, lam=1.0):
     lam = float(lam)
     if c < 0 or lam <= 0:
         raise ValueError("one_minus_cexp needs c >= 0 and lam > 0")
-    func = FuncHandle(
-        fn=lambda t: 1.0 - c * np.exp(-lam * t),
-        domain=(0.0, math.inf),
-        deriv=lambda t, k: -c * (-lam) ** k * np.exp(-lam * t),
-        d_max=8,
-        name=f"one_minus_cexp({c:g},{lam:g})",
-    )
     flags = [
         FlagClaim("negative_definite", {},
                   "exp(h c e^{-lam t}) expands into a positive exponential sum"),
     ]
-    lk_form = None
-    lk_data = None
+    rep = None
     if c <= 1.0:
         # 1 - c exp(-lam t) = (1 - c) + c (1 - exp(-lam t)); needs c <= 1
         flags.append(FlagClaim("bernstein", {}, "nonnegative with completely monotone slope"))
-        sigma = Measure(atoms=((lam, c),) if c > 0 else (), density=None,
-                        support=(0.0, math.inf))
-        lk_form = "bernstein"
-        lk_data = lk.BernsteinRep(a=1.0 - c, b=0.0, sigma=sigma)
-    return CatalogEntry(
-        name="one_minus_cexp", func=func, domain=func.domain,
-        known_flags=tuple(flags), lk_form=lk_form, lk_data=lk_data,
-        params={"c": c, "lam": lam}, summary="1 - c exp(-lam t)",
+        rep = lk.BernsteinRep(a=1.0 - c, b=0.0, sigma=_halfline(((lam, c),) if c > 0 else ()))
+    return _entry(
+        "one_minus_cexp", lambda t: 1.0 - c * np.exp(-lam * t), HALF_LINE, flags,
+        deriv=lambda t, k: -c * (-lam) ** k * np.exp(-lam * t),
+        rep=rep, params={"c": c, "lam": lam}, summary="1 - c exp(-lam t)",
     )
 
 
 def _exp_decay_entry():
-    func = FuncHandle(
-        fn=lambda t: np.exp(-t),
-        domain=(-math.inf, math.inf),
-        deriv=lambda t, k: (-1.0) ** k * np.exp(-t),
-        d_max=8,
-        name="exp_decay",
-    )
     flags = (
         FlagClaim("completely_monotone", {}, "transform of a unit point mass"),
         FlagClaim("positive_definite", {}, "rank-one sum kernel (Widder)"),
     )
-    return CatalogEntry(
-        name="exp_decay", func=func, domain=func.domain, known_flags=flags,
-        summary="exp(-t)",
-    )
+    return _entry("exp_decay", lambda t: np.exp(-t), _LINE, flags,
+                  deriv=lambda t, k: (-1.0) ** k * np.exp(-t), summary="exp(-t)")
 
 
 def _cosh_entry():
-    func = FuncHandle(
-        fn=np.cosh,
-        domain=(-math.inf, math.inf),
-        deriv=lambda t, k: np.cosh(t) if k % 2 == 0 else np.sinh(t),
-        d_max=8,
-        name="cosh",
-    )
     # no definiteness flags: cosh is a two-sided transform, so its moment
     # matrices pass unshifted Hankel tests while the shifted ones fail
-    return CatalogEntry(
-        name="cosh", func=func, domain=func.domain, known_flags=(),
+    return _entry(
+        "cosh", np.cosh, _LINE, (),
+        deriv=lambda t, k: np.cosh(t) if k % 2 == 0 else np.sinh(t),
         summary="cosh t, the two-sided transform of (point at 1 + point at -1)/2",
         check_window=(-2.0, 2.0),
     )
 
 
 def _triangle_entry():
-    func = FuncHandle(
-        fn=lambda t: np.maximum(0.0, 1.0 - np.abs(t)),
-        domain=(-math.inf, math.inf),
-        name="triangle",
-    )
     flags = (
         FlagClaim("positive_definite", {},
                   "even, convex, decreasing on the half-line (Polya); Fejer kernel"),
     )
-    return CatalogEntry(
-        name="triangle", func=func, domain=func.domain, known_flags=flags,
-        summary="max(0, 1 - |t|)", check_window=(-2.0, 2.0),
-    )
+    return _entry("triangle", lambda t: np.maximum(0.0, 1.0 - np.abs(t)), _LINE, flags,
+                  summary="max(0, 1 - |t|)", check_window=(-2.0, 2.0))
 
 
 _BUILDERS = {

@@ -29,7 +29,7 @@ from .errors import (
 )
 from .funcs import chebyshev_grid, uniform_grid
 from .jsonfmt import render
-from .kernelcheck import FAIL, PASS, combine
+from .kernelcheck import FAIL, PASS, combine, resolve_tol
 from .reflection import boundary_derivative_check, polya_check
 
 _GRIDS = {"cheb": chebyshev_grid, "uniform": uniform_grid}
@@ -266,9 +266,10 @@ _COMMANDS = {
 
 def _tolerance(text):
     tol = float(text)
-    if not (math.isfinite(tol) and tol > 0):
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
-    return tol
+    try:
+        return resolve_tol(tol, 1)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _add_output_flags(sp):
@@ -353,7 +354,7 @@ def _build_parser():
     sp = sub.add_parser("synth", help="evaluate a representation from JSON")
     sp.add_argument("--rep", required=True, metavar="FILE")
     sp.add_argument("--form", default=None,
-                    choices=("interval", "increasing", "bernstein", "reflection_negative"))
+                    choices=tuple(lk.SYNTH_FORMS))
     sp.add_argument("--t", action="append", type=float, default=None)
     sp.add_argument("--t-grid", default=None, dest="t_grid", metavar="lo,hi,n")
     sp.add_argument("--csv", default=None, metavar="FILE",

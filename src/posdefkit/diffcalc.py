@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, OrderTooHigh
-from .kernelcheck import FAIL, PASS, PositivityVerdict, default_tol, psd_check
+from .kernelcheck import FAIL, PASS, PositivityVerdict, psd_check, resolve_tol
 
 _EPS = np.finfo(float).eps
 
@@ -102,7 +102,7 @@ def _difference_scan(f, grid, k_range, deltas, tol, sign):
     worst (t, d_eff, k) in (t, delta, k) order.
     """
     ks = list(k_range)
-    deltas = np.asarray(deltas, dtype=np.float64)
+    deltas = np.asarray(DEFAULT_DELTAS if deltas is None else deltas, dtype=np.float64)
     if np.any(deltas <= 0):
         raise ValueError("delta must be positive")
     t = np.atleast_1d(np.asarray(grid, dtype=np.float64))
@@ -140,10 +140,7 @@ def completely_monotone_check(f, grid, k_max=4, deltas=None, tol=None):
     holds the worst difference normalized by max(1, |f(t)|).
     """
     grid = np.atleast_1d(np.asarray(grid, dtype=np.float64))
-    if deltas is None:
-        deltas = DEFAULT_DELTAS
-    if tol is None:
-        tol = default_tol(grid.size)
+    tol = resolve_tol(tol, grid.size)
     k_max = int(k_max)
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
@@ -167,10 +164,7 @@ def bernstein_check(psi, grid, k_max=3, deltas=None, tol=None):
     k counts the order of the implied derivative of psi'.
     """
     grid = np.atleast_1d(np.asarray(grid, dtype=np.float64))
-    if deltas is None:
-        deltas = DEFAULT_DELTAS
-    if tol is None:
-        tol = default_tol(grid.size)
+    tol = resolve_tol(tol, grid.size)
     k_max = int(k_max)
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
@@ -203,8 +197,7 @@ def hankel_check(f, c, n, shifted=False, tol=None):
     if n < 0:
         raise ValueError("n must be >= 0")
     order_needed = 2 * n + (1 if shifted else 0)
-    if tol is None:
-        tol = default_tol(n + 1)
+    tol = resolve_tol(tol, n + 1)
     if f.has_analytic(order_needed):
         dk = lambda k: f.deriv_at(c, k) if k else f(c)
     else:
@@ -232,8 +225,7 @@ def convex_decreasing_check(f, grid, tol=None):
     grid = np.sort(np.atleast_1d(np.asarray(grid, dtype=np.float64)))
     if grid.size < 3:
         raise ValueError("need at least three points")
-    if tol is None:
-        tol = default_tol(grid.size)
+    tol = resolve_tol(tol, grid.size)
     vals = np.atleast_1d(f(grid))
     scale = max(1.0, float(np.abs(vals).max()))
     rises = np.diff(vals)

@@ -1,5 +1,6 @@
 """The one JSON writer: floats carry 17 significant digits, non-finite floats
-use the spellings the stdlib parser reads back (``Infinity``, ``NaN``)."""
+use the spellings the stdlib parser reads back (``Infinity``, ``NaN``).
+``required`` is the readers' rule for a missing key."""
 
 import json
 import math
@@ -29,3 +30,11 @@ def render(obj):
     if isinstance(obj, str):
         return json.dumps(obj)
     raise TypeError(f"cannot render {type(obj)!r}")
+
+
+def required(doc, key, error):
+    """doc[key] of a parsed JSON object; a missing key raises ``error``."""
+    try:
+        return doc[key]
+    except KeyError:
+        raise error(f"JSON input needs the key {key!r}") from None

@@ -28,6 +28,16 @@ def default_tol(n):
     return 1e-9 * max(int(n), 1)
 
 
+def resolve_tol(tol, n):
+    """The verdict tolerance of a check on n points: ``default_tol(n)`` for
+    None, else ``tol``, which must be finite and > 0 (``ValueError``)."""
+    if tol is None:
+        return default_tol(n)
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+    return tol
+
+
 @dataclass(frozen=True)
 class KernelGram:
     """A symmetric Gram matrix tagged with the points and kernel kind."""
@@ -180,14 +190,21 @@ def combine(verdicts):
     return PASS
 
 
+def _symmetrize(M):
+    """(M + M.T)/2 of a finite square M, finite too: 0.5 * (M + M.T) unless
+    that sum overflows, then halves first (which, used always, would flush
+    subnormals)."""
+    with np.errstate(over="ignore"):
+        S = 0.5 * (M + M.T)
+    return S if np.isfinite(S).all() else 0.5 * M + 0.5 * M.T
+
+
 def _symmetric(G, tol):
     """The symmetrized matrix of a square finite Gram, its points and the tol."""
     M, pts = _as_matrix(G)
     if not np.all(np.isfinite(M)):
         raise NonFiniteEntry("Gram matrix contains non-finite entries")
-    if tol is None:
-        tol = default_tol(M.shape[0])
-    return 0.5 * (M + M.T), pts, tol
+    return _symmetrize(M), pts, resolve_tol(tol, M.shape[0])
 
 
 def psd_check(G, tol=None):
@@ -212,8 +229,7 @@ def cnd_check(G, tol=None):
     M, pts, tol = _symmetric(G, tol)
     n = M.shape[0]
     P = np.eye(n) - np.full((n, n), 1.0 / n)
-    C = P @ M @ P
-    C = 0.5 * (C + C.T)
+    C = _symmetrize(P @ M @ P)
     scale = _scale(M)
     lam_max, w = _extremal(C, lambda lam: lam <= tol * scale, -1)
     if w is None:
@@ -239,8 +255,7 @@ def schoenberg_scan(gram, hs=None, tol=None):
     if not hs or not all(math.isfinite(h) and h > 0 for h in hs):
         raise ValueError("Schoenberg exponents must be a nonempty list of finite h > 0")
     base, pts = _as_matrix(gram)
-    if tol is None:
-        tol = default_tol(base.shape[0])
+    tol = resolve_tol(tol, base.shape[0])
     if not np.all(np.isfinite(base)):
         return PositivityVerdict(INCONCLUSIVE, math.nan, tol, math.nan, None, pts)
     with np.errstate(over="ignore"):
@@ -290,8 +305,7 @@ def quotient_space(K, tau_pairing, plus_indices, tol=None):
     idx = np.asarray(plus_indices, dtype=np.int64)
     if idx.size == 0 or np.any(idx < 0) or np.any(idx >= n):
         raise IndexError("plus_indices out of range")
-    if tol is None:
-        tol = default_tol(idx.size)
+    tol = resolve_tol(tol, idx.size)
     base = psd_check(M, tol)
     if not base.passed:
         raise ValueError("base kernel Gram is not positive semidefinite")
@@ -299,7 +313,7 @@ def quotient_space(K, tau_pairing, plus_indices, tol=None):
     asym = float(np.abs(gram_tau - gram_tau.T).max()) if gram_tau.size else 0.0
     if asym > tol * _scale(gram_tau):
         raise ValueError("kernel is not invariant under the reflection pairing")
-    gram_tau = 0.5 * (gram_tau + gram_tau.T)
+    gram_tau = _symmetrize(gram_tau)
     vals = np.linalg.eigvalsh(gram_tau)
     scale = _scale(gram_tau)
     lam, w = _extremal(gram_tau, lambda lam: lam >= -tol * scale, 0, vals[0])

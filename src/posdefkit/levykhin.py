@@ -38,7 +38,7 @@ from .errors import (
     NotNegativeDefinite,
 )
 from .funcs import FuncHandle
-from .jsonfmt import render
+from .jsonfmt import render, required
 
 _PROBE_TOL = 1e-6
 # exp() overflows just above 709; dictionary columns beyond this are unusable
@@ -102,6 +102,7 @@ class LKIntervalRep:
     """Scalars (t0, c, d) and a measure mu on the line; see synth_interval."""
 
     form = "interval"
+    json_fields = ("t0", "c", "d", "interval", "mu")
 
     t0: float
     c: float
@@ -127,6 +128,7 @@ class LKIncreasingRep:
     """Scalar c = psi(1) and a measure mu on [0, inf); see synth_increasing."""
 
     form = "increasing"
+    json_fields = ("c", "mu")
 
     c: float
     mu: msr.Measure
@@ -142,6 +144,7 @@ class BernsteinRep:
     """Triple (a, b, sigma) with sigma on (0, inf) integrating min(1, lam)."""
 
     form = "bernstein"
+    json_fields = ("a", "b", "sigma")
 
     a: float
     b: float
@@ -247,20 +250,23 @@ def synth_reflection_negative(rep, t, tol=1e-10, full=False):
     return _bernstein(rep, _batch(np.abs(t)), t, tol, full)
 
 
-def synth(rep, t, tol=1e-10, full=False, form=None):
-    """Evaluate ``rep`` at t in ``form``, by default the representation's own.
+# synthesis form -> (the representation form it reads, its synthesizer)
+SYNTH_FORMS = {
+    "interval": ("interval", synth_interval),
+    "increasing": ("increasing", synth_increasing),
+    "bernstein": ("bernstein", synth_bernstein),
+    "reflection_negative": ("bernstein", synth_reflection_negative),
+}
 
-    A ``BernsteinRep`` also takes ``form="reflection_negative"``; any other
-    mismatch raises ``InvalidRep``.
-    """
-    native = rep.form
-    form = native if form is None else form
-    if native == "bernstein" and form == "reflection_negative":
-        return synth_reflection_negative(rep, t, tol, full)
-    if form != native:
-        raise InvalidRep(f"representation has form {native!r}, not {form!r}")
-    fn = {"interval": synth_interval, "increasing": synth_increasing,
-          "bernstein": synth_bernstein}[native]
+
+def synth(rep, t, tol=1e-10, full=False, form=None):
+    """Evaluate ``rep`` at t in ``form`` (a ``SYNTH_FORMS`` key), by default
+    the representation's own; a form that reads another representation
+    raises ``InvalidRep``."""
+    form = rep.form if form is None else form
+    native, fn = SYNTH_FORMS.get(form, (None, None))
+    if native != rep.form:
+        raise InvalidRep(f"representation has form {rep.form!r}, not {form!r}")
     return fn(rep, t, tol, full)
 
 
@@ -325,7 +331,7 @@ def increasing_handle(rep, tol=1e-10):
     def deriv(t, k):
         return msr.laplace_deriv(rep.mu, t, k - 1, tol).value
 
-    return _synth_handle(rep, tol, "increasing", (0.0, math.inf), "increasing_synth", deriv)
+    return _synth_handle(rep, tol, "increasing", msr.HALF_LINE, "increasing_synth", deriv)
 
 
 def bernstein_handle(rep, tol=1e-10):
@@ -338,7 +344,7 @@ def bernstein_handle(rep, tol=1e-10):
             val += rep.b
         return val
 
-    return _synth_handle(rep, tol, "bernstein", (0.0, math.inf), "bernstein_synth", deriv)
+    return _synth_handle(rep, tol, "bernstein", msr.HALF_LINE, "bernstein_synth", deriv)
 
 
 def reflection_negative_handle(rep, tol=1e-10):
@@ -362,7 +368,19 @@ def _dictionary(fit, lambda_grid):
     return np.exp(expo[:, keep]), lams[keep]
 
 
+def _fit_prelude(fit_grid, tol):
+    """The sorted distinct points of a fit grid (at least two) and tol as a float."""
+    fit = np.unique(np.asarray(fit_grid, dtype=np.float64))
+    if fit.size < 2:
+        raise ValueError("fit grid needs at least two points")
+    return fit, float(tol)
+
+
 def _nnls_fit(fit, y, lambda_grid):
+    """Nonnegative atoms on ``lambda_grid`` (None: ``default_lambda_grid()``)
+    whose transform fits y on the fit grid, and the max residual."""
+    if lambda_grid is None:
+        lambda_grid = default_lambda_grid()
     A, lams = _dictionary(fit, lambda_grid)
     if A.shape[1] == 0:
         raise ValueError("every dictionary column overflows on this fit grid")
@@ -389,15 +407,11 @@ def analyze_interval(psi, t0, fit_grid, lambda_grid=None, tol=1e-8):
     ``NotNegativeDefinite`` when -psi'' dips below -tol on the fit grid.
     """
     t0 = float(t0)
-    fit = np.unique(np.asarray(fit_grid, dtype=np.float64))
-    if fit.size < 2:
-        raise ValueError("fit grid needs at least two points")
-    if lambda_grid is None:
-        lambda_grid = default_lambda_grid()
+    fit, tol = _fit_prelude(fit_grid, tol)
     c = psi(t0)
     d = derivative(psi, t0, 1)
     y = -np.asarray(derivative(psi, fit, 2))
-    if y.min() < -float(tol):
+    if y.min() < -tol:
         i = int(np.argmin(y))
         raise NotNegativeDefinite(
             f"second derivative is positive at t = {fit[i]:g}; "
@@ -415,14 +429,9 @@ def analyze_increasing(psi, fit_grid, lambda_grid=None, tol=1e-8):
     finite-difference complete-monotonicity screen (``NotNegativeDefinite``
     otherwise, since psi' must be a transform of a positive measure).
     """
-    fit = np.unique(np.asarray(fit_grid, dtype=np.float64))
-    if fit.size < 2:
-        raise ValueError("fit grid needs at least two points")
+    fit, tol = _fit_prelude(fit_grid, tol)
     if fit[0] <= 0:
         raise DomainError("fit grid must lie in (0, inf)")
-    if lambda_grid is None:
-        lambda_grid = default_lambda_grid()
-    tol = float(tol)
     c = psi(1.0)
     y = np.asarray(derivative(psi, fit, 1))
     if y.min() < -tol:
@@ -437,7 +446,7 @@ def analyze_increasing(psi, fit_grid, lambda_grid=None, tol=1e-8):
             "no positive measure matches psi'"
         )
     atoms, residual = _nnls_fit(fit, y, lambda_grid)
-    rep = LKIncreasingRep(c=c, mu=msr.Measure(atoms=atoms, support=(0.0, math.inf)))
+    rep = LKIncreasingRep(c=c, mu=msr.Measure(atoms=atoms, support=msr.HALF_LINE))
     return rep, residual
 
 
@@ -493,7 +502,7 @@ def bernstein_to_increasing(rep, tol=1e-10):
                 head,
                 new_env,
             )
-    mu = msr.Measure(atoms=tuple(atoms), density=new_dens, support=(0.0, math.inf))
+    mu = msr.Measure(atoms=tuple(atoms), density=new_dens, support=msr.HALF_LINE)
     return LKIncreasingRep(c=c, mu=mu)
 
 
@@ -501,44 +510,32 @@ def bernstein_to_increasing(rep, tol=1e-10):
 # JSON forms
 
 
+_REPS = {cls.form: cls for cls in (LKIntervalRep, LKIncreasingRep, BernsteinRep)}
+# (to JSON, from JSON) of the ``json_fields`` that are not floats
+_CODECS = {"interval": (list, lambda v: (float(v[0]), float(v[1]))),
+           "mu": (msr.measure_doc, msr.measure_from_doc),
+           "sigma": (msr.measure_doc, msr.measure_from_doc)}
+_FLOAT = (float, float)
+
+
 def rep_to_json(rep):
-    """Serialize a representation; measures embed in their JSON dict form."""
-    if isinstance(rep, LKIntervalRep):
-        doc = {
-            "form": "interval",
-            "t0": rep.t0,
-            "c": rep.c,
-            "d": rep.d,
-            "interval": [rep.interval[0], rep.interval[1]],
-            "mu": msr.measure_doc(rep.mu),
-        }
-    elif isinstance(rep, LKIncreasingRep):
-        doc = {"form": "increasing", "c": rep.c, "mu": msr.measure_doc(rep.mu)}
-    elif isinstance(rep, BernsteinRep):
-        doc = {"form": "bernstein", "a": rep.a, "b": rep.b, "sigma": msr.measure_doc(rep.sigma)}
-    else:
+    """Serialize a representation: its form, then its ``json_fields`` in
+    order; measures embed in their JSON dict form."""
+    if not isinstance(rep, tuple(_REPS.values())):
         raise TypeError("not a representation object")
-    return render(doc)
+    return render({"form": rep.form, **{name: _CODECS.get(name, _FLOAT)[0](getattr(rep, name))
+                                        for name in rep.json_fields}})
 
 
 def rep_from_json(text):
-    """Parse any of the three representation JSON forms."""
+    """Parse any of the three representation JSON forms; a missing field
+    raises ``InvalidRep``."""
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise InvalidRep("representation JSON must be an object")
     form = doc.get("form")
-    if form == "interval":
-        return LKIntervalRep(
-            t0=float(doc["t0"]),
-            c=float(doc["c"]),
-            d=float(doc["d"]),
-            mu=msr.measure_from_doc(doc["mu"]),
-            interval=(float(doc["interval"][0]), float(doc["interval"][1])),
-        )
-    if form == "increasing":
-        return LKIncreasingRep(c=float(doc["c"]), mu=msr.measure_from_doc(doc["mu"]))
-    if form == "bernstein":
-        return BernsteinRep(
-            a=float(doc["a"]), b=float(doc["b"]), sigma=msr.measure_from_doc(doc["sigma"])
-        )
-    raise InvalidRep(f"unknown representation form {form!r}")
+    if form not in _REPS:
+        raise InvalidRep(f"unknown representation form {form!r}")
+    cls = _REPS[form]
+    return cls(**{name: _CODECS.get(name, _FLOAT)[1](required(doc, name, InvalidRep))
+                  for name in cls.json_fields})

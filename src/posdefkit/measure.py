@@ -42,9 +42,12 @@ import numpy as np
 
 from . import _accel
 from .errors import DivergentIntegral, InvalidMeasure
-from .jsonfmt import render
+from .jsonfmt import render, required
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+
+# support of the measures that the half-line representations integrate against
+HALF_LINE = (0.0, math.inf)
 
 # refinement levels double the panel count per octave
 _MAX_LEVEL = 4
@@ -518,12 +521,12 @@ def measure_doc(mu):
 
 
 def measure_from_doc(doc):
-    """Rebuild a measure from the dict form of ``measure_doc``."""
+    """Rebuild a measure from the dict form of ``measure_doc``; a missing key
+    raises ``InvalidMeasure``."""
     if not isinstance(doc, dict):
         raise InvalidMeasure("measure JSON must be an object")
-    atoms = tuple(
-        (float(a["lambda"]), float(a["weight"])) for a in doc.get("atoms", [])
-    )
+    atoms = tuple((float(required(a, "lambda", InvalidMeasure)),
+                   float(required(a, "weight", InvalidMeasure))) for a in doc.get("atoms", []))
     dens_doc = doc.get("density")
     density = None
     if dens_doc is not None:
@@ -533,8 +536,8 @@ def measure_from_doc(doc):
             density = catalog.density_from_spec(dens_doc["catalog"], dens_doc.get("params", {}))
         else:
             density = GriddedDensity(
-                np.asarray(dens_doc["grid"], dtype=np.float64),
-                np.asarray(dens_doc["values"], dtype=np.float64),
+                np.asarray(required(dens_doc, "grid", InvalidMeasure), dtype=np.float64),
+                np.asarray(required(dens_doc, "values", InvalidMeasure), dtype=np.float64),
                 dens_doc.get("rule", "trapezoid"),
             )
     support = doc.get("support")

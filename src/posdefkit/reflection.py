@@ -31,10 +31,10 @@ from .kernelcheck import (
     PositivityVerdict,
     cnd_check,
     combine,
-    default_tol,
     gram_minus,
     gram_plus,
     psd_check,
+    resolve_tol,
     schoenberg_scan,
 )
 
@@ -97,7 +97,7 @@ def _window(a, n, tol, finite=True):
     a = float(a)
     if not (a > 0 and (math.isfinite(a) or not finite)):
         raise DomainError("a must be positive and finite" if finite else "a must be positive")
-    return a, int(n), default_tol(int(n)) if tol is None else tol
+    return a, int(n), resolve_tol(tol, int(n))
 
 
 def _evenness(f, sym_grid, tol):
@@ -171,8 +171,7 @@ def polya_check(phi, grid, tol=None):
         raise ValueError("need at least three points")
     if grid[0] < 0:
         raise DomainError("grid must lie in [0, inf)")
-    if tol is None:
-        tol = default_tol(grid.size)
+    tol = resolve_tol(tol, grid.size)
     vals = np.atleast_1d(phi(grid))
     scale = max(1.0, float(np.abs(vals).max()))
     i_min = int(np.argmin(vals))

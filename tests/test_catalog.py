@@ -117,3 +117,61 @@ def test_lk_synth_value_dispatch():
     assert cat.lk_synth_value(entry, -1.5) == pytest.approx(1.5, abs=1e-9)
     with pytest.raises(pk.UnknownName):
         cat.lk_synth_value(cat.get("cosh"), 1.0)
+
+
+def _default_entry_ids():
+    return [f"{e.name}{e.params}" for e in cat.default_entries()]
+
+
+@pytest.mark.parametrize("entry", cat.default_entries(), ids=_default_entry_ids())
+def test_entry_records_agree_with_their_handles(entry):
+    assert entry.domain == entry.func.domain
+    if entry.lk_data is not None and entry.name != "abs_power":
+        assert entry.lk_form == entry.lk_data.form
+    assert entry.func.d_max in (0, 8)
+    assert (entry.func.deriv is None) == (entry.func.d_max == 0)
+
+
+_ANALYTIC = [e for e in cat.default_entries() if e.func.deriv is not None] + [
+    cat.get("neg_power", alpha=0.5), cat.get("signed_power", alpha=1.0),
+    cat.get("signed_power", alpha=2.0), cat.get("one_minus_cexp", c=0.5, lam=2.0),
+]
+
+
+@pytest.mark.parametrize("entry", _ANALYTIC, ids=[f"{e.name}{e.params}" for e in _ANALYTIC])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_analytic_derivatives_match_numeric_ones(entry, k):
+    # the same function with its derivative data stripped goes the numeric route
+    bare = fns.from_callable(entry.func.fn, entry.func.domain)
+    t = np.array([0.5, 1.3, 2.7])
+    got = entry.func.deriv_at(t, k)
+    want = pk.derivative(bare, t, k)
+    # the numeric route loses about three digits per order near t = 0.5
+    tol = (1e-10, 1e-7, 1e-5, 1e-3)[k - 1]
+    np.testing.assert_allclose(got, want, rtol=tol, atol=tol)
+
+
+# rep_to_json of every default entry's representation, pinned byte for byte
+_REP_JSON = {
+    "power{'alpha': 0.25}": '{"form": "bernstein", "a": 0, "b": 0, "sigma": {"atoms": [], "density": {"catalog": "stable_sigma", "params": {"alpha": 0.25}}, "support": [0, Infinity]}}',
+    "power{'alpha': 0.5}": '{"form": "bernstein", "a": 0, "b": 0, "sigma": {"atoms": [], "density": {"catalog": "stable_sigma", "params": {"alpha": 0.5}}, "support": [0, Infinity]}}',
+    "power{'alpha': 1.0}": '{"form": "bernstein", "a": 0, "b": 1, "sigma": {"atoms": [], "density": null, "support": [0, Infinity]}}',
+    "log1p{}": '{"form": "bernstein", "a": 0, "b": 0, "sigma": {"atoms": [], "density": {"catalog": "log_sigma", "params": {}}, "support": [0, Infinity]}}',
+    "log{}": '{"form": "increasing", "c": 0, "mu": {"atoms": [], "density": {"catalog": "lebesgue", "params": {}}, "support": [0, Infinity]}}',
+    "ratio{}": '{"form": "bernstein", "a": 0, "b": 0, "sigma": {"atoms": [], "density": {"catalog": "exp", "params": {}}, "support": [0, Infinity]}}',
+    "neg_tlogt{}": '{"form": "interval", "t0": 1, "c": 0, "d": -1, "interval": [0, Infinity], "mu": {"atoms": [], "density": {"catalog": "lebesgue", "params": {}}, "support": [0, Infinity]}}',
+    "signed_power{'alpha': 1.5}": '{"form": "interval", "t0": 1, "c": -1, "d": -1.5, "interval": [0, Infinity], "mu": {"atoms": [], "density": {"catalog": "power_decay", "params": {"coef": 0.42314218766081724, "power": -0.5, "decay": 0}}, "support": [0, Infinity]}}',
+    "abs_power{'alpha': 0.5}": '{"form": "bernstein", "a": 0, "b": 0, "sigma": {"atoms": [], "density": {"catalog": "stable_sigma", "params": {"alpha": 0.5}}, "support": [0, Infinity]}}',
+    "abs_power{'alpha': 1.0}": '{"form": "bernstein", "a": 0, "b": 1, "sigma": {"atoms": [], "density": null, "support": [0, Infinity]}}',
+    "one_minus_cexp{'c': 1.0, 'lam': 1.0}": '{"form": "bernstein", "a": 0, "b": 0, "sigma": {"atoms": [{"lambda": 1, "weight": 1}], "density": null, "support": [0, Infinity]}}',
+}
+
+
+def test_default_representations_serialize_to_pinned_bytes():
+    from posdefkit import levykhin as lk
+
+    got = {f"{e.name}{e.params}": lk.rep_to_json(e.lk_data)
+           for e in cat.default_entries() if e.lk_data is not None}
+    assert got == _REP_JSON
+    for text in _REP_JSON.values():
+        assert lk.rep_to_json(lk.rep_from_json(text)) == text

@@ -311,3 +311,17 @@ def test_console_entry_point():
     assert out.returncode == 0
     doc = json.loads(out.stdout)
     assert doc["command"] == "gallery"
+
+
+@pytest.mark.parametrize("cmd, flag, doc, missing", [
+    ("synth", "--rep", {"form": "bernstein", "a": 0}, "b"),
+    ("thm59", "--measure", {"atoms": [{"lambda": 1}]}, "weight"),
+    ("thm59", "--measure", {"density": {"grid": [0, 1]}}, "values"),
+])
+def test_json_input_with_a_missing_field_is_input_error(capsys, tmp_path, cmd, flag, doc, missing):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc))
+    extra = ["--t", "1.0"] if cmd == "synth" else ["--a", "1.0"]
+    code, out = run(capsys, cmd, flag, str(path), *extra, "--json")
+    assert code == 2
+    assert repr(missing) in json.loads(out)["error"]

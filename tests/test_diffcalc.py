@@ -271,3 +271,13 @@ def test_scan_ties_keep_the_first_stencil():
     assert v.verdict == "FAIL"
     assert v.extremal_eig == -1.0
     assert v.witness.tolist() == [3.0, 0.1 * 3.0, 0.0]
+
+
+@pytest.mark.parametrize("check", [dc.completely_monotone_check, dc.bernstein_check])
+@pytest.mark.parametrize("name", ["cosh", "ratio", "exp_decay"])
+def test_default_deltas_are_the_documented_ones(check, name):
+    f = pk.get(name).func
+    grid = pk.chebyshev_grid(0.2, 3.0, 8)
+    got, want = check(f, grid), check(f, grid, deltas=dc.DEFAULT_DELTAS)
+    assert (got.verdict, got.extremal_eig) == (want.verdict, want.extremal_eig)
+    np.testing.assert_array_equal(got.witness, want.witness)

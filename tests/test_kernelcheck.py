@@ -332,3 +332,73 @@ def test_passing_checks_compute_no_eigenvectors(monkeypatch):
     assert calls == [(11, 4, 4)]
     qs = kc.quotient_space(np.exp(-D), np.array([3, 2, 1, 0]), plus_indices=np.array([2, 3]))
     assert qs.rank == 1
+
+
+def test_huge_finite_gram_gets_a_finite_verdict():
+    # M + M.T overflows here; the halves do not
+    M = np.array([[1e308, 0.0], [0.0, 1.0]])
+    v = kc.psd_check(M)
+    assert v.verdict == kc.PASS
+    assert (v.extremal_eig, v.scale) == (1.0, 1e308)
+    v = kc.cnd_check(M)
+    assert v.verdict == kc.FAIL
+    assert math.isfinite(v.extremal_eig) and v.scale == 1e308
+    np.testing.assert_allclose(np.abs(v.witness), [2**-0.5, 2**-0.5], rtol=1e-15)
+    # a centered rank-one Gram whose centered matrix C also has C + C.T overflow
+    w = np.full(10, -0.1)
+    w[0] = 0.9
+    M = (1.5e308 / 0.9) * np.outer(w, w)
+    assert M[0, 0] > 0.5 * np.finfo(float).max
+    assert kc.psd_check(M).verdict == kc.PASS
+    v = kc.cnd_check(M)
+    assert v.verdict == kc.FAIL
+    assert v.extremal_eig == pytest.approx(1.5e308, rel=1e-12)
+    np.testing.assert_allclose(np.abs(v.witness), np.abs(w) / np.linalg.norm(w), rtol=1e-12)
+
+
+def test_symmetrize_keeps_the_bits_of_the_plain_mean():
+    rng = np.random.default_rng(3)
+    M = rng.normal(size=(5, 5))
+    M[0, 1] = M[1, 0] = 5e-324
+    M[2, 3] = 1e300
+    S = kc._symmetrize(M)
+    np.testing.assert_array_equal(S, 0.5 * (M + M.T))
+    # halving first would flush the subnormal: 0.5 * 5e-324 == 0
+    assert S[0, 1] == S[1, 0] == 5e-324
+
+
+_F = pk.get("exp_decay").func
+_GRID = fns.chebyshev_grid(0.2, 2.0, 6)
+_PUBLIC_CHECKS = {
+    "psd_check": lambda tol: pk.psd_check(np.eye(2), tol),
+    "cnd_check": lambda tol: pk.cnd_check(np.eye(2), tol),
+    "schoenberg_scan": lambda tol: kc.schoenberg_scan(np.eye(2), None, tol),
+    "schoenberg_check": lambda tol: pk.schoenberg_check(_F, _GRID, tol=tol),
+    "quotient_space": lambda tol: pk.quotient_space(np.eye(2), [1, 0], [0], tol),
+    "completely_monotone_check": lambda tol: pk.completely_monotone_check(_F, _GRID, tol=tol),
+    "bernstein_check": lambda tol: pk.bernstein_check(_F, _GRID, tol=tol),
+    "hankel_check": lambda tol: pk.hankel_check(_F, 1.0, 2, tol=tol),
+    "convex_decreasing_check": lambda tol: pk.convex_decreasing_check(_F, _GRID, tol),
+    "polya_check": lambda tol: pk.polya_check(_F, _GRID, tol),
+    "reflection_positive_check":
+        lambda tol: pk.reflection_positive_check(pk.get("green").func, 1.0, 6, tol),
+    "reflection_negative_check":
+        lambda tol: pk.reflection_negative_check(pk.get("abs_power").func, 1.0, 6, None, tol),
+    "extendable_check": lambda tol: pk.extendable_check(pk.get("power", alpha=2.0).func, 1.0, tol),
+    "boundary_derivative_check":
+        lambda tol: pk.boundary_derivative_check(pk.Measure(atoms=((1.0, 1.0),)), 1.0, 6, tol),
+    "check_flag": lambda tol: pk.catalog.check_flag(pk.get("log1p"), "negative_definite", tol=tol),
+}
+
+
+@pytest.mark.parametrize("check", list(_PUBLIC_CHECKS))
+@pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
+def test_every_check_rejects_a_bad_tol(check, tol):
+    with pytest.raises(ValueError, match="tol must be finite and > 0"):
+        _PUBLIC_CHECKS[check](tol)
+
+
+@pytest.mark.parametrize("check", list(_PUBLIC_CHECKS))
+def test_every_check_takes_a_good_tol_and_the_default(check):
+    _PUBLIC_CHECKS[check](1e-8)
+    _PUBLIC_CHECKS[check](None)

@@ -480,3 +480,17 @@ def test_threads_sharing_a_handle_never_mix_batches():
         sys.setswitchinterval(old)
     assert not any(th.is_alive() for th in threads)
     assert wrong == []
+
+
+@pytest.mark.parametrize("make, entry", [
+    (lk.increasing_handle, ("log", {})),
+    (lk.bernstein_handle, ("log1p", {})),
+    (lk.bernstein_handle, ("power", {"alpha": 1.0})),
+    (lk.bernstein_handle, ("one_minus_cexp", {"c": 0.5, "lam": 2.0})),
+])
+@pytest.mark.parametrize("k", [1, 2])
+def test_synthesized_handle_derivatives_match_numeric_ones(make, entry, k):
+    h = make(pk.get(entry[0], **entry[1]).lk_data)
+    t = np.array([0.5, 1.3, 2.7])
+    want = pk.derivative(fns.from_callable(h.fn, h.domain), t, k)
+    np.testing.assert_allclose(h.deriv_at(t, k), want, rtol=1e-6, atol=1e-7)
