@@ -488,7 +488,7 @@ def run_flag_check(entry, claim, n=12, tol=None):
     return FlagCheckResult(entry.name, claim.flag, routes)
 
 
-def lk_synth_value(entry, t, tol=1e-10):
+def lk_synth_value(entry, t, tol=lk.SYNTH_TOL):
     """Evaluate the entry's stored representation at t."""
     rep = entry.lk_data
     if rep is None:

@@ -1,4 +1,6 @@
-"""Command line front end.
+"""Command line front end, driven by two tables: ``_FLAGS`` states each flag's
+argparse keywords once, and ``_COMMANDS`` maps each subcommand to its handler,
+help and flags.
 
 Exit codes: 0 for PASS or successful synthesis/analysis, 1 for FAIL (the
 report carries the witness), 2 for usage or malformed input, 3 for
@@ -50,19 +52,17 @@ def _parse_interval(text):
     return float(parts[0]), float(parts[1])
 
 
-def _parse_h_list(text):
+def _parse_list(text):
     if text is None:
         return None
     return [float(x) for x in text.split(",") if x.strip()]
 
 
 def _parse_lambda_grid(text):
-    if text is None:
-        return None
-    if text.startswith("geom:"):
-        lo, hi, n = text[len("geom:"):].split(",")
-        return np.geomspace(float(lo), float(hi), int(n))
-    return np.asarray([float(x) for x in text.split(",") if x.strip()])
+    if text is None or not text.startswith("geom:"):
+        return _parse_list(text)
+    lo, hi, n = text[len("geom:"):].split(",")
+    return np.geomspace(float(lo), float(hi), int(n))
 
 
 def _load_function(args):
@@ -70,12 +70,8 @@ def _load_function(args):
     if not spec.startswith("catalog:"):
         raise ValueError("--function must look like catalog:NAME")
     name = spec.split(":", 1)[1]
-    params = {}
-    for key in ("alpha", "c", "lam", "beta"):
-        val = getattr(args, key, None)
-        if val is not None:
-            params[key] = val
-    return catalog.get(name, **params)
+    params = {flag[2:]: getattr(args, flag[2:]) for flag in _FUNCTION[1:]}
+    return catalog.get(name, **{key: val for key, val in params.items() if val is not None})
 
 
 def _build_grid(args, window):
@@ -155,7 +151,7 @@ def _cmd_check(args):
         n=args.points,
         grid=_GRIDS[getattr(args, "grid_kind", "cheb")],
         a=getattr(args, "a", None),
-        hs=_parse_h_list(getattr(args, "h_list", None)),
+        hs=_parse_list(getattr(args, "h_list", None)),
         k_max=getattr(args, "k_max", None),
         tol=args.tol,
     )
@@ -183,7 +179,7 @@ def _cmd_polya(args):
 def _cmd_synth(args):
     with open(args.rep, encoding="utf-8") as fh:
         rep = lk.rep_from_json(fh.read())
-    tol = args.tol if args.tol is not None else 1e-10
+    tol = args.tol if args.tol is not None else lk.SYNTH_TOL
     ts = [float(t) for t in (args.t or [])]
     if args.t_grid:
         lo, hi, n = args.t_grid.split(",")
@@ -205,7 +201,7 @@ def _cmd_synth(args):
 def _cmd_analyze(args):
     entry = _load_function(args)
     lambda_grid = _parse_lambda_grid(args.lambda_grid)
-    tol = args.tol if args.tol is not None else 1e-8
+    tol = args.tol if args.tol is not None else lk.FIT_TOL
     try:
         if args.form == "interval":
             grid = _build_grid(args, (args.t0 - 1.0, args.t0 + 1.0))
@@ -249,19 +245,8 @@ def _cmd_gallery(args):
     return rows, 0
 
 
-_COMMANDS = {
-    **dict.fromkeys(_CHECK_FLAGS, _cmd_check),
-    "hankel": _cmd_hankel,
-    "polya": _cmd_polya,
-    "synth": _cmd_synth,
-    "analyze": _cmd_analyze,
-    "thm59": _cmd_thm59,
-    "gallery": _cmd_gallery,
-}
-
-
 # ---------------------------------------------------------------------------
-# parser
+# parser: one table of flags, one of commands
 
 
 def _tolerance(text):
@@ -272,27 +257,69 @@ def _tolerance(text):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _add_output_flags(sp):
-    sp.add_argument("--json", action="store_true", help="emit the report as JSON")
-    sp.add_argument("--tol", type=_tolerance, default=None,
-                    help="tolerance override (default scales with grid size)")
+def _tol_help(default):
+    return {"help": f"tolerance override (default {default:g})"}
 
 
-def _add_function_flags(sp):
-    sp.add_argument("--function", required=True, metavar="catalog:NAME",
-                    help="named function, e.g. catalog:abs_power")
-    sp.add_argument("--alpha", type=float, default=None)
-    sp.add_argument("--c", type=float, default=None)
-    sp.add_argument("--lam", type=float, default=None)
-    sp.add_argument("--beta", type=float, default=None)
+# flag -> its argparse keywords; argparse derives dest and the None default
+_FLAGS = {
+    "--function": {"required": True, "metavar": "catalog:NAME",
+                   "help": "named function, e.g. catalog:abs_power"},
+    "--alpha": {"type": float},
+    "--c": {"type": float},
+    "--lam": {"type": float},
+    "--beta": {"type": float},
+    "--interval": {"metavar": "lo,hi", "help": "grid window (default: the entry's check window)"},
+    "--points": {"type": int, "default": 12},
+    "--grid-kind": {"choices": tuple(_GRIDS), "default": "cheb"},
+    "--h-list": {"metavar": "h1,h2,..."},
+    "--a": {"type": float},
+    "--k-max": {"type": int},
+    "--center": {"type": float, "default": 1.0},
+    "--order": {"type": int, "default": 3},
+    "--shifted": {"action": "store_true"},
+    "--rep": {"required": True, "metavar": "FILE"},
+    "--form": {"choices": tuple(lk.SYNTH_FORMS)},
+    "--t": {"action": "append", "type": float},
+    "--t-grid": {"metavar": "lo,hi,n"},
+    "--csv": {"metavar": "FILE", "help": "write a two-column t,value table"},
+    "--t0": {"type": float, "default": 1.0},
+    "--lambda-grid": {"metavar": "l1,l2,... or geom:lo,hi,n"},
+    "--measure": {"required": True, "metavar": "FILE"},
+    "--json": {"action": "store_true", "help": "emit the report as JSON"},
+    "--tol": {"type": _tolerance, "help": "tolerance override (default scales with grid size)"},
+}
+_FUNCTION = ("--function", "--alpha", "--c", "--lam", "--beta")
+_GRID = ("--interval", "--points", "--grid-kind")
+# the flags whose value is a comma list, which may start with '-'
+_LIST_FLAGS = {name for name, kw in _FLAGS.items() if "," in kw.get("metavar", "")}
 
-
-def _add_grid_flags(sp):
-    sp.add_argument("--interval", default=None, metavar="lo,hi",
-                    help="grid window (default: the entry's check window)")
-    sp.add_argument("--points", type=int, default=12)
-    sp.add_argument("--grid-kind", choices=("cheb", "uniform"), default="cheb",
-                    dest="grid_kind")
+# command -> (handler, help, flags); a flag is its name or (name, overrides),
+# and --json and --tol follow every command's flags
+_COMMANDS = {
+    "check-pd": (_cmd_check, "PSD test of the natural kernel on a grid", (*_FUNCTION, *_GRID)),
+    "check-nd": (_cmd_check, "conditional negativity plus exp(-h f) scan",
+                 (*_FUNCTION, *_GRID, "--h-list")),
+    "check-rp": (_cmd_check, "reflection positivity on (-a, a)",
+                 (*_FUNCTION, ("--a", {"default": 1.0}), "--points")),
+    "check-rn": (_cmd_check, "reflection negativity on (-a, a), a=inf allowed",
+                 (*_FUNCTION, ("--a", {"default": math.inf}), "--points", "--h-list")),
+    "check-cm": (_cmd_check, "complete monotonicity by finite differences",
+                 (*_FUNCTION, *_GRID, "--k-max")),
+    "check-bernstein": (_cmd_check, "nonnegativity plus alternating differences of the slope",
+                        (*_FUNCTION, *_GRID, "--k-max")),
+    "hankel": (_cmd_hankel, "derivative Hankel matrix PSD test",
+               (*_FUNCTION, "--center", "--order", "--shifted")),
+    "polya": (_cmd_polya, "even/nonnegative/convex/decreasing sufficient test", (*_FUNCTION, *_GRID)),
+    "synth": (_cmd_synth, "evaluate a representation from JSON",
+              ("--rep", "--form", "--t", "--t-grid", "--csv", ("--tol", _tol_help(lk.SYNTH_TOL)))),
+    "analyze": (_cmd_analyze, "fit a representation to a function",
+                (*_FUNCTION, ("--form", {"required": True, "choices": ("interval", "increasing")}),
+                 "--t0", *_GRID, "--lambda-grid", ("--tol", _tol_help(lk.FIT_TOL)))),
+    "thm59": (_cmd_thm59, "boundary-derivative reflection test for a measure",
+              ("--measure", ("--a", {"required": True}), "--points")),
+    "gallery": (_cmd_gallery, "list catalog entries with flags and sources", ()),
+}
 
 
 def _build_parser():
@@ -302,92 +329,21 @@ def _build_parser():
                     "reflection positivity tests for functions on intervals.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("check-pd", help="PSD test of the natural kernel on a grid")
-    _add_function_flags(sp)
-    _add_grid_flags(sp)
-    _add_output_flags(sp)
-
-    sp = sub.add_parser("check-nd", help="conditional negativity plus exp(-h f) scan")
-    _add_function_flags(sp)
-    _add_grid_flags(sp)
-    sp.add_argument("--h-list", default=None, dest="h_list", metavar="h1,h2,...")
-    _add_output_flags(sp)
-
-    sp = sub.add_parser("check-rp", help="reflection positivity on (-a, a)")
-    _add_function_flags(sp)
-    sp.add_argument("--a", type=float, default=1.0)
-    sp.add_argument("--points", type=int, default=12)
-    _add_output_flags(sp)
-
-    sp = sub.add_parser("check-rn", help="reflection negativity on (-a, a), a=inf allowed")
-    _add_function_flags(sp)
-    sp.add_argument("--a", type=float, default=math.inf)
-    sp.add_argument("--points", type=int, default=12)
-    sp.add_argument("--h-list", default=None, dest="h_list", metavar="h1,h2,...")
-    _add_output_flags(sp)
-
-    sp = sub.add_parser("check-cm", help="complete monotonicity by finite differences")
-    _add_function_flags(sp)
-    _add_grid_flags(sp)
-    sp.add_argument("--k-max", type=int, default=None, dest="k_max")
-    _add_output_flags(sp)
-
-    sp = sub.add_parser("check-bernstein", help="nonnegativity plus alternating differences of the slope")
-    _add_function_flags(sp)
-    _add_grid_flags(sp)
-    sp.add_argument("--k-max", type=int, default=None, dest="k_max")
-    _add_output_flags(sp)
-
-    sp = sub.add_parser("hankel", help="derivative Hankel matrix PSD test")
-    _add_function_flags(sp)
-    sp.add_argument("--center", type=float, default=1.0)
-    sp.add_argument("--order", type=int, default=3)
-    sp.add_argument("--shifted", action="store_true")
-    _add_output_flags(sp)
-
-    sp = sub.add_parser("polya", help="even/nonnegative/convex/decreasing sufficient test")
-    _add_function_flags(sp)
-    _add_grid_flags(sp)
-    _add_output_flags(sp)
-
-    sp = sub.add_parser("synth", help="evaluate a representation from JSON")
-    sp.add_argument("--rep", required=True, metavar="FILE")
-    sp.add_argument("--form", default=None,
-                    choices=tuple(lk.SYNTH_FORMS))
-    sp.add_argument("--t", action="append", type=float, default=None)
-    sp.add_argument("--t-grid", default=None, dest="t_grid", metavar="lo,hi,n")
-    sp.add_argument("--csv", default=None, metavar="FILE",
-                    help="write a two-column t,value table")
-    _add_output_flags(sp)
-
-    sp = sub.add_parser("analyze", help="fit a representation to a function")
-    _add_function_flags(sp)
-    sp.add_argument("--form", required=True, choices=("interval", "increasing"))
-    sp.add_argument("--t0", type=float, default=1.0)
-    _add_grid_flags(sp)
-    sp.add_argument("--lambda-grid", default=None, dest="lambda_grid",
-                    metavar="l1,l2,... or geom:lo,hi,n")
-    _add_output_flags(sp)
-
-    sp = sub.add_parser("thm59", help="boundary-derivative reflection test for a measure")
-    sp.add_argument("--measure", required=True, metavar="FILE")
-    sp.add_argument("--a", type=float, required=True)
-    sp.add_argument("--points", type=int, default=12)
-    _add_output_flags(sp)
-
-    sp = sub.add_parser("gallery", help="list catalog entries with flags and sources")
-    _add_output_flags(sp)
-
+    for command, (_, text, flags) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=text)
+        flags = dict(f if isinstance(f, tuple) else (f, {}) for f in flags)
+        tol = flags.pop("--tol", {})  # a command may restate --tol's help; it stays last
+        for name, overrides in (*flags.items(), ("--json", {}), ("--tol", tol)):
+            sp.add_argument(name, **{**_FLAGS[name], **overrides})
     return parser
 
 
 def _attach_signed_values(argv):
-    """'--interval -1,1' as '--interval=-1,1' (likewise --h-list): argparse
-    would read a list starting with '-' as an option."""
+    """'--interval -1,1' as '--interval=-1,1' (likewise every ``_LIST_FLAGS``
+    flag): argparse would read a list starting with '-' as an option."""
     out = []
     for tok in argv:
-        glue = out and out[-1] in ("--interval", "--h-list") and re.match(r"-\.?\d", tok)
+        glue = out and out[-1] in _LIST_FLAGS and re.match(r"-\.?\d", tok)
         out.append(out.pop() + "=" + tok if glue else tok)
     return out
 
@@ -398,7 +354,7 @@ def main(argv=None):
         args = parser.parse_args(_attach_signed_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    handler = _COMMANDS[args.command]
+    handler = _COMMANDS[args.command][0]
     start = time.perf_counter()
     try:
         results, code = handler(args)

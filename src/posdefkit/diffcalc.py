@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, OrderTooHigh
-from .kernelcheck import FAIL, PASS, PositivityVerdict, psd_check, resolve_tol
+from .kernelcheck import FAIL, PASS, PositivityVerdict, _scale, psd_check, resolve_tol
 
 _EPS = np.finfo(float).eps
 
@@ -133,22 +133,26 @@ def _difference_scan(f, grid, k_range, deltas, tol, sign):
     return worst, (float(t[i_t]), float(d_eff[i_t, i_d]), ks[i_k]), True
 
 
+def _scan_setup(grid, tol, k_max, first):
+    """The grid as an array, its tol, and orders first..first+k_max within ``_K_CAP``."""
+    grid = np.atleast_1d(np.asarray(grid, dtype=np.float64))
+    tol = resolve_tol(tol, grid.size)
+    k_max = int(k_max)
+    if k_max < 0:
+        raise ValueError("k_max must be >= 0")
+    if k_max + first > _K_CAP:
+        raise OrderTooHigh(f"k_max must be <= {_K_CAP - first}")
+    return grid, tol, range(first, first + k_max + 1)
+
+
 def completely_monotone_check(f, grid, k_max=4, deltas=None, tol=None):
     """Differences of all orders 0..k_max stay nonnegative on the grid.
 
     Verdict witness is the worst (t, delta, k) triple; ``extremal_eig``
     holds the worst difference normalized by max(1, |f(t)|).
     """
-    grid = np.atleast_1d(np.asarray(grid, dtype=np.float64))
-    tol = resolve_tol(tol, grid.size)
-    k_max = int(k_max)
-    if k_max < 0:
-        raise ValueError("k_max must be >= 0")
-    if k_max > _K_CAP:
-        raise OrderTooHigh(f"k_max must be <= {_K_CAP}")
-    worst, witness, failed = _difference_scan(
-        f, grid, range(k_max + 1), deltas, tol, sign=+1.0
-    )
+    grid, tol, orders = _scan_setup(grid, tol, k_max, 0)
+    worst, witness, failed = _difference_scan(f, grid, orders, deltas, tol, sign=+1.0)
     if failed:
         return PositivityVerdict(FAIL, worst, tol, 1.0, np.array(witness), grid)
     return PositivityVerdict(PASS, worst, tol, 1.0, None, grid)
@@ -163,21 +167,13 @@ def bernstein_check(psi, grid, k_max=3, deltas=None, tol=None):
     violation with the (t, delta, k) triple of the failing difference, where
     k counts the order of the implied derivative of psi'.
     """
-    grid = np.atleast_1d(np.asarray(grid, dtype=np.float64))
-    tol = resolve_tol(tol, grid.size)
-    k_max = int(k_max)
-    if k_max < 0:
-        raise ValueError("k_max must be >= 0")
-    if k_max + 1 > _K_CAP:
-        raise OrderTooHigh(f"k_max must be <= {_K_CAP - 1}")
+    grid, tol, orders = _scan_setup(grid, tol, k_max, 1)
     vals = np.atleast_1d(psi(grid))
     i_min = int(np.argmin(vals))
     if vals[i_min] < -tol:
         witness = np.array([float(grid[i_min]), 0.0, -1.0])
         return PositivityVerdict(FAIL, float(vals[i_min]), tol, 1.0, witness, grid)
-    worst, witness, failed = _difference_scan(
-        psi, grid, range(1, k_max + 2), deltas, tol, sign=-1.0
-    )
+    worst, witness, failed = _difference_scan(psi, grid, orders, deltas, tol, sign=-1.0)
     if failed:
         t, d_eff, order = witness
         return PositivityVerdict(FAIL, worst, tol, 1.0, np.array([t, d_eff, order - 1]), grid)
@@ -216,18 +212,30 @@ def hankel_check(f, c, n, shifted=False, tol=None):
     return psd_check(M, tol)
 
 
+def _sample(f, grid, tol, lo=-math.inf):
+    """The sorted grid (at least three points, none below ``lo``), its tol,
+    f on it, and the scale max(1, max|f|)."""
+    grid = np.sort(np.atleast_1d(np.asarray(grid, dtype=np.float64)))
+    if grid.size < 3:
+        raise ValueError("need at least three points")
+    if grid[0] < lo:
+        raise DomainError(f"grid must lie in [{lo:g}, inf)")
+    tol = resolve_tol(tol, grid.size)
+    vals = np.atleast_1d(f(grid))
+    return grid, tol, vals, _scale(vals)
+
+
 def convex_decreasing_check(f, grid, tol=None):
     """Sampled convexity (nondecreasing slopes) and monotone decrease.
 
     FAIL reports the leftmost offending grid point as a 1-vector witness;
     ``extremal_eig`` is the worst normalized violation.
     """
-    grid = np.sort(np.atleast_1d(np.asarray(grid, dtype=np.float64)))
-    if grid.size < 3:
-        raise ValueError("need at least three points")
-    tol = resolve_tol(tol, grid.size)
-    vals = np.atleast_1d(f(grid))
-    scale = max(1.0, float(np.abs(vals).max()))
+    return _convex_decreasing(*_sample(f, grid, tol))
+
+
+def _convex_decreasing(grid, tol, vals, scale):
+    """``convex_decreasing_check`` on a ``_sample``."""
     rises = np.diff(vals)
     slopes = rises / np.diff(grid)
     worst = 0.0

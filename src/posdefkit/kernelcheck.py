@@ -191,12 +191,14 @@ def combine(verdicts):
 
 
 def _symmetrize(M):
-    """(M + M.T)/2 of a finite square M, finite too: 0.5 * (M + M.T) unless
-    that sum overflows, then halves first (which, used always, would flush
-    subnormals)."""
+    """(M + M^T)/2 of a square M, or of each matrix of a stack: the halved sum,
+    halved first only where the sum overflows (which, used always, would
+    flush subnormals); a finite M gives a finite result."""
+    T = M.swapaxes(-1, -2)
     with np.errstate(over="ignore"):
-        S = 0.5 * (M + M.T)
-    return S if np.isfinite(S).all() else 0.5 * M + 0.5 * M.T
+        S = M + T
+        S *= 0.5
+    return S if np.isfinite(S).all() else np.where(np.isfinite(S), S, 0.5 * M + 0.5 * T)
 
 
 def _symmetric(G, tol):
@@ -261,8 +263,7 @@ def schoenberg_scan(gram, hs=None, tol=None):
     with np.errstate(over="ignore"):
         E = np.multiply(-np.array(hs)[:, None, None], base)
         np.exp(E, out=E)
-        E += E.transpose(0, 2, 1)
-        E *= 0.5
+    E = _symmetrize(E)
     finite = np.isfinite(E).all(axis=(1, 2))
     k = len(hs) if finite.all() else int(np.argmin(finite))
     lams = np.linalg.eigvalsh(E[:k])[:, 0]

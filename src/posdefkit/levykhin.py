@@ -39,7 +39,11 @@ from .errors import (
 )
 from .funcs import FuncHandle
 from .jsonfmt import render, required
+from .kernelcheck import resolve_tol
 
+# default quadrature tolerance of every synthesis, and sign tolerance of the fits
+SYNTH_TOL = 1e-10
+FIT_TOL = 1e-8
 _PROBE_TOL = 1e-6
 # exp() overflows just above 709; dictionary columns beyond this are unusable
 _EXP_OVERFLOW = 700.0
@@ -203,7 +207,7 @@ def _synth(mu, wsum, g_head, g_tail, offset, t, tol, full, what):
     return lv if full else lv.value
 
 
-def synth_interval(rep, t, tol=1e-10, full=False):
+def synth_interval(rep, t, tol=SYNTH_TOL, full=False):
     """c + d(t-t0) + integral e_lam(t) e^{-lam t0} dmu at t inside the interval.
 
     Atom sums are exact; the density part carries a quadrature bound <= tol.
@@ -221,7 +225,7 @@ def synth_interval(rep, t, tol=1e-10, full=False):
                   "interval synthesis")
 
 
-def synth_increasing(rep, t, tol=1e-10, full=False):
+def synth_increasing(rep, t, tol=SYNTH_TOL, full=False):
     """c + integral f_lam(t) dmu for t > 0; equals c exactly at t = 1."""
     ts = _batch(t, "increasing synthesis is defined for t > 0", 0.0)
     um = float(np.max(np.abs(ts - 1.0)))
@@ -239,13 +243,13 @@ def _bernstein(rep, ts, t, tol, full):
                   (1.0, 0.0, 0.0), rep.a + rep.b * ts, t, tol, full, "Bernstein synthesis")
 
 
-def synth_bernstein(rep, t, tol=1e-10, full=False):
+def synth_bernstein(rep, t, tol=SYNTH_TOL, full=False):
     """a + b*t + integral (1 - e^{-lam t}) dsigma for t > 0; nonnegative."""
     ts = _batch(t, "Bernstein synthesis is defined for t > 0", 0.0)
     return _bernstein(rep, ts, t, tol, full)
 
 
-def synth_reflection_negative(rep, t, tol=1e-10, full=False):
+def synth_reflection_negative(rep, t, tol=SYNTH_TOL, full=False):
     """Even extension a + b|t| + integral (1 - e^{-lam |t|}) dsigma; exactly a at t = 0."""
     return _bernstein(rep, _batch(np.abs(t)), t, tol, full)
 
@@ -259,7 +263,7 @@ SYNTH_FORMS = {
 }
 
 
-def synth(rep, t, tol=1e-10, full=False, form=None):
+def synth(rep, t, tol=SYNTH_TOL, full=False, form=None):
     """Evaluate ``rep`` at t in ``form`` (a ``SYNTH_FORMS`` key), by default
     the representation's own; a form that reads another representation
     raises ``InvalidRep``."""
@@ -299,7 +303,7 @@ def _synth_handle(rep, tol, form, domain, name, deriv=None):
     )
 
 
-def interval_handle(rep, tol=1e-10):
+def interval_handle(rep, tol=SYNTH_TOL):
     """FuncHandle for the interval synthesis with analytic derivatives.
 
     The second and higher derivatives reduce to transform derivatives of mu
@@ -324,7 +328,7 @@ def interval_handle(rep, tol=1e-10):
     return _synth_handle(rep, tol, "interval", rep.interval, "interval_synth", deriv)
 
 
-def increasing_handle(rep, tol=1e-10):
+def increasing_handle(rep, tol=SYNTH_TOL):
     """FuncHandle for the increasing synthesis; psi^(k) is the (k-1)-st
     transform derivative of mu."""
 
@@ -334,7 +338,7 @@ def increasing_handle(rep, tol=1e-10):
     return _synth_handle(rep, tol, "increasing", msr.HALF_LINE, "increasing_synth", deriv)
 
 
-def bernstein_handle(rep, tol=1e-10):
+def bernstein_handle(rep, tol=SYNTH_TOL):
     """FuncHandle for the Bernstein synthesis; derivatives come from the
     transform of sigma (which needs no mass finiteness for k >= 1)."""
 
@@ -347,7 +351,7 @@ def bernstein_handle(rep, tol=1e-10):
     return _synth_handle(rep, tol, "bernstein", msr.HALF_LINE, "bernstein_synth", deriv)
 
 
-def reflection_negative_handle(rep, tol=1e-10):
+def reflection_negative_handle(rep, tol=SYNTH_TOL):
     """Even FuncHandle on the whole line (no derivatives: kink at 0)."""
     return _synth_handle(rep, tol, "reflection_negative", (-math.inf, math.inf), "reflneg_synth")
 
@@ -369,11 +373,12 @@ def _dictionary(fit, lambda_grid):
 
 
 def _fit_prelude(fit_grid, tol):
-    """The sorted distinct points of a fit grid (at least two) and tol as a float."""
+    """The sorted distinct points of a fit grid (at least two) and tol, which
+    must be finite and > 0 as in ``resolve_tol``."""
     fit = np.unique(np.asarray(fit_grid, dtype=np.float64))
     if fit.size < 2:
         raise ValueError("fit grid needs at least two points")
-    return fit, float(tol)
+    return fit, resolve_tol(float(tol), fit.size)
 
 
 def _nnls_fit(fit, y, lambda_grid):
@@ -397,7 +402,7 @@ def _nnls_fit(fit, y, lambda_grid):
     return atoms, residual
 
 
-def analyze_interval(psi, t0, fit_grid, lambda_grid=None, tol=1e-8):
+def analyze_interval(psi, t0, fit_grid, lambda_grid=None, tol=FIT_TOL):
     """Recover (c, d) = (psi(t0), psi'(t0)) and fit mu to -psi''.
 
     The scalar pair is determined by the representation; recovering mu from
@@ -422,7 +427,7 @@ def analyze_interval(psi, t0, fit_grid, lambda_grid=None, tol=1e-8):
     return rep, residual
 
 
-def analyze_increasing(psi, fit_grid, lambda_grid=None, tol=1e-8):
+def analyze_increasing(psi, fit_grid, lambda_grid=None, tol=FIT_TOL):
     """Recover c = psi(1) and fit mu to psi' on the grid.
 
     psi' must be nonnegative (``NotIncreasing`` otherwise) and pass the
@@ -467,7 +472,7 @@ def _derivative_handle(psi):
     )
 
 
-def bernstein_to_increasing(rep, tol=1e-10):
+def bernstein_to_increasing(rep, tol=SYNTH_TOL):
     """Re-express a Bernstein triple in the increasing form.
 
     c = psi(1) and mu = b*delta_0 + lam dsigma(lam): integrating f_lam

@@ -43,6 +43,7 @@ import numpy as np
 from . import _accel
 from .errors import DivergentIntegral, InvalidMeasure
 from .jsonfmt import render, required
+from .kernelcheck import _scale, resolve_tol
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
@@ -330,7 +331,7 @@ def _integrate_func_density(dens, wsum, g_head, g_tail, tol, breaks=()):
             raise InvalidMeasure("density callable produced non-finite values")
         if np.any(rho < 0):
             worst = float(rho.min())
-            if worst < -1e-12 * max(1.0, float(np.abs(rho).max())):
+            if worst < -1e-12 * _scale(rho):
                 raise InvalidMeasure("density callable produced negative values")
             rho = np.maximum(rho, 0.0)
         value = wsum(nodes, rho * wts)
@@ -381,8 +382,10 @@ def integrate_against(mu, wsum, g_head=(1.0, 0.0), g_tail=(1.0, 0.0, 0.0), tol=1
     near its lower endpoint, ``g_tail = (coef, power, decay)`` bounds every
     |g_t| for large lambda, and interior kinks listed in ``breaks`` stay on
     panel edges.  Returns ``(values, worst, bounds)``: one value and one
-    bound per t, and the largest bound, which decides convergence.
+    bound per t, and the largest bound, which decides convergence.  ``tol``
+    must be finite and > 0, as in ``resolve_tol`` (``ValueError``).
     """
+    tol = resolve_tol(float(tol), 1)
     lam, w = mu.atom_arrays()
     total = np.asarray(wsum(lam, w), dtype=np.float64)
     dens = mu.density
@@ -428,9 +431,6 @@ def laplace_deriv(mu, t, k, tol=1e-10):
     k = int(k)
     if k < 0:
         raise ValueError("derivative order must be >= 0")
-    tol = float(tol)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     ts = np.ravel(np.asarray(t, dtype=np.float64))
     dens = mu.density
     g_head = _laplace_g_head(dens, ts, k) if isinstance(dens, FuncDensity) else (1.0, 0.0)

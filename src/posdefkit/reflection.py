@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import measure as msr
-from .diffcalc import bernstein_check, convex_decreasing_check
+from .diffcalc import _convex_decreasing, _sample, bernstein_check
 from .errors import (
     ConsistencyError,
     DomainError,
@@ -29,6 +29,7 @@ from .kernelcheck import (
     INCONCLUSIVE,
     PASS,
     PositivityVerdict,
+    _scale,
     cnd_check,
     combine,
     gram_minus,
@@ -103,7 +104,7 @@ def _window(a, n, tol, finite=True):
 def _evenness(f, sym_grid, tol):
     # one evaluation of f on the grid and its mirror image
     vals, mirror = np.split(np.atleast_1d(f(np.concatenate([sym_grid, -sym_grid]))), 2)
-    return float(np.abs(vals - mirror).max()) <= tol * max(1.0, float(np.abs(vals).max()))
+    return float(np.abs(vals - mirror).max()) <= tol * _scale(vals)
 
 
 def reflection_positive_check(phi, a, n=12, tol=None):
@@ -166,21 +167,14 @@ def polya_check(phi, grid, tol=None):
     fail convexity near 0 yet are positive definite).  Evenness is the
     caller's promise; the grid must sit in [0, inf).
     """
-    grid = np.sort(np.atleast_1d(np.asarray(grid, dtype=np.float64)))
-    if grid.size < 3:
-        raise ValueError("need at least three points")
-    if grid[0] < 0:
-        raise DomainError("grid must lie in [0, inf)")
-    tol = resolve_tol(tol, grid.size)
-    vals = np.atleast_1d(phi(grid))
-    scale = max(1.0, float(np.abs(vals).max()))
+    grid, tol, vals, scale = _sample(phi, grid, tol, lo=0.0)
     i_min = int(np.argmin(vals))
     if vals[i_min] < -tol * scale:
         return PositivityVerdict(
             FAIL, float(vals[i_min]) / scale, tol, scale,
             np.array([float(grid[i_min])]), grid,
         )
-    return convex_decreasing_check(phi, grid, tol)
+    return _convex_decreasing(grid, tol, vals, scale)
 
 
 def extendable_check(psi, a, tol=None):
@@ -196,7 +190,7 @@ def extendable_check(psi, a, tol=None):
     a, _, tol = _window(a, 24, tol)
     pts = np.concatenate(([0.0], chebyshev_grid(0.0, a, 22), [a]))
     vals = np.atleast_1d(psi(pts))
-    scale = max(1.0, float(np.abs(vals).max()))
+    scale = _scale(vals)
     if float(vals.min()) < -tol * scale:
         raise NotConvex("function must be nonnegative on [0, a]")
     slopes = np.diff(vals) / np.diff(pts)
@@ -262,7 +256,7 @@ def boundary_derivative_check(mu, a, n=12, tol=None):
     if rp.passed:
         grid = chebyshev_grid(-a, a, max(n, 12))
         vals = np.atleast_1d(phi(grid))
-        scale = max(1.0, float(np.abs(vals).max()))
+        scale = _scale(vals)
         nonconstant = float(vals.max() - vals.min()) > tol * scale
         if nonconstant and slope_b < -tol:
             witness = b

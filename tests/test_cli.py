@@ -1,4 +1,5 @@
 """Command line driver: exit codes, JSON determinism, file IO."""
+import argparse
 import json
 import math
 import subprocess
@@ -108,15 +109,63 @@ def test_overflowing_schoenberg_exponent_is_input_error(capsys):
     ("check-pd", "green", "--interval", "-1,1", 0),
     ("check-nd", "abs_power", "--interval", "-1.5,1.5", 0),
     ("check-nd", "log1p", "--h-list", "-1,2", 2),
+    ("synth", "log1p", "--t-grid", "-1,1,3", 0),
+    ("analyze", "log", "--lambda-grid", "-0.5,0,1,2", 0),
 ])
-def test_signed_list_values_parse_with_or_without_equals(capsys, cmd, name, flag, value, want):
-    fn = ["--function", f"catalog:{name}"]
+def test_signed_list_values_parse_with_or_without_equals(capsys, rep_file, cmd, name, flag, value, want):
+    # synth reads the log1p representation in its even form, analyze fits the increasing form
+    fn = {"synth": ["--rep", rep_file, "--form", "reflection_negative"],
+          "analyze": ["--function", f"catalog:{name}", "--form", "increasing"]
+          }.get(cmd, ["--function", f"catalog:{name}"])
     code, doc, _ = run_json(capsys, cmd, *fn, flag, value)
     code_eq, doc_eq, _ = run_json(capsys, cmd, *fn, f"{flag}={value}")
     assert code == code_eq == want
     doc.pop("timing_ms", None)
     doc_eq.pop("timing_ms", None)
     assert doc == doc_eq
+
+
+_FN = [("function", None, True, None, None), ("alpha", None, False, None, "float"),
+       ("c", None, False, None, "float"), ("lam", None, False, None, "float"),
+       ("beta", None, False, None, "float")]
+_GRID = [("interval", None, False, None, None), ("points", 12, False, None, "int"),
+         ("grid_kind", "cheb", False, ("cheb", "uniform"), None)]
+_POINTS = ("points", 12, False, None, "int")
+_OUT = [("json", False, False, None, None), ("tol", None, False, None, "_tolerance")]
+# (dest, default, required, choices, type name) of every flag, in order; the
+# inputs echo of a report lists the dests and defaults
+_PARSER_ENTRIES = {
+    "check-pd": _FN + _GRID + _OUT,
+    "check-nd": _FN + _GRID + [("h_list", None, False, None, None)] + _OUT,
+    "check-rp": _FN + [("a", 1.0, False, None, "float"), _POINTS] + _OUT,
+    "check-rn": _FN + [("a", math.inf, False, None, "float"), _POINTS,
+                       ("h_list", None, False, None, None)] + _OUT,
+    "check-cm": _FN + _GRID + [("k_max", None, False, None, "int")] + _OUT,
+    "check-bernstein": _FN + _GRID + [("k_max", None, False, None, "int")] + _OUT,
+    "hankel": _FN + [("center", 1.0, False, None, "float"), ("order", 3, False, None, "int"),
+                     ("shifted", False, False, None, None)] + _OUT,
+    "polya": _FN + _GRID + _OUT,
+    "synth": [("rep", None, True, None, None),
+              ("form", None, False, ("interval", "increasing", "bernstein", "reflection_negative"),
+               None),
+              ("t", None, False, None, "float"), ("t_grid", None, False, None, None),
+              ("csv", None, False, None, None)] + _OUT,
+    "analyze": _FN + [("form", None, True, ("interval", "increasing"), None),
+                      ("t0", 1.0, False, None, "float")] + _GRID
+               + [("lambda_grid", None, False, None, None)] + _OUT,
+    "thm59": [("measure", None, True, None, None), ("a", None, True, None, "float"), _POINTS] + _OUT,
+    "gallery": _OUT,
+}
+
+
+def test_parser_entries_are_pinned():
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    got = {cmd: [(a.dest, a.default, a.required, None if a.choices is None else tuple(a.choices),
+                  getattr(a.type, "__name__", None))
+                 for a in sp._actions if not isinstance(a, argparse._HelpAction)]
+           for cmd, sp in sub.choices.items()}
+    assert got == _PARSER_ENTRIES
 
 
 # every check-* subcommand, on an entry with a symmetric window (difference
@@ -140,6 +189,20 @@ def test_check_records_are_check_flag_routes(capsys, cmd, name):
         assert names == [None]
     else:
         assert names == [route for route, _ in routes]
+
+
+@pytest.mark.parametrize("name, params", [
+    ("power", {"alpha": 0.5}),
+    ("one_minus_cexp", {"c": 2.0, "lam": 0.5}),
+    ("thermal_green", {"lam": 0.5, "beta": 3.0}),
+])
+def test_function_parameters_reach_the_catalog(capsys, name, params):
+    flags = [x for key, val in params.items() for x in (f"--{key}", repr(val))]
+    code, doc, _ = run_json(capsys, "check-pd", "--function", f"catalog:{name}", *flags)
+    routes = catalog.check_flag(pk.get(name, **params), "positive_definite")
+    assert code == {"PASS": 0, "FAIL": 1}[pk.kernelcheck.combine(v for _, v in routes)]
+    assert {key: doc["inputs"][key] for key in params} == params
+    assert [r["extremal_eig"] for r in doc["results"]] == [v.extremal_eig for _, v in routes]
 
 
 def test_check_cm_and_bernstein(capsys):

@@ -62,6 +62,14 @@ def test_order_too_high():
         dc.completely_monotone_check(f, np.array([0.5, 1.0, 2.0]), k_max=40)
 
 
+@pytest.mark.parametrize("check, cap", [(dc.completely_monotone_check, 12), (dc.bernstein_check, 11)])
+def test_k_max_cap_keeps_every_difference_order_within_twelve(check, cap):
+    grid = np.array([0.5, 1.0, 2.0])
+    check(pk.get("log1p").func, grid, k_max=cap)
+    with pytest.raises(pk.OrderTooHigh, match=f"k_max must be <= {cap}"):
+        check(pk.get("log1p").func, grid, k_max=cap + 1)
+
+
 @pytest.mark.parametrize("check", [dc.completely_monotone_check, dc.bernstein_check])
 def test_negative_k_max_is_rejected(check):
     with pytest.raises(ValueError, match="k_max must be >= 0"):

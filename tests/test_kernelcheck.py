@@ -367,6 +367,19 @@ def test_symmetrize_keeps_the_bits_of_the_plain_mean():
     assert S[0, 1] == S[1, 0] == 5e-324
 
 
+def test_symmetrize_halves_first_only_where_the_sum_overflows():
+    M = np.array([[1.5e308, 5e-324], [5e-324, 1.0]])
+    S = kc._symmetrize(np.stack([M, M.T]))
+    np.testing.assert_array_equal(S, [M, M])
+
+
+def test_schoenberg_scan_takes_a_finite_exp_above_half_the_largest_double():
+    # exp(709.5) = 1.35e308 is finite, yet the sum of E and E.T overflows there
+    G = np.array([[-709.5, 0.0], [0.0, 0.0]])
+    assert kc.psd_check(np.exp(-G)).verdict == kc.PASS
+    assert kc.schoenberg_scan(G, [1.0]).verdict == kc.PASS
+
+
 _F = pk.get("exp_decay").func
 _GRID = fns.chebyshev_grid(0.2, 2.0, 6)
 _PUBLIC_CHECKS = {

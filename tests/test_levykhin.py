@@ -494,3 +494,28 @@ def test_synthesized_handle_derivatives_match_numeric_ones(make, entry, k):
     t = np.array([0.5, 1.3, 2.7])
     want = pk.derivative(fns.from_callable(h.fn, h.domain), t, k)
     np.testing.assert_allclose(h.deriv_at(t, k), want, rtol=1e-6, atol=1e-7)
+
+
+_FIT_GRID = fns.chebyshev_grid(0.5, 2.0, 8)
+_TOL_CALLS = {
+    "synth": lambda tol: lk.synth(pk.get("log1p").lk_data, 1.0, tol),
+    "synth_atoms": lambda tol: lk.synth(lk.BernsteinRep(0.0, 0.0, msr.Measure(atoms=((1.0, 1.0),))),
+                                        1.0, tol),
+    "laplace_deriv": lambda tol: msr.laplace_deriv(pk.get("log1p").lk_data.sigma, 1.0, 1, tol),
+    "analyze_interval": lambda tol: lk.analyze_interval(pk.get("neg_tlogt").func, 1.0, _FIT_GRID,
+                                                        tol=tol),
+    "analyze_increasing": lambda tol: lk.analyze_increasing(pk.get("log").func, _FIT_GRID, tol=tol),
+}
+
+
+@pytest.mark.parametrize("call", list(_TOL_CALLS))
+@pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
+def test_quadrature_and_fits_reject_a_bad_tol(call, tol):
+    # inf used to return log1p(1) = 0.1699 as converged, and NaN let a convex fit through
+    with pytest.raises(ValueError, match="tol must be finite and > 0"):
+        _TOL_CALLS[call](tol)
+
+
+@pytest.mark.parametrize("call", list(_TOL_CALLS))
+def test_quadrature_and_fits_take_a_good_tol(call):
+    _TOL_CALLS[call](1e-6)

@@ -334,3 +334,16 @@ def test_json_roundtrip_gridded():
     np.testing.assert_array_equal(back.density.grid, g)
     np.testing.assert_array_equal(back.density.values, np.exp(-g))
     assert back.density.rule == "trapezoid"
+
+
+@pytest.mark.parametrize("top, ok", [(1e6, True), (1.0, False)])
+def test_negative_density_rounding_is_judged_on_the_density_scale(top, ok):
+    # -1e-8 is rounding beside values near 3.7e5, and a negative density beside values below 1
+    dens = msr.FuncDensity(lambda x: np.where(x > 1.0, top * np.exp(-x), -1e-8), 0.0, math.inf,
+                           head=msr.HeadBound(1e-8), tail_env=msr.Envelope(top, 0.0, 1.0))
+    mu = pk.Measure(density=dens, support=(0.0, math.inf))
+    if ok:
+        assert math.isfinite(msr.laplace(mu, 1.0).value)
+    else:
+        with pytest.raises(pk.InvalidMeasure, match="negative values"):
+            msr.laplace(mu, 1.0)

@@ -1,4 +1,5 @@
 """Reflection positivity checks on symmetric windows."""
+import dataclasses
 import math
 
 import numpy as np
@@ -104,6 +105,15 @@ def test_polya_negative_value_witness():
     assert v.verdict == "FAIL"
     assert v.witness is not None
     assert f(float(np.asarray(v.witness)[0])) < 0.0
+
+
+def test_polya_evaluates_phi_once_on_its_grid():
+    calls = []
+    base = pk.get("triangle").func
+    phi = dataclasses.replace(base, fn=lambda t: calls.append(np.size(t)) or base.fn(t))
+    grid = np.linspace(2.0, 0.0, 9)
+    assert rf.polya_check(phi, grid).to_dict() == rf.polya_check(base, grid).to_dict()
+    assert calls == [9]
 
 
 def test_polya_grid_validation():
