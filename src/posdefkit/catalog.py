@@ -40,13 +40,6 @@ _LINE = (-math.inf, math.inf)
 # named densities (serializable by reference from measure JSON)
 
 
-def _gamma_fn(x):
-    # imported on first use, so that importing posdefkit does not load scipy
-    from scipy.special import gamma
-
-    return gamma(x)
-
-
 def _power_decay_density(coef, power, decay, name, params):
     coef = float(coef)
     power = float(power)
@@ -74,7 +67,7 @@ def _stable_sigma(alpha=0.5):
     alpha = float(alpha)
     if not 0.0 < alpha < 1.0:
         raise InvalidMeasure("stable_sigma needs 0 < alpha < 1")
-    coef = alpha / float(_gamma_fn(1.0 - alpha))
+    coef = alpha / math.gamma(1.0 - alpha)
     return _power_decay_density(coef, -1.0 - alpha, 0.0, "stable_sigma", {"alpha": alpha})
 
 
@@ -82,7 +75,10 @@ def _gamma_density(alpha=1.0):
     alpha = float(alpha)
     if alpha <= 0:
         raise InvalidMeasure("gamma density needs alpha > 0")
-    coef = 1.0 / float(_gamma_fn(alpha))
+    try:
+        coef = 1.0 / math.gamma(alpha)
+    except OverflowError:  # past alpha = 171.6, where 1/Gamma underflows
+        coef = 0.0
     return _power_decay_density(coef, alpha - 1.0, 1.0, "gamma", {"alpha": alpha})
 
 
@@ -293,7 +289,7 @@ def _signed_power_entry(alpha=1.5):
     elif alpha == 1.0:
         mu = _halfline()
     else:
-        coef = alpha * (alpha - 1.0) / float(_gamma_fn(2.0 - alpha))
+        coef = alpha * (alpha - 1.0) / math.gamma(2.0 - alpha)
         mu = _halfline(density=_raw_power_decay(coef, 1.0 - alpha, 0.0))
     rep = lk.LKIntervalRep(t0=1.0, c=-1.0, d=-alpha, mu=mu, interval=HALF_LINE)
     return _power_law("signed_power", -1.0, alpha, flags, rep=rep, params={"alpha": alpha},

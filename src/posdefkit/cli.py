@@ -58,11 +58,21 @@ def _parse_list(text):
     return [float(x) for x in text.split(",") if x.strip()]
 
 
+def _parse_span(text, flag):
+    """(lo, hi, n) from 'lo,hi,n' with n >= 1; ``flag`` names the value in errors."""
+    parts = text.split(",")
+    if len(parts) != 3:
+        raise ValueError(f"{flag} must look like 'lo,hi,n'")
+    n = int(parts[2])
+    if n < 1:
+        raise ValueError(f"{flag} needs n >= 1, got {n}")
+    return float(parts[0]), float(parts[1]), n
+
+
 def _parse_lambda_grid(text):
     if text is None or not text.startswith("geom:"):
         return _parse_list(text)
-    lo, hi, n = text[len("geom:"):].split(",")
-    return np.geomspace(float(lo), float(hi), int(n))
+    return np.geomspace(*_parse_span(text[len("geom:"):], "--lambda-grid geom:"))
 
 
 def _load_function(args):
@@ -182,8 +192,7 @@ def _cmd_synth(args):
     tol = args.tol if args.tol is not None else lk.SYNTH_TOL
     ts = [float(t) for t in (args.t or [])]
     if args.t_grid:
-        lo, hi, n = args.t_grid.split(",")
-        ts.extend(np.linspace(float(lo), float(hi), int(n)).tolist())
+        ts.extend(np.linspace(*_parse_span(args.t_grid, "--t-grid")).tolist())
     if not ts:
         raise ValueError("need --t or --t-grid")
     val = lk.synth(rep, np.asarray(ts), tol, full=True, form=args.form)

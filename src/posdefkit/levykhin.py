@@ -42,7 +42,7 @@ from .jsonfmt import render, required
 from .kernelcheck import resolve_tol
 
 # default quadrature tolerance of every synthesis, and sign tolerance of the fits
-SYNTH_TOL = 1e-10
+SYNTH_TOL = msr.QUAD_TOL
 FIT_TOL = 1e-8
 _PROBE_TOL = 1e-6
 # exp() overflows just above 709; dictionary columns beyond this are unusable

@@ -49,6 +49,8 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 # support of the measures that the half-line representations integrate against
 HALF_LINE = (0.0, math.inf)
+# default tolerance of every quadrature: transforms, masses and syntheses
+QUAD_TOL = 1e-10
 
 # refinement levels double the panel count per octave
 _MAX_LEVEL = 4
@@ -59,6 +61,110 @@ _ROUNDING = 16.0 * np.finfo(float).eps
 # node-by-t elements per call of a batch's wsum: 64 KiB of float64
 # temporaries, where a 64-point Gram batch at once took hundreds of MiB
 _BLOCK = 8192
+
+
+# the iteration cap of the incomplete gamma sums; a sum that has not settled
+# by then yields the trivial bound inf
+_GAMMA_TERMS = 100_000
+# below this a, Gamma(a) - gamma(a, x) cancels too far: for x < a + 1,
+# Gamma(a) / Gamma(a, x) reaches 21 at a = 1/4 and 4,561 at a = 1e-3
+_GAMMA_SMALL_A = 0.25
+# log-space slack of every Gamma(a, x) bound, beside the rounding of the
+# terms of its log: exp (an ulp) and the truncation of a sum stopped once a
+# term moves it by less than an ulp
+_GAMMA_SLACK = 1e-13
+_EPS = float(np.finfo(float).eps)
+_SMALLEST_NORMAL = float(np.finfo(float).tiny)
+
+
+def _gamma_cf(a, x):
+    """e**x * x**-a * Gamma(a, x) from Legendre's continued fraction, summed by
+    the modified Lentz method; for x >= a + 1, where it settles quickly."""
+    tiny = 1e-300
+    b = x + 1.0 - a
+    c, d = 1.0 / tiny, 1.0 / b
+    h = d
+    for i in range(1, _GAMMA_TERMS):
+        an = i * (a - i)
+        b += 2.0
+        d = an * d + b
+        d = 1.0 / (d if abs(d) > tiny else tiny)
+        c = b + an / c
+        c = c if abs(c) > tiny else tiny
+        delta = c * d
+        h *= delta
+        if abs(delta - 1.0) <= _EPS:
+            return h
+    return math.inf
+
+
+def _gamma_series(a, x):
+    """e**x * x**-a * gamma(a, x) = sum_n x**n / (a (a+1) ... (a+n)), the lower
+    incomplete gamma function's power series; for x < a + 1."""
+    term = total = 1.0 / a
+    for n in range(1, _GAMMA_TERMS):
+        term *= x / (a + n)
+        total += term
+        if term <= _EPS * total:
+            return total
+    return math.inf
+
+
+def _gamma_head(a, x, x1):
+    """integral of t**(a-1) e**-t over [x, x1] for x < x1 <= 2, term by term in
+    e**-t.  Each 1 - (x/x1)**(a+n) comes from expm1, so no term cancels, and
+    the terms alternate and shrink, so the first below an ulp ends the sum."""
+    lr = math.log(x / x1)
+    total, scale = 0.0, 1.0  # scale = x1**n / n!
+    for n in range(_GAMMA_TERMS):
+        term = -scale * math.expm1((a + n) * lr) / (a + n)
+        total += -term if n % 2 else term
+        if n > x1 and term <= _EPS * total:
+            return x1**a * total
+        scale *= x1 / (n + 1)
+    return math.inf
+
+
+def _upper_gamma(a, x, log_scale=0.0):
+    """Upper bound on exp(log_scale) * Gamma(a, x), the upper incomplete gamma
+    function, for a > 0 and x > 0.
+
+    From x = a + 1 up it sums Legendre's continued fraction.  Below, it takes
+    Gamma(a) minus the lower function's power series, or, for a small enough
+    that this difference cancels, adds Gamma(a, a + 1) from the fraction to
+    the integral over [x, a + 1].  The result stays a log until one exp at
+    the end, so x**a, e**-x and Gamma(a) never overflow on their own.  That
+    log is raised by ``_GAMMA_SLACK`` and by two ulps per unit of the terms
+    that formed it (a*log(x), x, log_scale and log(Gamma(a))), scaled by how
+    far a difference magnifies them; a result below the normal range steps
+    up one subnormal.  inf when a sum does not settle or the bound overflows.
+    """
+    lx = math.log(x)
+    size = abs(a * lx) + x
+    if x >= a + 1.0:
+        z = a * lx - x + math.log(_gamma_cf(a, x))
+    elif a >= _GAMMA_SMALL_A:
+        if a < 171.0:  # math.gamma is good to a few ulps
+            lg = math.log(math.gamma(a))
+            lg_size = 2.0 + abs(lg)
+        else:  # past its overflow, math.lgamma to a few ulps of its value
+            lg = math.lgamma(a)
+            lg_size = 2.0 + 4.0 * abs(lg)
+        p = math.exp(a * lx - x - lg) * _gamma_series(a, x)
+        if not p < 1.0:
+            return math.inf
+        # log(Gamma(a) (1 - p)) magnifies the error of p by p / (1 - p), and
+        # that of lg by 1 / (1 - p)
+        size = (size * p + lg_size) / (1.0 - p)
+        z = lg + math.log1p(-p)
+    else:
+        x1 = a + 1.0
+        z = math.log(math.exp(a * math.log(x1) - x1) * _gamma_cf(a, x1) + _gamma_head(a, x, x1))
+    try:
+        bound = math.exp(z + log_scale + _GAMMA_SLACK + 2.0 * _EPS * (size + abs(log_scale)))
+    except OverflowError:
+        return math.inf
+    return bound if bound >= _SMALLEST_NORMAL else math.nextafter(bound, math.inf)
 
 
 @dataclass(frozen=True)
@@ -85,10 +191,8 @@ class Envelope:
         a = p + 1.0
         if s > 0.0:
             if a > 0.0:
-                from scipy import special
-
-                # c * Gamma(a) * Q(a, s*T) / s**a
-                return c * special.gamma(a) * special.gammaincc(a, s * T) / s**a
+                # c * Gamma(a, s*T) / s**a
+                return _upper_gamma(a, s * T, math.log(c) - a * math.log(s))
             # lam**(a-1) decreasing beyond T
             return c * T ** (a - 1.0) * math.exp(-s * T) / s
         if s == 0.0 and a < 0.0:
@@ -372,7 +476,7 @@ def _integrate_gridded(dens, wsum):
     return val, bound
 
 
-def integrate_against(mu, wsum, g_head=(1.0, 0.0), g_tail=(1.0, 0.0, 0.0), tol=1e-10, breaks=()):
+def integrate_against(mu, wsum, g_head=(1.0, 0.0), g_tail=(1.0, 0.0, 0.0), tol=QUAD_TOL, breaks=()):
     """integral g_t(lam) dmu for a batch of t, the one quadrature entry point of the package.
 
     The integrands are given as weighted sums: ``wsum(x, w)`` returns
@@ -416,7 +520,7 @@ def _laplace_g_head(dens, t, k):
     return (top**k if k else 1.0) * grow, 0.0
 
 
-def laplace_deriv(mu, t, k, tol=1e-10):
+def laplace_deriv(mu, t, k, tol=QUAD_TOL):
     """k-th derivative of the Laplace transform of ``mu`` at ``t``.
 
     Returns ``LaplaceValue`` with ``value = (-1)**k * integral lam**k e^{-lam t} dmu``
@@ -445,12 +549,12 @@ def laplace_deriv(mu, t, k, tol=1e-10):
     return LaplaceValue.shaped(t, value, bound, worst <= tol)
 
 
-def laplace(mu, t, tol=1e-10):
+def laplace(mu, t, tol=QUAD_TOL):
     """Laplace transform of ``mu`` at ``t``; identical path to ``laplace_deriv(mu, t, 0)``."""
     return laplace_deriv(mu, t, 0, tol)
 
 
-def total_mass(mu, tol=1e-10):
+def total_mass(mu, tol=QUAD_TOL):
     """Total mass of the measure; raises ``DivergentIntegral`` when infinite."""
     return float(integrate_against(mu, lambda x, w: w.sum(), tol=tol)[0])
 
@@ -474,7 +578,7 @@ def tail_mass(mu, T, tol=1e-8):
                                    g_head, tol=tol, breaks=(-T, T))[0])
 
 
-def one_wedge_integral(sigma, tol=1e-10):
+def one_wedge_integral(sigma, tol=QUAD_TOL):
     """integral of min(1, lam) d.sigma for a measure supported in (0, inf).
 
     A finite return certifies the integrability condition used by the

@@ -222,7 +222,7 @@ def _transform_abs_handle(mu, a, misses):
 
     def fn(t):
         uniq, inv = np.unique(np.abs(t), return_inverse=True)
-        lv = msr.laplace(mu, uniq, tol=1e-10)
+        lv = msr.laplace(mu, uniq)
         if not lv.converged:
             misses.append(lv)
         return lv.value[inv].reshape(np.shape(t))
@@ -268,7 +268,7 @@ def boundary_derivative_check(mu, a, n=12, tol=None):
     return BoundaryReport(sufficient=sufficient, rp=rp, necessary_witness=witness)
 
 
-def periodic_rp(mu_plus, beta, t, tol=1e-10):
+def periodic_rp(mu_plus, beta, t, tol=msr.QUAD_TOL):
     """Value at t of the beta-periodic reflection positive function
     integral of e^{-r lam} + e^{-(beta - r) lam} dmu_plus, r = t mod beta.
 
@@ -290,7 +290,7 @@ def periodic_rp(mu_plus, beta, t, tol=1e-10):
     return float(near + far)
 
 
-def double_integral_rp(atoms, t, tol=1e-10):
+def double_integral_rp(atoms, t, tol=msr.QUAD_TOL):
     """Sum of w * (e^{-lam|t|} + e^{-lam(beta - |t|)}) over (lam, beta, w) atoms.
 
     Each beta must stay above |t| (the defining strip is beta >= a > |t|,

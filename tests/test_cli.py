@@ -289,6 +289,20 @@ def test_synth_csv(capsys, rep_file, tmp_path):
     assert float(v0) == pytest.approx(math.log1p(float(t0)), abs=1e-9)
 
 
+@pytest.mark.parametrize("cmd, flag, value, message", [
+    ("synth", "--t-grid", "1,2", "--t-grid must look like 'lo,hi,n'"),
+    ("synth", "--t-grid", "1,2,0", "--t-grid needs n >= 1, got 0"),
+    ("analyze", "--lambda-grid", "geom:1,2", "--lambda-grid geom: must look like 'lo,hi,n'"),
+    ("analyze", "--lambda-grid", "geom:1,2,-3", "--lambda-grid geom: needs n >= 1, got -3"),
+])
+def test_span_values_are_checked(capsys, rep_file, cmd, flag, value, message):
+    fn = {"synth": ["--rep", rep_file],
+          "analyze": ["--function", "catalog:log", "--form", "increasing"]}[cmd]
+    code, doc, _ = run_json(capsys, cmd, *fn, flag, value)
+    assert code == 2
+    assert doc == {"error": message}
+
+
 def test_analyze_interval(capsys):
     code, doc, _ = run_json(capsys, "analyze", "--function", "catalog:neg_tlogt",
                             "--form", "interval", "--t0", "1.0")
@@ -355,9 +369,19 @@ def test_json_round_trips_byte_identically(capsys):
 @pytest.mark.parametrize("code", [
     "import posdefkit",
     "from posdefkit import cli; assert cli.main(['check-pd', '--function', 'catalog:exp_decay']) == 0",
+    "import posdefkit as pk; pk.default_entries()",
+    "from posdefkit import cli; assert cli.main(['gallery']) == 0",
+    "from posdefkit import cli; assert cli.main(['check-bernstein', '--function', 'catalog:ratio']) == 0",
+    "import posdefkit as pk; from posdefkit import levykhin as lk; "
+    "h = lk.bernstein_handle(pk.get('power', alpha=0.5).lk_data); "
+    "assert abs(h(2.0) - 2.0 ** 0.5) < 1e-9",
+    "import posdefkit as pk; from posdefkit import measure as msr; "
+    "mu = pk.Measure(density=pk.density_from_spec('gamma', {'alpha': 1.5}), support=msr.HALF_LINE); "
+    "assert abs(msr.total_mass(mu) - 1.0) < 1e-9",
 ])
 def test_light_commands_do_not_import_scipy(code):
-    # scipy is imported where it is used, so a light command starts fast
+    # scipy is imported where it is used (the NNLS fit), so a light command
+    # starts fast; Gamma and the incomplete-Gamma tail bound are in-package
     out = subprocess.run(
         [sys.executable, "-c", code + "; import sys; print('scipy' in sys.modules)"],
         capture_output=True, text=True, timeout=120,

@@ -168,6 +168,70 @@ def test_power_law_truncation_takes_few_tail_bounds(monkeypatch):
     assert len(calls) > 60
 
 
+# a from 1e-3 to 60 and x from 1e-2 to 1e4, plus x on both sides of a + 1,
+# where the bound switches from the series to the continued fraction
+GAMMA_A = sorted({*np.geomspace(1e-3, 60.0, 19).tolist(), 0.2499, 0.25, 0.5, 1.0, 2.0, 2.7374})
+GAMMA_X = np.geomspace(1e-2, 1e4, 23).tolist()
+
+
+@pytest.mark.parametrize("a", GAMMA_A)
+def test_upper_gamma_bounds_the_40_digit_value(a):
+    for x in GAMMA_X + [a + 1.0, math.nextafter(a + 1.0, 0.0), 0.999 * (a + 1.0)]:
+        if not 1e-2 <= x <= 1e4:
+            continue
+        want = mp.gammainc(a, x)
+        got = msr._upper_gamma(a, x)
+        assert mp.mpf(got) >= want, (a, x)
+        if want > mp.mpf(np.finfo(float).tiny):  # else it underflows to a subnormal
+            assert float((mp.mpf(got) - want) / want) <= 1e-12, (a, x)
+
+
+@pytest.mark.parametrize("a, x, log_scale", [
+    (0.5, 0.376, 3.0), (1.0, 32.0, -40.0), (2.7374, 1.0, 2.5), (181.0, 2000.0, 0.0),
+    # the rounding of a*log(x) - x leaves the value 3e-14 low here even with
+    # the fixed slack; only the part that grows with the terms covers it
+    (46.233819302566715, 979.9467141688467, 0.0),
+    (1e-3, 0.5, 700.0), (3.0, 1e-300, -750.0), (0.5, 1e305, 0.0), (200.0, 150.0, -800.0),
+])
+def test_upper_gamma_scaled_and_extreme(a, x, log_scale):
+    # the slack grows with the terms of the log, about 1e-12 per 2,000
+    want = mp.exp(log_scale) * mp.gammainc(a, x)
+    got = msr._upper_gamma(a, x, log_scale)
+    assert math.isfinite(got) and mp.mpf(got) >= want
+    if want > mp.mpf(np.finfo(float).tiny):
+        assert float((mp.mpf(got) - want) / want) <= 3e-12
+    else:
+        assert got == math.nextafter(0.0, 1.0)
+
+
+def test_upper_gamma_overflow_is_inf():
+    assert msr._upper_gamma(200.0, 100.0) == math.inf
+    assert msr._upper_gamma(2.0, 1.0, 800.0) == math.inf
+
+
+def test_tail_bound_stays_finite_where_gamma_overflows():
+    # Gamma(181) overflows a double and Q(181, 2000) underflows; their product does not
+    b = msr.Envelope(1.0, 180.0, 1.0).tail(2000.0)
+    want = mp.gammainc(181, 2000)
+    assert mp.mpf(b) >= want and float(mp.mpf(b) / want - 1) <= 3e-12
+    assert 1e-275 < b < 1e-274
+
+
+@pytest.mark.parametrize("spec, alphas, want", [
+    ("stable_sigma", (0.25, 0.5, 0.75), lambda al: al / mp.gamma(1 - al)),
+    ("gamma", (0.5, 1.5, 3.0), lambda al: 1 / mp.gamma(al)),
+    ("signed_power", (1.25, 1.5, 1.75), lambda al: al * (al - 1) / mp.gamma(2 - al)),
+])
+def test_catalog_gamma_coefficients(spec, alphas, want):
+    for alpha in alphas:
+        if spec == "signed_power":
+            coef = pk.get(spec, alpha=alpha).lk_data.mu.density.head.coef
+        else:
+            coef = pk.density_from_spec(spec, {"alpha": alpha}).head.coef
+        ref = want(mp.mpf(alpha))
+        assert abs(float((mp.mpf(coef) - ref) / ref)) <= 1e-15, alpha
+
+
 def test_laplace_deriv_matches_analytic():
     # (d/dt)^k 1/(1+t) = (-1)^k k! (1+t)^{-k-1}
     mu = exp_measure()
