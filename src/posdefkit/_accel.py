@@ -36,26 +36,32 @@ SATURATION = 40.0
 
 
 def exp_weighted_sum(lam, w, t, k):
-    """sum_i w_i * lam_i**k * exp(-lam_i*t) for each t (shaped like t), for
-    w_i >= 0 and integer k >= 0."""
+    """sum_i w_i * lam_i**k * exp(-lam_i*t) for each t and column of w, for
+    integer k >= 0.  Column 0 (>= 0) is summed in log space, the others as its
+    terms times their ratio to it; a node where it is 0 drops from all."""
     lam = np.ascontiguousarray(lam, dtype=np.float64)
     w = np.ascontiguousarray(w, dtype=np.float64)
     t, k = np.asarray(t, dtype=np.float64), int(k)
-    keep = w > 0.0
-    lam, w = lam[keep], w[keep]
+    shape = t.shape + w.shape[1:]
+    lead = w if w.ndim == 1 else w[:, 0]
+    keep = lead > 0.0
+    lam, w, lead = lam[keep], w[keep], lead[keep]
     nz = lam != 0.0
     # lam = 0 adds its weight exactly for k = 0 and nothing for k > 0
-    total = float(w[~nz].sum()) if k == 0 else 0.0
-    lam, w = lam[nz], w[nz]
+    total = w[~nz].sum(axis=0) if k == 0 else 0.0
+    lam, w, lead = lam[nz], w[nz], lead[nz]
     if not lam.size:
-        return np.full(t.shape, total)
-    mag = np.log(w) - t.reshape(-1, 1) * lam
+        return np.full(shape, total)
+    mag = np.log(lead) - t.reshape(-1, 1) * lam
     if k > 0:
         mag += k * np.log(np.abs(lam))
     terms = np.exp(mag)
     if (k % 2) == 1:
         terms = np.where(lam < 0.0, -terms, terms)
-    return (total + terms.sum(axis=1)).reshape(t.shape)
+    sums = terms.sum(axis=1)
+    if w.ndim > 1:
+        sums = np.column_stack([sums, terms @ (w[:, 1:] / lead[:, None])])
+    return (total + sums).reshape(shape)
 
 
 def e_lambda_damped_vals(lam, u, t0):
@@ -114,7 +120,7 @@ def f_lambda_vals(lam, t):
 
 
 def one_minus_exp_sum(lam, w, t):
-    """sum_i w_i * (1 - exp(-lam_i*t)) for each t (shaped like t), via expm1.
+    """sum_i w_i * (1 - exp(-lam_i*t)) for each t and column of w, via expm1.
 
     The t-by-node block gets expm1 only up to the last live node; the
     saturated nodes after it (lam_i * min(t) >= SATURATION, every saturated
@@ -124,7 +130,7 @@ def one_minus_exp_sum(lam, w, t):
     w = np.ascontiguousarray(w, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
     if not lam.size:
-        return np.zeros(t.shape)
+        return np.zeros(t.shape + w.shape[1:])
     # a batch reaching t <= 0 saturates nothing
     tmin = max(float(t.min()), 0.0) if t.size else 0.0
     live = np.flatnonzero(~(lam * tmin >= SATURATION))
@@ -134,4 +140,4 @@ def one_minus_exp_sum(lam, w, t):
     np.expm1(-t.reshape(-1, 1) * lam[:k], out=head)
     np.negative(head, out=head)
     block[:, k:] = 1.0
-    return (block @ w).reshape(t.shape)
+    return (block @ w).reshape(t.shape + w.shape[1:])

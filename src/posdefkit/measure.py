@@ -4,7 +4,7 @@ A :class:`Measure` is a finite list of weighted atoms plus an optional
 density.  Two density representations are supported:
 
 - :class:`GriddedDensity`: sampled values on a strictly increasing grid,
-  integrated by the trapezoid rule or by per-cell Gauss-Legendre on the
+  integrated by the trapezoid rule or by per-cell Gauss-Kronrod on the
   piecewise-linear interpolant.  This is the JSON round-trip form.  Its
   error bound covers the disagreement between quadrature rules on that
   interpolant, not how well the interpolant models a continuous density.
@@ -18,20 +18,21 @@ density.  Two density representations are supported:
 Every integral (transforms, masses, the one-wedge integral and the
 syntheses in ``levykhin``) goes through :func:`integrate_against`, which
 sums atoms exactly and dispatches the density part to one of the two
-quadrature routines.  Integrals over function densities use composite
-16-point Gauss-Legendre panels on a geometrically graded mesh toward
-``lo``; the reported ``truncation_bound`` adds the analytic stub and tail
-bounds and a rounding allowance to the observed refinement difference, so
-``converged`` is an honest claim.
+quadrature routines.  Both use one embedded rule, 21-point Kronrod with its
+10-point Gauss rule (G10/K21): one pass over a mesh gives a value and an
+error estimate.  Function densities use panels on a geometrically graded
+mesh toward ``lo``; the reported ``truncation_bound`` adds the analytic stub
+and tail bounds and a rounding allowance to the Kronrod-Gauss difference,
+so ``converged`` is an honest claim.
 
 One call integrates a whole batch of t: the integrand family is given as
-one weighted sum per t.  The batch shares one truncation point and one
-stub, both sized for its worst-case integrand bounds, and one mesh per
-refinement level, on which the density is evaluated once.  Refinement
-continues until every t has converged, and each t gets its own bound.
-The integrand is summed over blocks of nodes holding a fixed number
-(``_BLOCK``) of node-by-t elements, so memory stays flat however large the
-batch.
+one weighted sum per t and weight column.  The batch shares one truncation
+point and one stub, both sized for its worst-case integrand bounds, and one
+mesh per refinement level, on which the density is evaluated once.  A batch
+not converged on the first mesh refines it, and a refined mesh must also
+agree with the one before.  The integrand is summed over blocks of nodes
+holding a fixed number (``_BLOCK``) of node-by-t elements, so memory stays
+flat however large the batch.
 """
 
 import json
@@ -45,7 +46,24 @@ from .errors import DivergentIntegral, InvalidMeasure
 from .jsonfmt import render, required
 from .kernelcheck import _scale, resolve_tol
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+# QUADPACK's G10/K21 pair (Piessens et al., 1983) to 20 digits, from a 50-digit
+# mpmath solve.  Rows: node >= 0, Kronrod weight, Gauss weight (0 at the 11
+# Kronrod-only nodes); mirrored about 0, 21 ascending nodes and (21, 2) weights.
+_KRONROD_HALF = np.array([
+    (0.99565716302580808074, 0.011694638867371874278, 0.0),
+    (0.97390652851717172008, 0.032558162307964727479, 0.066671344308688137594),
+    (0.930157491355708226, 0.054755896574351996031, 0.0),
+    (0.86506336668898451073, 0.075039674810919952767, 0.14945134915058059315),
+    (0.78081772658641689706, 0.093125454583697605535, 0.0),
+    (0.67940956829902440623, 0.1093871588022976419, 0.219086362515982044),
+    (0.56275713466860468334, 0.12349197626206585108, 0.0),
+    (0.4333953941292471908, 0.13470921731147332593, 0.26926671930999635509),
+    (0.29439286270146019813, 0.1427759385770600808, 0.0),
+    (0.14887433898163121088, 0.14773910490133849137, 0.29552422471475287017),
+    (0.0, 0.14944555400291690566, 0.0),
+])
+_KRONROD_NODES = np.concatenate([-_KRONROD_HALF[:-1, 0], _KRONROD_HALF[::-1, 0]])
+_KRONROD_WEIGHTS = np.concatenate([_KRONROD_HALF[:-1, 1:], _KRONROD_HALF[::-1, 1:]])
 
 # support of the measures that the half-line representations integrate against
 HALF_LINE = (0.0, math.inf)
@@ -295,9 +313,7 @@ class Measure:
         object.__setattr__(self, "support", (float(self.support[0]), float(self.support[1])))
 
     def atom_arrays(self):
-        if not self.atoms:
-            return np.empty(0), np.empty(0)
-        a = np.asarray(self.atoms, dtype=np.float64)
+        a = np.asarray(self.atoms, dtype=np.float64).reshape(-1, 2)
         return a[:, 0], a[:, 1]
 
 
@@ -331,18 +347,18 @@ def point_mass(lam, weight=1.0):
 
 
 def _panel_nodes(edges):
+    """G10/K21 nodes on every panel and their (N, 2) weights: Kronrod, Gauss."""
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * np.diff(edges)
-    nodes = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-    wts = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
-    return nodes, wts
+    nodes = (mid[:, None] + half[:, None] * _KRONROD_NODES).ravel()
+    return nodes, (half[:, None, None] * _KRONROD_WEIGHTS).reshape(-1, 2)
 
 
 def _graded_edges(lo, eps, span, level, breaks=()):
     """Geometric mesh lo+eps .. lo+span, panel count doubling with level.
 
     Interior ``breaks`` are forced onto panel edges so integrand kinks
-    never sit inside a Gauss-Legendre panel.
+    never sit inside a quadrature panel.
     """
     n_oct = max(1, int(math.ceil(math.log2(span / eps))))
     m = min(n_oct * (2**level), _MAX_PANELS)
@@ -408,11 +424,11 @@ def _choose_truncation(env, g_power, g_decay, g_coef, lo, budget):
 def _integrate_func_density(dens, wsum, g_head, g_tail, tol, breaks=()):
     """Integrate wsum against the density with stub/tail/refinement bounds.
 
-    wsum(nodes, weights) must return sum_i weights_i * g_t(nodes_i) for each
-    t of the batch; g_head = (coef, power) bounds every |g_t| near lo and
-    g_tail = (coef, power, decay) bounds every |g_t| for large lambda (only
-    used when the support is unbounded).  Returns one value and one bound
-    per t.
+    wsum(nodes, W) must return sum_i W_ij * g_t(nodes_i) for each t of the
+    batch and column j of W; g_head = (coef, power) bounds every |g_t| near
+    lo and g_tail = (coef, power, decay) bounds every |g_t| for large lambda
+    (only used when the support is unbounded).  Returns one value and one
+    bound per t.
     """
     budget = tol / 10.0
     if math.isinf(dens.hi):
@@ -423,8 +439,7 @@ def _integrate_func_density(dens, wsum, g_head, g_tail, tol, breaks=()):
     span = T - dens.lo
     eps, stub_bound = _stub_epsilon(dens.head, g_head[0], g_head[1], budget, span)
 
-    value = prev = None
-    quad_err = math.inf
+    value = None
     for level in range(_MAX_LEVEL + 1):
         edges = _graded_edges(dens.lo, eps, span, level, breaks)
         nodes, wts = _panel_nodes(edges)
@@ -438,12 +453,14 @@ def _integrate_func_density(dens, wsum, g_head, g_tail, tol, breaks=()):
             if worst < -1e-12 * _scale(rho):
                 raise InvalidMeasure("density callable produced negative values")
             rho = np.maximum(rho, 0.0)
-        value = wsum(nodes, rho * wts)
-        if prev is not None:
-            quad_err = np.abs(value - prev)
-            if quad_err.max() <= budget:
-                break
-        prev = value
+        kron, gauss = np.moveaxis(wsum(nodes, rho[:, None] * wts), -1, 0)
+        quad_err = np.abs(kron - gauss)
+        if value is not None:
+            # a refined mesh must also agree with the one that failed
+            quad_err = np.maximum(quad_err, np.abs(kron - value))
+        value = kron
+        if quad_err.max() <= budget:
+            break
     if not np.all(np.isfinite(value)):
         raise DivergentIntegral("quadrature overflowed; transform diverges on this input")
     return value, stub_bound + tail_bound + quad_err
@@ -452,25 +469,19 @@ def _integrate_func_density(dens, wsum, g_head, g_tail, tol, breaks=()):
 def _integrate_gridded(dens, wsum):
     """Integrate wsum against the piecewise-linear interpolant of ``dens``.
 
-    Both rules feed nodes and weights to the same ``wsum``: the trapezoid
-    rule as node weights on the grid, Gauss-Legendre as 16 nodes per cell
-    (and per half cell, whose difference bounds the Gauss value).  Returns
-    one value and one bound per t.
+    Both rules feed the same ``wsum``: the trapezoid rule as weights on the
+    grid, G10/K21 as 21 nodes per cell, whose Kronrod-Gauss difference bounds
+    the Kronrod value.  Returns one value and one bound per t.
     """
     grid, vals = dens.grid, dens.values
-
-    def gauss(edges):
-        nodes, wts = _panel_nodes(edges)
-        return wsum(nodes, wts * np.interp(nodes, grid, vals))
-
-    val_gl = gauss(grid)
-    val_gl2 = gauss(np.sort(np.concatenate([grid, 0.5 * (grid[:-1] + grid[1:])])))
+    nodes, wts = _panel_nodes(grid)
+    kron, gauss = np.moveaxis(wsum(nodes, np.interp(nodes, grid, vals)[:, None] * wts), -1, 0)
     if dens.rule == "trapezoid":
         half = 0.5 * np.diff(grid)
         val = wsum(grid, vals * (np.append(half, 0.0) + np.insert(half, 0, 0.0)))
-        bound = np.abs(val - val_gl) + np.abs(val_gl - val_gl2)
+        bound = np.abs(val - kron) + np.abs(kron - gauss)
     else:
-        val, bound = val_gl2, np.abs(val_gl2 - val_gl) + 1e-15 * np.abs(val_gl2)
+        val, bound = kron, np.abs(kron - gauss) + 1e-15 * np.abs(kron)
     if not np.all(np.isfinite(val + bound)):
         raise DivergentIntegral("integrand not finite on the density grid")
     return val, bound
@@ -479,9 +490,10 @@ def _integrate_gridded(dens, wsum):
 def integrate_against(mu, wsum, g_head=(1.0, 0.0), g_tail=(1.0, 0.0, 0.0), tol=QUAD_TOL, breaks=()):
     """integral g_t(lam) dmu for a batch of t, the one quadrature entry point of the package.
 
-    The integrands are given as weighted sums: ``wsum(x, w)`` returns
-    ``sum_i w_i * g_t(x_i)`` for node and weight arrays, one sum per t (a
-    scalar for a single integrand).  Atoms are summed exactly through it.
+    The integrands are given as weighted sums: ``wsum(x, W)`` returns
+    ``sum_i W_i * g_t(x_i)`` for nodes x and weights W of shape (N,) or
+    (N, m), one sum per t and per column of W (a scalar or an (m,) array for
+    a single integrand).  Atoms are summed exactly through it, with 1-d W.
     For a function density, ``g_head = (coef, power)`` bounds every |g_t|
     near its lower endpoint, ``g_tail = (coef, power, decay)`` bounds every
     |g_t| for large lambda, and interior kinks listed in ``breaks`` stay on
@@ -525,7 +537,7 @@ def laplace_deriv(mu, t, k, tol=QUAD_TOL):
 
     Returns ``LaplaceValue`` with ``value = (-1)**k * integral lam**k e^{-lam t} dmu``
     and a truncation bound combining analytic stub/tail envelopes with the
-    observed quadrature refinement difference.  ``converged`` is True when
+    observed Kronrod-Gauss difference.  ``converged`` is True when
     that bound is at or below ``tol``.  An array of t is one batched
     integration with a value and a bound per t.
 
@@ -556,7 +568,7 @@ def laplace(mu, t, tol=QUAD_TOL):
 
 def total_mass(mu, tol=QUAD_TOL):
     """Total mass of the measure; raises ``DivergentIntegral`` when infinite."""
-    return float(integrate_against(mu, lambda x, w: w.sum(), tol=tol)[0])
+    return float(integrate_against(mu, lambda x, w: w.sum(0), tol=tol)[0])
 
 
 def tail_mass(mu, T, tol=1e-8):
@@ -574,7 +586,7 @@ def tail_mass(mu, T, tol=1e-8):
         # keeps the stub integrable against heads down to (lam - lo)**-4.9
         g_head = ((T - dens.lo) ** -4.0, 4.0)
     # the cuts at +-T stay on panel edges, so no Gauss panel straddles them
-    return float(integrate_against(Measure(mu.atoms, dens), lambda x, w: w[np.abs(x) > T].sum(),
+    return float(integrate_against(Measure(mu.atoms, dens), lambda x, w: w[np.abs(x) > T].sum(0),
                                    g_head, tol=tol, breaks=(-T, T))[0])
 
 
@@ -592,7 +604,7 @@ def one_wedge_integral(sigma, tol=QUAD_TOL):
     g_head = (1.0, 1.0) if dens is None or dens.lo == 0.0 else (min(1.0, dens.lo + 1.0), 0.0)
     # min(1, lam) kinks at 1; keep that point on a panel edge
     return float(integrate_against(
-        sigma, lambda x, w: np.dot(w, np.minimum(1.0, x)), g_head, tol=tol, breaks=(1.0,)
+        sigma, lambda x, w: np.minimum(1.0, x) @ w, g_head, tol=tol, breaks=(1.0,)
     )[0])
 
 

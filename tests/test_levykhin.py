@@ -347,15 +347,15 @@ def test_batch_with_far_apart_t_shares_truncation_and_converges(monkeypatch):
     assert np.all(np.abs(lv.value - np.log([0.02, 6.0])) <= 1e-10)
 
 
-def test_gram_evaluates_the_density_once_per_refinement_level():
+def test_gram_evaluates_the_density_once():
     dens = pk.density_from_spec("log_sigma")
     calls = []
     counted = dataclasses.replace(dens, fn=lambda lam: calls.append(1) or dens.fn(lam))
     rep = lk.BernsteinRep(a=0.0, b=0.0, sigma=pk.Measure(density=counted, support=(0, np.inf)))
     calls.clear()
     g = pk.gram_plus(lk.bernstein_handle(rep), fns.chebyshev_grid(0.1, 3.0, 12))
-    # 78 distinct entries, one batch: at most one density call per level
-    assert 2 <= len(calls) <= msr._MAX_LEVEL + 1
+    # 78 distinct entries, one batch, converged on the first mesh: one density call
+    assert len(calls) == 1
     assert np.abs(g.entries - np.log1p(0.5 * np.add.outer(g.points, g.points))).max() <= 1e-10
 
 

@@ -1,5 +1,7 @@
 """Laplace transform quadrature against closed-form oracles."""
 import math
+import subprocess
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -10,6 +12,7 @@ from scipy import special
 
 import posdefkit as pk
 from posdefkit import _accel
+from posdefkit import levykhin as lk
 from posdefkit import measure as msr
 
 TOL = 1e-10
@@ -411,3 +414,108 @@ def test_negative_density_rounding_is_judged_on_the_density_scale(top, ok):
     else:
         with pytest.raises(pk.InvalidMeasure, match="negative values"):
             msr.laplace(mu, 1.0)
+
+
+def test_kronrod_table_is_the_g10_k21_pair():
+    x, w = msr._KRONROD_NODES, msr._KRONROD_WEIGHTS
+    assert x.shape == (21,) and w.shape == (21, 2)
+    # QUADPACK's qk21: largest node and centre Kronrod weight
+    assert x[-1] == 0.995657163025808080735527280689003
+    assert w[10, 0] == 0.149445554002916905664936468389821
+    # Kronrod exact to degree 31, its embedded Gauss rule to degree 19
+    for d in range(32):
+        want = 2.0 / (d + 1) if d % 2 == 0 else 0.0
+        assert abs(w[:, 0] @ x**d - want) <= 1e-15
+        if d <= 19:
+            assert abs(w[:, 1] @ x**d - want) <= 1e-15
+    gauss = w[:, 1] > 0.0
+    gx, gw = np.polynomial.legendre.leggauss(10)
+    np.testing.assert_array_max_ulp(x[gauss], gx, maxulp=4)
+    np.testing.assert_array_max_ulp(w[gauss, 1], gw, maxulp=8)
+    assert np.all(w[:, 0] > 0.0) and np.all(np.diff(x) > 0.0)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+
+
+def test_import_computes_no_rule_table():
+    # the rule is a literal table, so the package never loads numpy.polynomial
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, posdefkit; print('numpy.polynomial' in sys.modules)"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "False"
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_refined_bound_covers_the_error_at_an_interior_kink(monkeypatch, k):
+    # a kink inside the panels: no mesh converges, so every level runs, and
+    # each refined value must agree with the last mesh as well as with Gauss
+    levels = []
+    graded = msr._graded_edges
+    monkeypatch.setattr(msr, "_graded_edges", lambda *a: levels.append(a[3]) or graded(*a))
+    dens = msr.FuncDensity(fn=lambda lam: np.abs(lam - 1.3), lo=0.0, hi=3.0,
+                           head=msr.HeadBound(1.3, 0.0, 1.0))
+    mu = pk.Measure(density=dens, support=(0.0, 3.0))
+    ts = np.array([0.5, 2.0])
+    kink = mp.mpf("1.3")
+    want = [float((-1) ** k * mp.quad(lambda lam: abs(lam - kink) * lam**k * mp.exp(-lam * t),
+                                      [0, kink, 3])) for t in ts]
+    for tol in (1e-6, 1e-8, 1e-10):
+        levels.clear()
+        lv = msr.laplace_deriv(mu, ts, k, tol)
+        assert max(levels) >= 1
+        assert np.all(np.abs(lv.value - want) <= lv.truncation_bound)
+
+
+# name -> (density params, head power p and decay d of c lam**p e**-(d lam),
+# its coefficient c, and the Bernstein integral of 1 - e**-(lam t) against it)
+SMOOTH = {
+    "exp": lambda a: (1.0, 0.0, 1.0, lambda t: t / (1 + t)),
+    "gamma": lambda a: (1 / mp.gamma(a), a - 1, 1.0, lambda t: 1 - (1 + t) ** -a),
+    "stable_sigma": lambda a: (0.5 / mp.sqrt(mp.pi), -1.5, 0.0, lambda t: mp.sqrt(t)),
+    "log_sigma": lambda a: (1.0, -1.0, 1.0, lambda t: mp.log1p(t)),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(sorted(SMOOTH)),
+    alpha=st.floats(0.5, 3.0),
+    k=st.integers(0, 3),
+    ts=st.lists(st.floats(0.02, 6.0), min_size=1, max_size=5),
+)
+def test_smooth_densities_meet_their_bounds(name, alpha, k, ts):
+    params = {"alpha": alpha} if name == "gamma" else {}
+    dens = pk.density_from_spec(name, params)
+    mu = pk.Measure(density=dens, support=msr.HALF_LINE)
+    c, p, d, bern = SMOOTH[name](mp.mpf(alpha))
+    ts = np.array(ts)
+    # c Gamma(p+k+1) (d+t)**-(p+k+1), finite where p + k > -1
+    if p + k > -1:
+        lv = msr.laplace_deriv(mu, ts, k)
+        want = [float((-1) ** k * c * mp.gamma(p + k + 1) * (d + mp.mpf(t)) ** -(p + k + 1))
+                for t in ts]
+        assert lv.converged
+        assert np.all(np.abs(lv.value - want) <= lv.truncation_bound)
+        assert np.all(lv.truncation_bound <= TOL)
+    lv = lk.synth_bernstein(lk.BernsteinRep(a=0.0, b=0.0, sigma=mu), ts, full=True)
+    assert lv.converged
+    assert np.all(np.abs(lv.value - [float(bern(mp.mpf(t))) for t in ts]) <= lv.truncation_bound)
+    assert np.all(lv.truncation_bound <= TOL)
+
+
+@pytest.mark.parametrize("rule", ["gauss-composite", "trapezoid"])
+def test_gridded_rules_bound_the_interpolant_integral(rule):
+    grid = np.array([0.0, 0.5, 1.5, 3.0, 6.0, 10.0])
+    vals = np.array([1.0, 0.7, 0.4, 0.1, 0.05, 0.0])
+    mu = pk.Measure(density=msr.GriddedDensity(grid, vals, rule), support=(0.0, 10.0))
+    ts = np.array([0.3, 1.7, 5.0])
+    lv = msr.laplace(mu, ts)
+    cells = list(zip(grid[:-1], grid[1:], vals[:-1], vals[1:]))
+    for t, value, bound in zip(ts, lv.value, lv.truncation_bound):
+        # the piecewise-linear interpolant against e**-(lam t), cell by cell
+        want = mp.fsum(mp.quad(lambda lam: (v0 + (v1 - v0) * (lam - g0) / (g1 - g0))
+                               * mp.exp(-lam * t), [g0, g1]) for g0, g1, v0, v1 in cells)
+        assert abs(value - float(want)) <= bound
+        if rule == "gauss-composite":
+            assert bound <= 1e-12
