@@ -71,13 +71,19 @@ def evenize(f, name=""):
     )
 
 
-def chebyshev_grid(lo, hi, n):
-    """n Chebyshev points of the first kind mapped strictly inside (lo, hi)."""
+def _grid_size(lo, hi, n):
+    """n as an int, once n is in 1..64 and (lo, hi) is a finite nonempty window."""
     n = int(n)
     if n < 1 or n > 64:
         raise ValueError("grid size must be in 1..64")
     if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
         raise ValueError("grid interval must be finite and nonempty")
+    return n
+
+
+def chebyshev_grid(lo, hi, n):
+    """n Chebyshev points of the first kind mapped strictly inside (lo, hi)."""
+    n = _grid_size(lo, hi, n)
     i = np.arange(n)
     x = np.cos(np.pi * (2 * i + 1) / (2 * n))
     return np.sort(0.5 * (lo + hi) + 0.5 * (hi - lo) * x)
@@ -85,8 +91,4 @@ def chebyshev_grid(lo, hi, n):
 
 def uniform_grid(lo, hi, n):
     """n equally spaced interior points of (lo, hi)."""
-    n = int(n)
-    if n < 1 or n > 64:
-        raise ValueError("grid size must be in 1..64")
-    pts = np.linspace(lo, hi, n + 2)[1:-1]
-    return pts
+    return np.linspace(lo, hi, _grid_size(lo, hi, n) + 2)[1:-1]

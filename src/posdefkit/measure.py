@@ -81,108 +81,11 @@ _ROUNDING = 16.0 * np.finfo(float).eps
 _BLOCK = 8192
 
 
-# the iteration cap of the incomplete gamma sums; a sum that has not settled
-# by then yields the trivial bound inf
-_GAMMA_TERMS = 100_000
-# below this a, Gamma(a) - gamma(a, x) cancels too far: for x < a + 1,
-# Gamma(a) / Gamma(a, x) reaches 21 at a = 1/4 and 4,561 at a = 1e-3
-_GAMMA_SMALL_A = 0.25
-# log-space slack of every Gamma(a, x) bound, beside the rounding of the
-# terms of its log: exp (an ulp) and the truncation of a sum stopped once a
-# term moves it by less than an ulp
-_GAMMA_SLACK = 1e-13
+# log-space slack of every exponential tail bound, beside two ulps per unit
+# of the terms of its log: the rounding of log, lgamma and the one exp
+_TAIL_SLACK = 1e-13
 _EPS = float(np.finfo(float).eps)
 _SMALLEST_NORMAL = float(np.finfo(float).tiny)
-
-
-def _gamma_cf(a, x):
-    """e**x * x**-a * Gamma(a, x) from Legendre's continued fraction, summed by
-    the modified Lentz method; for x >= a + 1, where it settles quickly."""
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c, d = 1.0 / tiny, 1.0 / b
-    h = d
-    for i in range(1, _GAMMA_TERMS):
-        an = i * (a - i)
-        b += 2.0
-        d = an * d + b
-        d = 1.0 / (d if abs(d) > tiny else tiny)
-        c = b + an / c
-        c = c if abs(c) > tiny else tiny
-        delta = c * d
-        h *= delta
-        if abs(delta - 1.0) <= _EPS:
-            return h
-    return math.inf
-
-
-def _gamma_series(a, x):
-    """e**x * x**-a * gamma(a, x) = sum_n x**n / (a (a+1) ... (a+n)), the lower
-    incomplete gamma function's power series; for x < a + 1."""
-    term = total = 1.0 / a
-    for n in range(1, _GAMMA_TERMS):
-        term *= x / (a + n)
-        total += term
-        if term <= _EPS * total:
-            return total
-    return math.inf
-
-
-def _gamma_head(a, x, x1):
-    """integral of t**(a-1) e**-t over [x, x1] for x < x1 <= 2, term by term in
-    e**-t.  Each 1 - (x/x1)**(a+n) comes from expm1, so no term cancels, and
-    the terms alternate and shrink, so the first below an ulp ends the sum."""
-    lr = math.log(x / x1)
-    total, scale = 0.0, 1.0  # scale = x1**n / n!
-    for n in range(_GAMMA_TERMS):
-        term = -scale * math.expm1((a + n) * lr) / (a + n)
-        total += -term if n % 2 else term
-        if n > x1 and term <= _EPS * total:
-            return x1**a * total
-        scale *= x1 / (n + 1)
-    return math.inf
-
-
-def _upper_gamma(a, x, log_scale=0.0):
-    """Upper bound on exp(log_scale) * Gamma(a, x), the upper incomplete gamma
-    function, for a > 0 and x > 0.
-
-    From x = a + 1 up it sums Legendre's continued fraction.  Below, it takes
-    Gamma(a) minus the lower function's power series, or, for a small enough
-    that this difference cancels, adds Gamma(a, a + 1) from the fraction to
-    the integral over [x, a + 1].  The result stays a log until one exp at
-    the end, so x**a, e**-x and Gamma(a) never overflow on their own.  That
-    log is raised by ``_GAMMA_SLACK`` and by two ulps per unit of the terms
-    that formed it (a*log(x), x, log_scale and log(Gamma(a))), scaled by how
-    far a difference magnifies them; a result below the normal range steps
-    up one subnormal.  inf when a sum does not settle or the bound overflows.
-    """
-    lx = math.log(x)
-    size = abs(a * lx) + x
-    if x >= a + 1.0:
-        z = a * lx - x + math.log(_gamma_cf(a, x))
-    elif a >= _GAMMA_SMALL_A:
-        if a < 171.0:  # math.gamma is good to a few ulps
-            lg = math.log(math.gamma(a))
-            lg_size = 2.0 + abs(lg)
-        else:  # past its overflow, math.lgamma to a few ulps of its value
-            lg = math.lgamma(a)
-            lg_size = 2.0 + 4.0 * abs(lg)
-        p = math.exp(a * lx - x - lg) * _gamma_series(a, x)
-        if not p < 1.0:
-            return math.inf
-        # log(Gamma(a) (1 - p)) magnifies the error of p by p / (1 - p), and
-        # that of lg by 1 / (1 - p)
-        size = (size * p + lg_size) / (1.0 - p)
-        z = lg + math.log1p(-p)
-    else:
-        x1 = a + 1.0
-        z = math.log(math.exp(a * math.log(x1) - x1) * _gamma_cf(a, x1) + _gamma_head(a, x, x1))
-    try:
-        bound = math.exp(z + log_scale + _GAMMA_SLACK + 2.0 * _EPS * (size + abs(log_scale)))
-    except OverflowError:
-        return math.inf
-    return bound if bound >= _SMALLEST_NORMAL else math.nextafter(bound, math.inf)
 
 
 @dataclass(frozen=True)
@@ -197,7 +100,15 @@ class Envelope:
     def tail(self, T, extra_power=0.0, extra_decay=0.0, extra_coef=1.0):
         """Upper bound for ``integral_T^inf lam**(power+extra_power) e^{-(decay+extra_decay)lam} rho_env``.
 
-        Returns +inf when the combined integrand does not decay.
+        With decay s > 0 this is c * Gamma(a, x) / s**a at x = s*T, and
+        Gamma(a, x) <= x**(a-1) e**-x for a <= 1, where t**(a-1) is
+        nonincreasing; <= x**a e**-x / (x - a + 1) for a > 1 and x > a - 1,
+        from (x+u)**(a-1) <= x**(a-1) e**((a-1)u/x); and <= Gamma(a) otherwise.
+        The bound is one log, raised by ``_TAIL_SLACK`` plus two ulps per unit
+        of its terms and exponentiated once, so x**a, e**-x and Gamma(a) never
+        overflow on their own; a result below the normal range steps up one
+        subnormal, and one that overflows is inf.  Returns +inf when the
+        combined integrand does not decay.
         """
         if T < self.cutoff:
             raise ValueError("tail bound only valid beyond the envelope cutoff")
@@ -208,11 +119,23 @@ class Envelope:
         s = self.decay + extra_decay
         a = p + 1.0
         if s > 0.0:
-            if a > 0.0:
-                # c * Gamma(a, s*T) / s**a
-                return _upper_gamma(a, s * T, math.log(c) - a * math.log(s))
-            # lam**(a-1) decreasing beyond T
-            return c * T ** (a - 1.0) * math.exp(-s * T) / s
+            x = s * T
+            lx = math.log(x)
+            if p <= 0.0:
+                z, size = p * lx - x, abs(p * lx) + x
+            elif x > p:
+                # log(x - p) magnifies the rounding of x and p by (x + p) / (x - p)
+                z = a * lx - x - math.log(x - p)
+                size = abs(a * lx) + x + abs(math.log(x - p)) + (x + p) / (x - p)
+            else:  # math.lgamma to a few ulps of its value
+                z = math.lgamma(a)
+                size = 2.0 + 4.0 * abs(z)
+            lc, ls = math.log(c), a * math.log(s)
+            try:
+                bound = math.exp(z + lc - ls + _TAIL_SLACK + 2.0 * _EPS * (size + abs(lc) + abs(ls)))
+            except OverflowError:
+                return math.inf
+            return bound if bound >= _SMALLEST_NORMAL else math.nextafter(bound, math.inf)
         if s == 0.0 and a < 0.0:
             return c * T**a / (-a)
         return math.inf
@@ -571,7 +494,7 @@ def total_mass(mu, tol=QUAD_TOL):
     return float(integrate_against(mu, lambda x, w: w.sum(0), tol=tol)[0])
 
 
-def tail_mass(mu, T, tol=1e-8):
+def tail_mass(mu, T, tol=QUAD_TOL):
     """Mass of {|lam| > T}; raises ``DivergentIntegral`` when infinite."""
     if T < 0:
         raise ValueError("T must be nonnegative")

@@ -290,13 +290,12 @@ def periodic_rp(mu_plus, beta, t, tol=msr.QUAD_TOL):
     return float(near + far)
 
 
-def double_integral_rp(atoms, t, tol=msr.QUAD_TOL):
+def double_integral_rp(atoms, t):
     """Sum of w * (e^{-lam|t|} + e^{-lam(beta - |t|)}) over (lam, beta, w) atoms.
 
     Each beta must stay above |t| (the defining strip is beta >= a > |t|,
     and the best available a is the smallest beta in the list); an empty
-    atom list gives 0.  Sums are exact, ``tol`` is accepted for signature
-    uniformity only.
+    atom list gives 0.  Sums are exact.
     """
     t = float(t)
     rows = [(float(l), float(b), float(w)) for (l, b, w) in atoms]

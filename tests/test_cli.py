@@ -205,6 +205,15 @@ def test_function_parameters_reach_the_catalog(capsys, name, params):
     assert [r["extremal_eig"] for r in doc["results"]] == [v.extremal_eig for _, v in routes]
 
 
+@pytest.mark.parametrize("kind", ["cheb", "uniform"])
+@pytest.mark.parametrize("interval", ["2,1", "0,inf", "1,1"])
+def test_empty_or_infinite_interval_is_input_error(capsys, kind, interval):
+    code, doc, _ = run_json(capsys, "check-pd", "--function", "catalog:exp_decay",
+                            f"--interval={interval}", "--grid-kind", kind)
+    assert code == 2
+    assert doc == {"error": "grid interval must be finite and nonempty"}
+
+
 def test_check_cm_and_bernstein(capsys):
     assert run(capsys, "check-cm", "--function", "catalog:exp_decay")[0] == 0
     assert run(capsys, "check-bernstein", "--function", "catalog:log1p")[0] == 0

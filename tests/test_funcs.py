@@ -20,6 +20,13 @@ def test_uniform_grid():
     np.testing.assert_allclose(g, np.linspace(-1.0, 1.0, 7)[1:-1])
 
 
+@pytest.mark.parametrize("grid", [fns.chebyshev_grid, fns.uniform_grid])
+@pytest.mark.parametrize("lo, hi", [(2.0, 1.0), (0.0, np.inf), (1.0, 1.0)])
+def test_grids_reject_an_empty_or_infinite_window(grid, lo, hi):
+    with pytest.raises(ValueError, match="grid interval must be finite and nonempty"):
+        grid(lo, hi, 5)
+
+
 def test_handle_calls_and_domain():
     f = fns.from_callable(np.exp, domain=(0.0, 4.0))
     assert f(1.0) == pytest.approx(np.e)

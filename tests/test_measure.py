@@ -1,4 +1,5 @@
 """Laplace transform quadrature against closed-form oracles."""
+import itertools
 import math
 import subprocess
 import sys
@@ -171,53 +172,82 @@ def test_power_law_truncation_takes_few_tail_bounds(monkeypatch):
     assert len(calls) > 60
 
 
-# a from 1e-3 to 60 and x from 1e-2 to 1e4, plus x on both sides of a + 1,
-# where the bound switches from the series to the continued fraction
+def exact_tail(env, T, g_power=0.0, g_decay=0.0):
+    """c * Gamma(a, s*T) / s**a in mpmath: the integral that Envelope.tail bounds."""
+    a = mp.mpf(env.power + g_power) + 1
+    s = mp.mpf(env.decay + g_decay)
+    return mp.mpf(env.coef) * mp.gammainc(a, s * mp.mpf(T)) / s**a
+
+
+# a from 1e-3 to 60 and x from 1e-2 to 1e4, plus x on both sides of a - 1 and
+# a + 1, and the (coef, s) scales that turn one Gamma(a, x) into one tail
 GAMMA_A = sorted({*np.geomspace(1e-3, 60.0, 19).tolist(), 0.2499, 0.25, 0.5, 1.0, 2.0, 2.7374})
 GAMMA_X = np.geomspace(1e-2, 1e4, 23).tolist()
+TAIL_SCALES = [(1.0, 1.0), (1e-30, 0.5), (3e20, 1e-3), (0.7, 40.0)]
 
 
 @pytest.mark.parametrize("a", GAMMA_A)
 def test_upper_gamma_bounds_the_40_digit_value(a):
-    for x in GAMMA_X + [a + 1.0, math.nextafter(a + 1.0, 0.0), 0.999 * (a + 1.0)]:
+    edges = [a - 1.0, math.nextafter(a - 1.0, math.inf), a + 1.0, 0.999 * (a + 1.0)]
+    for x in GAMMA_X + edges:
         if not 1e-2 <= x <= 1e4:
             continue
-        want = mp.gammainc(a, x)
-        got = msr._upper_gamma(a, x)
-        assert mp.mpf(got) >= want, (a, x)
-        if want > mp.mpf(np.finfo(float).tiny):  # else it underflows to a subnormal
-            assert float((mp.mpf(got) - want) / want) <= 1e-12, (a, x)
+        for coef, s in TAIL_SCALES:
+            env = msr.Envelope(coef, a - 1.0, s, cutoff=x / s)
+            got = env.tail(x / s)
+            assert math.isfinite(got) and mp.mpf(got) >= exact_tail(env, x / s), (a, x, coef, s)
 
 
 @pytest.mark.parametrize("a, x, log_scale", [
     (0.5, 0.376, 3.0), (1.0, 32.0, -40.0), (2.7374, 1.0, 2.5), (181.0, 2000.0, 0.0),
-    # the rounding of a*log(x) - x leaves the value 3e-14 low here even with
-    # the fixed slack; only the part that grows with the terms covers it
     (46.233819302566715, 979.9467141688467, 0.0),
     (1e-3, 0.5, 700.0), (3.0, 1e-300, -750.0), (0.5, 1e305, 0.0), (200.0, 150.0, -800.0),
 ])
 def test_upper_gamma_scaled_and_extreme(a, x, log_scale):
-    # the slack grows with the terms of the log, about 1e-12 per 2,000
-    want = mp.exp(log_scale) * mp.gammainc(a, x)
-    got = msr._upper_gamma(a, x, log_scale)
+    # exp(log_scale) * Gamma(a, x) as the tail of an envelope with
+    # log(coef) - a*log(s) = log_scale, the decay s taking what coef cannot
+    s = math.exp((min(max(log_scale, -700.0), 700.0) - log_scale) / a)
+    env = msr.Envelope(math.exp(log_scale + a * math.log(s)), a - 1.0, s, cutoff=x / s)
+    got, want = env.tail(x / s), exact_tail(env, x / s)
     assert math.isfinite(got) and mp.mpf(got) >= want
-    if want > mp.mpf(np.finfo(float).tiny):
-        assert float((mp.mpf(got) - want) / want) <= 3e-12
-    else:
+    if want <= mp.mpf(np.finfo(float).tiny):  # it underflows: one subnormal up
         assert got == math.nextafter(0.0, 1.0)
 
 
 def test_upper_gamma_overflow_is_inf():
-    assert msr._upper_gamma(200.0, 100.0) == math.inf
-    assert msr._upper_gamma(2.0, 1.0, 800.0) == math.inf
+    assert msr.Envelope(1.0, 199.0, 1.0).tail(100.0) == math.inf
+    assert msr.Envelope(1e300, 1.0, 1e-10).tail(1.0) == math.inf
 
 
 def test_tail_bound_stays_finite_where_gamma_overflows():
-    # Gamma(181) overflows a double and Q(181, 2000) underflows; their product does not
-    b = msr.Envelope(1.0, 180.0, 1.0).tail(2000.0)
-    want = mp.gammainc(181, 2000)
-    assert mp.mpf(b) >= want and float(mp.mpf(b) / want - 1) <= 3e-12
+    # Gamma(181) overflows a double and Q(181, 2000) underflows; their product
+    # does not; x**a e**-x / (x - a + 1) is 5.4e-5 above it
+    env = msr.Envelope(1.0, 180.0, 1.0)
+    b = env.tail(2000.0)
+    want = exact_tail(env, 2000.0)
+    assert mp.mpf(b) >= want and float(mp.mpf(b) / want - 1) <= 1e-4
     assert 1e-275 < b < 1e-274
+
+
+# the package's decaying densities: exp, log_sigma and gamma
+DECAYING = [pk.density_from_spec("exp").tail_env, pk.density_from_spec("log_sigma").tail_env,
+            *(pk.density_from_spec("gamma", {"alpha": al}).tail_env for al in (0.5, 1.5, 3.0))]
+
+
+@pytest.mark.parametrize("env", DECAYING, ids=["exp", "log_sigma", "gamma0.5", "gamma1.5", "gamma3"])
+def test_truncation_point_matches_the_exact_tail_search(env):
+    # the doubling search on the exact tail picks T_exact; the bound may only
+    # lose a doubling where a = power + g_power + 1 <= 0
+    with mp.workdps(30):
+        for g_power, g_decay, budget in itertools.product((-1.0, 0.0, 1.5, 3.0), (0.0, 0.5, 6.0),
+                                                          (1e-12, 1e-7)):
+            T_exact = 1.0
+            while exact_tail(env, T_exact, g_power, g_decay) > budget:
+                T_exact *= 2.0
+            T, _ = msr._choose_truncation(env, g_power, g_decay, 1.0, 0.0, budget)
+            assert T_exact <= T <= 2.0 * T_exact, (g_power, g_decay, budget)
+            if env.power + g_power + 1.0 > 0.0:
+                assert T == T_exact, (g_power, g_decay, budget)
 
 
 @pytest.mark.parametrize("spec, alphas, want", [
@@ -276,7 +306,7 @@ def test_singular_head_tail_mass(T):
     sig = pk.Measure(
         density=pk.density_from_spec("stable_sigma", {"alpha": 0.5}), support=(0, np.inf)
     )
-    assert abs(msr.tail_mass(sig, T) - 1.0 / math.sqrt(math.pi * T)) <= 1e-8
+    assert abs(msr.tail_mass(sig, T) - 1.0 / math.sqrt(math.pi * T)) <= 1e-10
 
 
 @pytest.mark.parametrize("T", [0.5, 1.0, 3.0])
