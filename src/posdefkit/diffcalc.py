@@ -83,9 +83,7 @@ def derivative(f, t, k):
     k = int(k)
     if k < 0:
         raise OrderTooHigh("derivative order must be >= 0")
-    if k == 0:
-        return f(t)
-    if f.has_analytic(k):
+    if k == 0 or f.has_analytic(k):
         return f.deriv_at(t, k)
     return _numeric_derivative(f, t, k, _NUMERIC_CAP)
 
@@ -194,16 +192,15 @@ def hankel_check(f, c, n, shifted=False, tol=None):
         raise ValueError("n must be >= 0")
     order_needed = 2 * n + (1 if shifted else 0)
     tol = resolve_tol(tol, n + 1)
-    if f.has_analytic(order_needed):
-        dk = lambda k: f.deriv_at(c, k) if k else f(c)
-    else:
-        if order_needed > _NUMERIC_CAP_INTERNAL:
-            raise OrderTooHigh(
-                "hankel order needs derivatives to order "
-                f"{order_needed}; numeric differentiation stops at {_NUMERIC_CAP_INTERNAL}"
-            )
-        dk = lambda k: (f(c) if k == 0 else _numeric_derivative(f, c, k, _NUMERIC_CAP_INTERNAL))
-    derivs = np.array([dk(k) for k in range(order_needed + 1)])
+    analytic = f.has_analytic(order_needed)
+    if not analytic and order_needed > _NUMERIC_CAP_INTERNAL:
+        raise OrderTooHigh(
+            "hankel order needs derivatives to order "
+            f"{order_needed}; numeric differentiation stops at {_NUMERIC_CAP_INTERNAL}"
+        )
+    derivs = np.array([f.deriv_at(c, k) if analytic or k == 0
+                       else _numeric_derivative(f, c, k, _NUMERIC_CAP_INTERNAL)
+                       for k in range(order_needed + 1)])
     idx = np.arange(n + 1)
     if shifted:
         M = -derivs[1 + idx[:, None] + idx[None, :]]

@@ -7,8 +7,13 @@ the eigenvalues alone (``eigvalsh``); only a FAIL runs ``eigh`` for its
 witness vector and decides again on eigh's eigenvalue, so a FAIL keeps the
 bits of a full eigendecomposition and a PASS eigenvalue moves by rounding.
 PASS means the extremal eigenvalue is within ``tol*scale`` of the admissible
-side, FAIL requires a margin beyond it, and INCONCLUSIVE is reserved for
-grams built from evaluations that did not converge.
+side and FAIL requires a margin beyond it; ``psd_check`` and ``cnd_check``
+return nothing else.  INCONCLUSIVE comes from two places today:
+``schoenberg_scan`` on a Gram with non-finite entries, and the reflection
+module's ``boundary_derivative_check``, when its Grams' entry bounds
+(``KernelGram.bounds``, read as ``ReflectionReport.bound``) exceed the
+quadrature tolerance.  Weighing every verdict against those bounds is
+still open.
 """
 
 import math
@@ -40,15 +45,19 @@ def resolve_tol(tol, n):
 
 @dataclass(frozen=True)
 class KernelGram:
-    """A symmetric Gram matrix tagged with the points and kernel kind."""
+    """A symmetric Gram matrix tagged with the points and kernel kind, and
+    the error bound of each entry (zeros when none is given)."""
 
     points: np.ndarray
     entries: np.ndarray
     kind: str  # plus | minus | custom
+    bounds: np.ndarray = None
 
     def __post_init__(self):
         object.__setattr__(self, "points", np.asarray(self.points, dtype=np.float64))
         object.__setattr__(self, "entries", np.asarray(self.entries, dtype=np.float64))
+        bounds = np.zeros_like(self.entries) if self.bounds is None else self.bounds
+        object.__setattr__(self, "bounds", np.asarray(bounds, dtype=np.float64))
 
     @property
     def n(self):
@@ -114,11 +123,16 @@ def _check_points(points):
     return pts
 
 
+def _kernel_gram(f, pts, args, kind):
+    """The Gram of f at args, with the entry bounds of a handle's ``bounds_at``
+    (served from the batch just evaluated) or zeros for a plain callable."""
+    return KernelGram(pts, f(args), kind, getattr(f, "bounds_at", np.zeros_like)(args))
+
+
 def gram_plus(f, points):
     """Gram of the kernel f((x+y)/2) on the given points."""
     pts = _check_points(points)
-    args = 0.5 * (pts[:, None] + pts[None, :])
-    return KernelGram(pts, np.asarray(f(args), dtype=np.float64), "plus")
+    return _kernel_gram(f, pts, 0.5 * (pts[:, None] + pts[None, :]), "plus")
 
 
 def gram_minus(f, points):
@@ -128,8 +142,7 @@ def gram_minus(f, points):
     building from |x-y| keeps the matrix symmetric for any input.
     """
     pts = _check_points(points)
-    args = 0.5 * np.abs(pts[:, None] - pts[None, :])
-    return KernelGram(pts, np.asarray(f(args), dtype=np.float64), "minus")
+    return _kernel_gram(f, pts, 0.5 * np.abs(pts[:, None] - pts[None, :]), "minus")
 
 
 def window_gram(f, points):

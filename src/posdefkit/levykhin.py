@@ -14,15 +14,15 @@ first derivative of the increasing form is the transform itself, which is
 what the analysis routines invert (nonnegative least squares on a lambda
 dictionary; see ``analyze_interval``).
 
-The function handles integrate their distinct arguments as one batch and
-keep the last batch: a call on the same distinct arguments (in any order
-or multiplicity) returns the stored values, the same bits a new quadrature
-gives, so a Gram that two checks evaluate on one grid costs one quadrature.
+The function handles are ``funcs.quadrature_handle``s: they integrate their
+distinct arguments as one batch and keep the last batch of each derivative
+order, values and bounds together, so a Gram that two checks evaluate on
+one grid costs one quadrature.
 """
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .errors import (
     NotIncreasing,
     NotNegativeDefinite,
 )
-from .funcs import FuncHandle
+from .funcs import FuncHandle, quadrature_handle
 from .jsonfmt import render, required
 from .kernelcheck import resolve_tol
 
@@ -278,31 +278,6 @@ def synth(rep, t, tol=SYNTH_TOL, full=False, form=None):
 # function handles around the synthesizers
 
 
-def _synth_handle(rep, tol, form, domain, name, deriv=None):
-    # (bytes of the distinct arguments, their values) of the last batch; a
-    # batch's values depend only on (rep, arguments, tol, form), so a repeat
-    # returns the same bits without a quadrature
-    last = (None, None)
-
-    def fn(t):
-        nonlocal last
-        # one batched synthesis over the distinct arguments
-        uniq, inv = np.unique(np.asarray(t, dtype=np.float64), return_inverse=True)
-        key, values = last
-        if key != uniq.tobytes():
-            key, values = uniq.tobytes(), synth(rep, uniq, tol, form=form)
-            last = (key, values)
-        return values[inv].reshape(np.shape(t))
-
-    return FuncHandle(
-        fn=fn,
-        domain=domain,
-        deriv=deriv,
-        d_max=8 if deriv is not None else 0,
-        name=name,
-    )
-
-
 def interval_handle(rep, tol=SYNTH_TOL):
     """FuncHandle for the interval synthesis with analytic derivatives.
 
@@ -311,49 +286,52 @@ def interval_handle(rep, tol=SYNTH_TOL):
     expm1(-lam*u)/lam against e^{-lam t0} dmu.
     """
 
-    def d1(t):
-        ts = _batch(t)
+    def evaluate(ts, k):
+        if k == 0:
+            return synth_interval(rep, ts, tol, full=True)
+        if k > 1:
+            lv = msr.laplace_deriv(rep.mu, ts, k - 2, tol)
+            return replace(lv, value=-lv.value)
+        ts = _batch(ts)
         u, t0 = ts - rep.t0, rep.t0
         um = float(np.max(np.abs(u)))
         g_head = ((um + 1.0) * math.exp(_stub_reach(rep.mu) * (um + abs(t0))), 0.0)
         return _synth(rep.mu, lambda x, w: _accel.e_lambda_dt_damped_vals(x, u[:, None], t0) @ w,
-                      g_head, (2.0, -1.0, min(float(ts.min()), t0)), rep.d, t, tol, False,
+                      g_head, (2.0, -1.0, min(float(ts.min()), t0)), rep.d, ts, tol, True,
                       "interval first derivative")
 
-    def deriv(t, k):
-        if k == 1:
-            return d1(t)
-        return -msr.laplace_deriv(rep.mu, t, k - 2, tol).value
-
-    return _synth_handle(rep, tol, "interval", rep.interval, "interval_synth", deriv)
+    return quadrature_handle(evaluate, rep.interval, "interval_synth", 8)
 
 
 def increasing_handle(rep, tol=SYNTH_TOL):
     """FuncHandle for the increasing synthesis; psi^(k) is the (k-1)-st
     transform derivative of mu."""
 
-    def deriv(t, k):
-        return msr.laplace_deriv(rep.mu, t, k - 1, tol).value
+    def evaluate(ts, k):
+        if k == 0:
+            return synth_increasing(rep, ts, tol, full=True)
+        return msr.laplace_deriv(rep.mu, ts, k - 1, tol)
 
-    return _synth_handle(rep, tol, "increasing", msr.HALF_LINE, "increasing_synth", deriv)
+    return quadrature_handle(evaluate, msr.HALF_LINE, "increasing_synth", 8)
 
 
 def bernstein_handle(rep, tol=SYNTH_TOL):
     """FuncHandle for the Bernstein synthesis; derivatives come from the
     transform of sigma (which needs no mass finiteness for k >= 1)."""
 
-    def deriv(t, k):
-        val = -msr.laplace_deriv(rep.sigma, t, k, tol).value
-        if k == 1:
-            val += rep.b
-        return val
+    def evaluate(ts, k):
+        if k == 0:
+            return synth_bernstein(rep, ts, tol, full=True)
+        lv = msr.laplace_deriv(rep.sigma, ts, k, tol)
+        return replace(lv, value=-lv.value + rep.b if k == 1 else -lv.value)
 
-    return _synth_handle(rep, tol, "bernstein", msr.HALF_LINE, "bernstein_synth", deriv)
+    return quadrature_handle(evaluate, msr.HALF_LINE, "bernstein_synth", 8)
 
 
 def reflection_negative_handle(rep, tol=SYNTH_TOL):
     """Even FuncHandle on the whole line (no derivatives: kink at 0)."""
-    return _synth_handle(rep, tol, "reflection_negative", (-math.inf, math.inf), "reflneg_synth")
+    return quadrature_handle(lambda ts, k: synth_reflection_negative(rep, ts, tol, full=True),
+                             (-math.inf, math.inf), "reflneg_synth")
 
 
 # ---------------------------------------------------------------------------
@@ -456,20 +434,13 @@ def analyze_increasing(psi, fit_grid, lambda_grid=None, tol=FIT_TOL):
 
 
 def _derivative_handle(psi):
-    """psi' as a handle: analytic order shift when psi has derivatives."""
-    fn = lambda t: derivative(psi, t, 1)
-    deriv = None
-    d_max = 0
-    if psi.deriv is not None and psi.d_max >= 2:
-        deriv = lambda t, k: psi.deriv_at(t, k + 1)
-        d_max = psi.d_max - 1
-    return FuncHandle(
-        fn=fn,
-        domain=psi.domain,
-        deriv=deriv,
-        d_max=d_max,
-        name=(psi.name + "_prime") if psi.name else "psi_prime",
-    )
+    """psi' as a handle: psi's derivatives and bounds shifted one order, where it has them."""
+    shift = psi.deriv is not None and psi.d_max >= 2
+    return FuncHandle(fn=lambda t: derivative(psi, t, 1), domain=psi.domain,
+                      deriv=(lambda t, k: psi.deriv_at(t, k + 1)) if shift else None,
+                      d_max=psi.d_max - 1 if shift else 0,
+                      name=(psi.name + "_prime") if psi.name else "psi_prime",
+                      bound=(lambda t, k: psi.bounds_at(t, k + 1)) if psi.has_analytic(1) else None)
 
 
 def bernstein_to_increasing(rep, tol=SYNTH_TOL):

@@ -23,7 +23,7 @@ from .errors import (
     NotConvex,
     NotSymmetric,
 )
-from .funcs import FuncHandle, chebyshev_grid
+from .funcs import FuncHandle, chebyshev_grid, evenize, quadrature_handle
 from .kernelcheck import (
     FAIL,
     INCONCLUSIVE,
@@ -62,6 +62,7 @@ class ReflectionReport:
     schoenberg_minus: PositivityVerdict | None = None
     schoenberg_plus: PositivityVerdict | None = None
     bernstein_verdict: PositivityVerdict | None = None
+    bound: float = 0.0
 
     @property
     def passed(self):
@@ -117,10 +118,11 @@ def reflection_positive_check(phi, a, n=12, tol=None):
     grid_m = chebyshev_grid(-a, a, n)
     grid_p = chebyshev_grid(0.0, a, n)
     symmetric = _evenness(phi, grid_m, tol)
-    minus_v = psd_check(gram_minus(phi, grid_m), tol)
-    plus_v = psd_check(gram_plus(phi, grid_p), tol)
+    gram_m, gram_p = gram_minus(phi, grid_m), gram_plus(phi, grid_p)
+    minus_v, plus_v = psd_check(gram_m, tol), psd_check(gram_p, tol)
     verdict = combine((minus_v, plus_v)) if symmetric else FAIL
-    return ReflectionReport(minus_v, plus_v, a, symmetric, verdict)
+    bound = float(max(gram_m.bounds.max(), gram_p.bounds.max()))
+    return ReflectionReport(minus_v, plus_v, a, symmetric, verdict, bound=bound)
 
 
 def reflection_negative_check(psi, a, n=12, hs=None, tol=None):
@@ -156,6 +158,7 @@ def reflection_negative_check(psi, a, n=12, hs=None, tol=None):
     return ReflectionReport(
         minus_v, plus_v, a, symmetric, combine(v for v in routes if v is not None),
         schoenberg_minus=sch_m, schoenberg_plus=sch_p, bernstein_verdict=bern_v,
+        bound=float(max(gram_m.bounds.max(), gram_p.bounds.max())),
     )
 
 
@@ -216,26 +219,12 @@ def extendable_check(psi, a, tol=None):
     return bool(slope_a <= tol), extension
 
 
-def _transform_abs_handle(mu, a, misses):
-    """phi(t) = transform of mu at |t|, one batched transform over the
-    distinct |t| per call; a call whose bounds miss tol appends to ``misses``."""
-
-    def fn(t):
-        uniq, inv = np.unique(np.abs(t), return_inverse=True)
-        lv = msr.laplace(mu, uniq)
-        if not lv.converged:
-            misses.append(lv)
-        return lv.value[inv].reshape(np.shape(t))
-
-    return FuncHandle(fn=fn, domain=(-a, a), name="transform_even")
-
-
 def boundary_derivative_check(mu, a, n=12, tol=None):
     """Boundary-derivative test for phi(t) = transform of mu at |t|.
 
     ``sufficient`` is the one-sided slope condition at a (slope <= tol
     implies reflection positivity); ``rp`` is the direct kernel check, with
-    verdict INCONCLUSIVE when a transform value behind it did not converge;
+    verdict INCONCLUSIVE when ``rp.bound`` exceeds the quadrature tolerance;
     when rp passes and phi is nonconstant, ``necessary_witness`` is b = a/1000
     when the transform slope there is < -tol.  The slope never decreases
     (phi is convex), so no larger b can qualify when this one fails.  A
@@ -245,12 +234,13 @@ def boundary_derivative_check(mu, a, n=12, tol=None):
     a, n, tol = _window(a, n, tol)
     msr.laplace(mu, a * np.array([1e-3, 0.5, 1.0]), tol=1e-6)  # DivergentIntegral if unusable
     b = 1e-3 * a
-    slope, slope_b = msr.laplace_deriv(mu, np.array([a, b]), 1).value
+    transform = quadrature_handle(lambda ts, k: msr.laplace_deriv(mu, ts, k), (0.0, a),
+                                  "transform", 1)
+    slope_b, slope = transform.deriv_at([b, a], 1)
     sufficient = slope <= tol
-    misses = []
-    phi = _transform_abs_handle(mu, a, misses)
+    phi = evenize(transform, "transform_even")
     rp = reflection_positive_check(phi, a, n, tol)
-    if misses:
+    if not rp.bound <= msr.QUAD_TOL:
         rp = replace(rp, verdict=INCONCLUSIVE)
     witness = None
     if rp.passed:

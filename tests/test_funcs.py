@@ -3,6 +3,7 @@ import pytest
 
 import posdefkit as pk
 from posdefkit import funcs as fns
+from posdefkit import measure as msr
 
 
 def test_chebyshev_grid_interior():
@@ -58,3 +59,40 @@ def test_deriv_zero_matches_eval():
     assert f.deriv is not None
     t = np.array([0.5, 1.0, 2.0])
     np.testing.assert_allclose(f.deriv(t, 0), f(t), rtol=1e-15)
+
+
+def test_exact_handles_report_zero_bounds():
+    t = np.array([0.5, 1.0, 2.0])
+    closed, plain = pk.get("exp_decay").func, fns.from_callable(np.exp)
+    for f in (closed, plain):
+        assert f.bounds_at(t).tobytes() == np.zeros(3).tobytes()
+        assert f.bounds_at(1.0) == 0.0
+    assert closed.bounds_at(t, 2).tobytes() == np.zeros(3).tobytes()
+    with pytest.raises(pk.OrderTooHigh):
+        plain.bounds_at(t, 1)
+
+
+def transform_handle():
+    mu = pk.Measure(density=pk.density_from_spec("exp"), support=(0.0, np.inf))
+    return fns.quadrature_handle(lambda ts, k: msr.laplace_deriv(mu, ts, k), (0.0, np.inf),
+                                 "transform", 1)
+
+
+def test_evenize_forwards_the_bound_at_abs_t():
+    h = transform_handle()
+    t = np.array([0.3, 1.2, 2.0])
+    g = fns.evenize(h)
+    assert np.all(h.bounds_at(t) > 0.0)
+    assert g.bounds_at(-t).tobytes() == h.bounds_at(t).tobytes()
+    assert g.bounds_at(-t).tobytes() == g.bounds_at(t).tobytes()
+
+
+def test_quadrature_handle_checks_orders_and_domain():
+    h = transform_handle()
+    # the transform's slope at 1 is -1/(1+t)^2 = -0.25, within the reported bound
+    assert abs(h.deriv_at(1.0, 1) + 0.25) <= h.bounds_at(1.0, 1) <= msr.QUAD_TOL
+    for call in (h.deriv_at, h.bounds_at):
+        with pytest.raises(pk.OrderTooHigh):
+            call(1.0, 2)
+    with pytest.raises(pk.DomainError):
+        h.bounds_at(-1.0)

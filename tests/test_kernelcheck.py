@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import posdefkit as pk
 from posdefkit import funcs as fns
 from posdefkit import kernelcheck as kc
+from posdefkit import levykhin as lk
 
 
 def laplace_closure(lams, ws):
@@ -108,6 +109,23 @@ def test_gram_custom():
     assert kc.psd_check(G).verdict == kc.PASS
     with pytest.raises(ValueError):
         kc.psd_check(np.ones((2, 3)))
+
+
+def test_grams_carry_the_entry_bounds_of_a_handle():
+    pts = fns.chebyshev_grid(0.1, 3.0, 6)
+    h = lk.bernstein_handle(pk.get("log1p").lk_data)
+    plus = kc.gram_plus(h, pts)
+    assert plus.bounds.tobytes() == h.bounds_at(0.5 * np.add.outer(pts, pts)).tobytes()
+    assert np.all(plus.bounds > 0.0)
+    even = lk.reflection_negative_handle(pk.get("abs_power", alpha=0.5).lk_data)
+    minus = kc.gram_minus(even, pts)
+    args = 0.5 * np.abs(np.subtract.outer(pts, pts))
+    assert minus.bounds.tobytes() == even.bounds_at(args).tobytes()
+    for f in (pk.get("log1p").func, lambda t: np.log1p(t)):
+        for gram in (kc.gram_plus(f, pts), kc.gram_minus(f, pts)):
+            assert gram.bounds.tobytes() == np.zeros((6, 6)).tobytes()
+    custom = kc.gram_custom(lambda x, y: np.minimum(x, y), pts)
+    assert custom.bounds.tobytes() == np.zeros((6, 6)).tobytes()
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,8 @@ import tracemalloc
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import posdefkit as pk
 from posdefkit import _accel
@@ -264,6 +266,45 @@ def test_bernstein_to_increasing_agrees():
         assert lk.synth_increasing(inc, t) == pytest.approx(lk.synth_bernstein(rep, t), abs=1e-9)
 
 
+@st.composite
+def bernstein_reps(draw):
+    """a, b >= 0, up to four atoms in (0, 50] and an optional sigma density."""
+    atoms = draw(st.lists(st.tuples(st.floats(0.0, 50.0, exclude_min=True), st.floats(0.01, 2.0)),
+                          max_size=4))
+    spec = draw(st.sampled_from([None, "exp", "log_sigma", "stable_sigma"]))
+    params = {"alpha": draw(st.floats(0.1, 0.9))} if spec == "stable_sigma" else None
+    dens = None if spec is None else pk.density_from_spec(spec, params)
+    sigma = pk.Measure(atoms=tuple(atoms), density=dens, support=(0.0, math.inf))
+    return lk.BernsteinRep(a=draw(st.floats(0.0, 3.0)), b=draw(st.floats(0.0, 3.0)), sigma=sigma)
+
+
+def assert_forms_agree(rep, ts):
+    # the Bernstein handle and the increasing handle of the same psi agree
+    # within their summed bounds, plus rounding (atom-only reps carry bounds of 0)
+    ts = np.asarray(ts, dtype=np.float64)
+    bern = lk.bernstein_handle(rep)
+    inc = lk.increasing_handle(lk.bernstein_to_increasing(rep))
+    got, want = bern(ts), inc(ts)
+    slack = (bern.bounds_at(ts) + inc.bounds_at(ts)
+             + 8.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(got)))
+    assert np.all(np.abs(got - want) <= slack), (got - want, slack)
+
+
+@settings(max_examples=30, deadline=None)
+@given(rep=bernstein_reps(), t=st.floats(0.05, 6.0))
+def test_bernstein_and_increasing_forms_agree_within_their_bounds(rep, t):
+    assert_forms_agree(rep, [t])
+
+
+@pytest.mark.xfail(strict=True, reason="bernstein_to_increasing scales a gridded sigma by lam at "
+                   "the knots only, and the interpolant of lam*v is not lam times the interpolant")
+def test_gridded_sigma_forms_agree_within_their_bounds():
+    grid = np.linspace(0.5, 6.0, 8)
+    dens = msr.GriddedDensity(grid, np.exp(-grid), "gauss-composite")
+    rep = lk.BernsteinRep(a=0.0, b=0.3, sigma=pk.Measure(density=dens, support=(0.0, math.inf)))
+    assert_forms_agree(rep, [0.2, 0.7, 2.0, 4.0])
+
+
 def test_synth_full_reports_convergence():
     rep = pk.get("log1p").lk_data
     lv = lk.synth_bernstein(rep, 1.0, full=True)
@@ -392,13 +433,15 @@ def test_large_gram_memory_stays_flat():
 
 # a synthesized handle keeps its last batch
 
-_HANDLES = {
-    "interval": lambda: lk.interval_handle(pk.get("signed_power", alpha=1.5).lk_data),
-    "increasing": lambda: lk.increasing_handle(pk.get("log").lk_data),
-    "bernstein": lambda: lk.bernstein_handle(pk.get("power", alpha=0.5).lk_data),
-    "reflection_negative":
-        lambda: lk.reflection_negative_handle(pk.get("abs_power", alpha=0.5).lk_data),
+_REPS = {
+    "interval": pk.get("signed_power", alpha=1.5).lk_data,
+    "increasing": pk.get("log").lk_data,
+    "bernstein": pk.get("power", alpha=0.5).lk_data,
+    "reflection_negative": pk.get("abs_power", alpha=0.5).lk_data,
 }
+_MAKERS = {"interval": lk.interval_handle, "increasing": lk.increasing_handle,
+           "bernstein": lk.bernstein_handle, "reflection_negative": lk.reflection_negative_handle}
+_HANDLES = {form: (lambda form=form: _MAKERS[form](_REPS[form])) for form in _REPS}
 
 
 def count_integrations(monkeypatch):
@@ -480,6 +523,66 @@ def test_threads_sharing_a_handle_never_mix_batches():
         sys.setswitchinterval(old)
     assert not any(th.is_alive() for th in threads)
     assert wrong == []
+
+
+# values, derivatives and bounds: one kept batch per order
+
+# every (form, order) a handle defines up to order 2; the reflection-negative
+# handle has no derivatives
+_ORDERS = [(form, k) for form in _HANDLES for k in range(1 if form == "reflection_negative" else 3)]
+
+
+def _direct(form, k, ts):
+    """The LaplaceValue that order k of ``_HANDLES[form]`` serves at sorted ts."""
+    rep = _REPS[form]
+    if k == 0:
+        return lk.synth(rep, ts, full=True, form=form)
+    if form == "increasing":
+        return msr.laplace_deriv(rep.mu, ts, k - 1)
+    if form == "interval":  # k == 2
+        lv = msr.laplace_deriv(rep.mu, ts, 0)
+        return dataclasses.replace(lv, value=-lv.value)
+    lv = msr.laplace_deriv(rep.sigma, ts, k)
+    return dataclasses.replace(lv, value=rep.b - lv.value if k == 1 else -lv.value)
+
+
+@pytest.mark.parametrize("form, k", _ORDERS)
+def test_handle_orders_serve_the_bits_of_the_direct_call(form, k):
+    h = _HANDLES[form]()
+    ts = np.array([0.4, 1.1, 2.5])
+    values, bounds = h.deriv_at(ts, k), h.bounds_at(ts, k)
+    if (form, k) == ("interval", 1):
+        # no public call integrates the first-derivative kernel: differences instead
+        want = pk.derivative(fns.from_callable(h.fn, h.domain), ts, 1)
+        np.testing.assert_allclose(values, want, rtol=1e-6, atol=1e-7)
+        assert np.all((bounds >= 0.0) & (bounds <= lk.SYNTH_TOL))
+        return
+    lv = _direct(form, k, ts)
+    assert values.tobytes() == lv.value.tobytes()
+    assert bounds.tobytes() == lv.truncation_bound.tobytes()
+
+
+@pytest.mark.parametrize("form, k", _ORDERS)
+def test_a_permuted_repeat_of_an_order_costs_no_quadrature(monkeypatch, form, k):
+    h = _HANDLES[form]()
+    ts = np.array([0.4, 1.1, 2.5])
+    values = h.deriv_at(ts, k)
+    calls = count_integrations(monkeypatch)
+    bounds = h.bounds_at(ts, k)
+    again, idx = np.array([2.5, 0.4, 2.5, 1.1, 0.4]), [2, 0, 2, 1, 0]
+    assert h.deriv_at(again, k).tobytes() == values[idx].tobytes()
+    assert h.bounds_at(again, k).tobytes() == bounds[idx].tobytes()
+    assert calls == []
+
+
+def test_derivative_handle_carries_the_bounds_one_order_up():
+    h = lk.increasing_handle(_REPS["increasing"])  # log t
+    d = lk._derivative_handle(h)
+    t = np.array([0.5, 1.0, 2.0])
+    assert d(t).tobytes() == h.deriv_at(t, 1).tobytes()
+    assert d.bounds_at(t).tobytes() == h.bounds_at(t, 1).tobytes()
+    assert d.bounds_at(t, 1).tobytes() == h.bounds_at(t, 2).tobytes()
+    assert np.all(np.abs(d(t) - 1.0 / t) <= d.bounds_at(t))
 
 
 @pytest.mark.parametrize("make, entry", [

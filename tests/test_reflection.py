@@ -7,6 +7,8 @@ import pytest
 
 import posdefkit as pk
 from posdefkit import funcs as fns
+from posdefkit import levykhin as lk
+from posdefkit import measure as msr
 from posdefkit import reflection as rf
 
 
@@ -208,6 +210,35 @@ def test_boundary_derivative_halfline_coherence(seed):
     assert rep.sufficient
     assert rep.rp.passed
     assert rep.necessary_witness is not None
+
+
+def test_boundary_derivative_reads_the_gram_bounds():
+    # the library twin of the CLI's unconverged thm59 case: a coarse gridded
+    # density whose transform bounds are far above the quadrature tol
+    dens = pk.GriddedDensity(np.array([0.0, 1.0, 5.0, 20.0]), np.array([1.0, 0.5, 0.2, 0.0]))
+    rep = rf.boundary_derivative_check(pk.Measure(density=dens, support=(0.0, 20.0)), 1.0)
+    assert rep.rp.verdict == "INCONCLUSIVE"
+    assert rep.rp.bound > msr.QUAD_TOL
+    assert rep.necessary_witness is None
+    # atom sums are exact
+    atoms = pk.Measure(atoms=((0.5, 0.7), (1.3, 0.4), (2.2, 0.9)))
+    rep = rf.boundary_derivative_check(atoms, 1.0)
+    assert rep.rp.bound == 0.0
+    assert rep.rp.verdict == "PASS"
+    exp = pk.Measure(density=pk.density_from_spec("exp"), support=(0.0, math.inf))
+    rep = rf.boundary_derivative_check(exp, 1.0)
+    assert 0.0 < rep.rp.bound <= msr.QUAD_TOL
+    assert rep.rp.verdict == "PASS"
+
+
+def test_reflection_reports_carry_the_largest_gram_bound():
+    synth = lk.reflection_negative_handle(pk.get("abs_power", alpha=0.5).lk_data)
+    rn = rf.reflection_negative_check(synth, 2.0, n=8)
+    assert 0.0 < rn.bound <= msr.QUAD_TOL
+    assert "bound" not in rn.to_dict()
+    closed = pk.get("abs_power", alpha=0.5).func
+    assert rf.reflection_negative_check(closed, 2.0, n=8).bound == 0.0
+    assert rf.reflection_positive_check(pk.get("green", lam=1.0).func, 1.0).bound == 0.0
 
 
 def test_report_serialization():
