@@ -36,6 +36,7 @@ from .measure import (
     HeadBound,
     LaplaceValue,
     Measure,
+    density_from_spec,
     laplace,
     laplace_deriv,
     measure_from_json,
@@ -105,7 +106,6 @@ from .catalog import (
     CatalogEntry,
     FlagClaim,
     default_entries,
-    density_from_spec,
     get,
     lk_synth_value,
     names,

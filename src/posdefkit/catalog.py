@@ -22,91 +22,18 @@ windows (the Fourier sense).
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
 from . import levykhin as lk
 from .diffcalc import bernstein_check, completely_monotone_check
-from .errors import InvalidMeasure, UnknownName
+from .errors import UnknownName
 from .funcs import FuncHandle, chebyshev_grid
 from .kernelcheck import PASS, cnd_check, combine, psd_check, schoenberg_scan, window_gram
-from .measure import HALF_LINE, Envelope, FuncDensity, HeadBound, Measure
+from .measure import HALF_LINE, Measure, density_from_spec
 from .reflection import reflection_negative_check, reflection_positive_check
 
 _LINE = (-math.inf, math.inf)
-
-# ---------------------------------------------------------------------------
-# named densities (serializable by reference from measure JSON)
-
-
-def _power_decay_density(coef, power, decay, name, params):
-    coef = float(coef)
-    power = float(power)
-    decay = float(decay)
-    if coef <= 0 or decay < 0 or not all(map(math.isfinite, (coef, power, decay))):
-        raise InvalidMeasure("density needs coef > 0, decay >= 0, finite power")
-
-    def fn(lam):
-        lam = np.asarray(lam, dtype=np.float64)
-        return coef * np.power(lam, power) * np.exp(-decay * lam)
-
-    return FuncDensity(
-        fn=fn,
-        lo=0.0,
-        hi=math.inf,
-        head=HeadBound(coef=coef, power=power),
-        tail_env=Envelope(coef=coef, power=power, decay=decay),
-        name=name,
-        params=params,
-    )
-
-
-def _stable_sigma(alpha=0.5):
-    # (alpha / Gamma(1-alpha)) lam^(-1-alpha) dlam, the alpha-stable jump density
-    alpha = float(alpha)
-    if not 0.0 < alpha < 1.0:
-        raise InvalidMeasure("stable_sigma needs 0 < alpha < 1")
-    coef = alpha / math.gamma(1.0 - alpha)
-    return _power_decay_density(coef, -1.0 - alpha, 0.0, "stable_sigma", {"alpha": alpha})
-
-
-def _gamma_density(alpha=1.0):
-    alpha = float(alpha)
-    if alpha <= 0:
-        raise InvalidMeasure("gamma density needs alpha > 0")
-    try:
-        coef = 1.0 / math.gamma(alpha)
-    except OverflowError:  # past alpha = 171.6, where 1/Gamma underflows
-        coef = 0.0
-    return _power_decay_density(coef, alpha - 1.0, 1.0, "gamma", {"alpha": alpha})
-
-
-def _raw_power_decay(coef=1.0, power=0.0, decay=0.0):
-    return _power_decay_density(
-        coef, power, decay, "power_decay",
-        {"coef": float(coef), "power": float(power), "decay": float(decay)},
-    )
-
-
-_DENSITY_SPECS = {
-    # dlam, exp(-lam) dlam and exp(-lam)/lam dlam
-    "lebesgue": partial(_power_decay_density, 1.0, 0.0, 0.0, "lebesgue", {}),
-    "exp": partial(_power_decay_density, 1.0, 0.0, 1.0, "exp", {}),
-    "log_sigma": partial(_power_decay_density, 1.0, -1.0, 1.0, "log_sigma", {}),
-    "stable_sigma": _stable_sigma,
-    "gamma": _gamma_density,
-    "power_decay": _raw_power_decay,
-}
-
-
-def density_from_spec(name, params=None):
-    """Build a named density; this is how measure JSON references callables."""
-    try:
-        builder = _DENSITY_SPECS[name]
-    except KeyError:
-        raise UnknownName(f"unknown density {name!r}") from None
-    return builder(**dict(params or {}))
 
 
 def _halfline(atoms=(), density=None):
@@ -179,7 +106,8 @@ def _fractional_power_rep(alpha):
     """Bernstein data (a, b, sigma) of t**alpha for 0 <= alpha <= 1."""
     if alpha in (0.0, 1.0):
         return lk.BernsteinRep(a=1.0 - alpha, b=alpha, sigma=_halfline())
-    return lk.BernsteinRep(a=0.0, b=0.0, sigma=_halfline(density=_stable_sigma(alpha)))
+    sigma = _halfline(density=density_from_spec("stable_sigma", {"alpha": alpha}))
+    return lk.BernsteinRep(a=0.0, b=0.0, sigma=sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +218,8 @@ def _signed_power_entry(alpha=1.5):
         mu = _halfline()
     else:
         coef = alpha * (alpha - 1.0) / math.gamma(2.0 - alpha)
-        mu = _halfline(density=_raw_power_decay(coef, 1.0 - alpha, 0.0))
+        mu = _halfline(density=density_from_spec(
+            "power_decay", {"coef": coef, "power": 1.0 - alpha, "decay": 0.0}))
     rep = lk.LKIntervalRep(t0=1.0, c=-1.0, d=-alpha, mu=mu, interval=HALF_LINE)
     return _power_law("signed_power", -1.0, alpha, flags, rep=rep, params={"alpha": alpha},
                       summary="-t**alpha for 1 <= alpha <= 2")

@@ -159,23 +159,23 @@ def completely_monotone_check(f, grid, k_max=4, deltas=None, tol=None):
 def bernstein_check(psi, grid, k_max=3, deltas=None, tol=None):
     """Nonnegativity plus the differenced-derivative test for Bernstein functions.
 
-    psi must stay >= -tol on the grid, and Delta_delta^(k+1) psi <= tol*scale
-    for k = 0..k_max (psi' completely monotone in difference form).  A
-    nonnegativity violation is reported with witness (t, 0, -1); a derivative
-    violation with the (t, delta, k) triple of the failing difference, where
-    k counts the order of the implied derivative of psi'.
+    psi must stay >= -tol*scale on the grid, scale = max(1, max|psi|), and
+    Delta_delta^(k+1) psi <= tol*scale for k = 0..k_max (psi' completely
+    monotone in difference form).  A nonnegativity violation is reported with
+    witness (t, 0, -1), value/scale and that scale; a derivative violation
+    with the (t, delta, k) triple of the failing difference, where k counts
+    the order of the implied derivative of psi'.
     """
     grid, tol, orders = _scan_setup(grid, tol, k_max, 1)
     vals = np.atleast_1d(psi(grid))
-    i_min = int(np.argmin(vals))
-    if vals[i_min] < -tol:
-        witness = np.array([float(grid[i_min]), 0.0, -1.0])
-        return PositivityVerdict(FAIL, float(vals[i_min]), tol, 1.0, witness, grid)
+    dip = _dip(grid, tol, vals, (0.0, -1.0))
+    if dip is not None:
+        return dip
     worst, witness, failed = _difference_scan(psi, grid, orders, deltas, tol, sign=-1.0)
     if failed:
         t, d_eff, order = witness
         return PositivityVerdict(FAIL, worst, tol, 1.0, np.array([t, d_eff, order - 1]), grid)
-    return PositivityVerdict(PASS, min(worst, float(vals[i_min])), tol, 1.0, None, grid)
+    return PositivityVerdict(PASS, min(worst, float(vals.min())), tol, 1.0, None, grid)
 
 
 def hankel_check(f, c, n, shifted=False, tol=None):
@@ -207,6 +207,17 @@ def hankel_check(f, c, n, shifted=False, tol=None):
     else:
         M = derivs[idx[:, None] + idx[None, :]]
     return psd_check(M, tol)
+
+
+def _dip(grid, tol, vals, witness=()):
+    """FAIL (value/scale, witness (t, *witness)) at the lowest sample when it is
+    below -tol*scale, scale = max(1, max|vals|); None when none is."""
+    scale = _scale(vals)
+    i = int(np.argmin(vals))
+    if vals[i] < -tol * scale:
+        return PositivityVerdict(FAIL, float(vals[i]) / scale, tol, scale,
+                                 np.array([float(grid[i]), *witness]), grid)
+    return None
 
 
 def _sample(f, grid, tol, lo=-math.inf):

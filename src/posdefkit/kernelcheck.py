@@ -291,12 +291,10 @@ def schoenberg_scan(gram, hs=None, tol=None):
     return PositivityVerdict(PASS, min((lams / scales).tolist()), tol, 1.0, None, pts)
 
 
-def schoenberg_check(psi, points, hs=None, kind="plus", tol=None):
-    """``schoenberg_scan`` on the ``kind`` Gram of ``psi`` at the points."""
-    if kind not in ("plus", "minus"):
-        raise ValueError("kind must be 'plus' or 'minus'")
-    gram = gram_plus(psi, points) if kind == "plus" else gram_minus(psi, points)
-    return schoenberg_scan(gram, hs, tol)
+def schoenberg_check(psi, points, hs=None, tol=None):
+    """``schoenberg_scan`` on the Gram of ``psi`` that fits the window of the
+    points (``window_gram``)."""
+    return schoenberg_scan(window_gram(psi, points), hs, tol)
 
 
 def quotient_space(K, tau_pairing, plus_indices, tol=None):

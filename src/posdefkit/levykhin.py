@@ -93,14 +93,6 @@ def _probe_laplace(mu, points, what):
                          f"[{min(points):g}, {max(points):g}]: {exc}") from exc
 
 
-def _require_halfline(mu, what):
-    lam, _ = mu.atom_arrays()
-    if lam.size and np.any(lam < 0):
-        raise InvalidRep(f"{what}: atoms must lie in [0, inf)")
-    if mu.density is not None and mu.density.lo < 0:
-        raise InvalidRep(f"{what}: density support must lie in [0, inf)")
-
-
 @dataclass(frozen=True)
 class LKIntervalRep:
     """Scalars (t0, c, d) and a measure mu on the line; see synth_interval."""
@@ -139,7 +131,8 @@ class LKIncreasingRep:
 
     def __post_init__(self):
         object.__setattr__(self, "c", float(self.c))
-        _require_halfline(self.mu, "increasing representation")
+        if not msr.on_half_line(self.mu):
+            raise InvalidRep("increasing representation: mu must lie in [0, inf)")
         _probe_laplace(self.mu, np.geomspace(0.125, 8.0, 5), "increasing representation")
 
 
@@ -175,14 +168,6 @@ class BernsteinRep:
 # synthesis
 
 
-def _stub_reach(mu):
-    """Largest |lam| the unresolved stub of a function density reaches; 0 otherwise."""
-    dens = mu.density
-    if isinstance(dens, msr.FuncDensity):
-        return abs(dens.lo) + dens.head.cutoff
-    return 0.0
-
-
 def _batch(t, message="", lo=-math.inf, hi=math.inf):
     """t as a 1-d float array; a DomainError names the first t that is not
     finite, else the first outside (lo, hi), as a scalar call there would."""
@@ -195,15 +180,8 @@ def _batch(t, message="", lo=-math.inf, hi=math.inf):
 
 
 def _synth(mu, wsum, g_head, g_tail, offset, t, tol, full, what):
-    """offset + integral g_t(lam) dmu for each t, shaped like t and checked
-    finite; a LaplaceValue when ``full``.  ``wsum(x, w)`` is the weighted sum
-    of ``integrate_against``: one sum_i w_i g_t(x_i) per t."""
-    part, worst, bounds = msr.integrate_against(mu, wsum, g_head, g_tail, tol)
-    value = offset + part
-    bad = ~np.isfinite(value)
-    if bad.any():
-        raise DivergentIntegral(f"{what} overflowed at t = {np.ravel(t)[bad][0]:g}")
-    lv = msr.LaplaceValue.shaped(t, value, bounds, worst <= tol)
+    """``msr.integral_value`` of offset + integral g_t dmu, or its value unless ``full``."""
+    lv = msr.integral_value(mu, wsum, g_head, g_tail, t, tol, what, offset)
     return lv if full else lv.value
 
 
@@ -219,7 +197,7 @@ def synth_interval(rep, t, tol=SYNTH_TOL, full=False):
     u, t0 = ts - rep.t0, rep.t0
     um = float(np.max(np.abs(u)))
     # |e_lam(u)| <= u^2/2 * e^{|lam u|} over the stub
-    g_head = (0.5 * um * um * math.exp(_stub_reach(rep.mu) * (um + abs(t0))), 0.0)
+    g_head = (0.5 * um * um * math.exp(msr.stub_reach(rep.mu.density) * (um + abs(t0))), 0.0)
     return _synth(rep.mu, lambda x, w: _accel.e_lambda_damped_vals(x, u[:, None], t0) @ w, g_head,
                   (2.0 + um, -1.0, min(float(ts.min()), t0)), rep.c + rep.d * u, t, tol, full,
                   "interval synthesis")
@@ -229,7 +207,7 @@ def synth_increasing(rep, t, tol=SYNTH_TOL, full=False):
     """c + integral f_lam(t) dmu for t > 0; equals c exactly at t = 1."""
     ts = _batch(t, "increasing synthesis is defined for t > 0", 0.0)
     um = float(np.max(np.abs(ts - 1.0)))
-    g_head = (um * math.exp(_stub_reach(rep.mu) * um), 0.0)
+    g_head = (um * math.exp(msr.stub_reach(rep.mu.density) * um), 0.0)
     return _synth(rep.mu, lambda x, w: _accel.f_lambda_vals(x, ts[:, None]) @ w, g_head,
                   (2.0, -1.0, min(1.0, float(ts.min()))), rep.c, t, tol, full,
                   "increasing synthesis")
@@ -244,8 +222,10 @@ def _bernstein(rep, ts, t, tol, full):
 
 
 def synth_bernstein(rep, t, tol=SYNTH_TOL, full=False):
-    """a + b*t + integral (1 - e^{-lam t}) dsigma for t > 0; nonnegative."""
-    ts = _batch(t, "Bernstein synthesis is defined for t > 0", 0.0)
+    """a + b*t + integral (1 - e^{-lam t}) dsigma for t >= 0; nonnegative,
+    and exactly a at t = 0."""
+    # the open bound one subnormal below 0 admits t = 0 and rejects every t < 0
+    ts = _batch(t, "Bernstein synthesis is defined for t >= 0", -math.ulp(0.0))
     return _bernstein(rep, ts, t, tol, full)
 
 
@@ -295,10 +275,10 @@ def interval_handle(rep, tol=SYNTH_TOL):
         ts = _batch(ts)
         u, t0 = ts - rep.t0, rep.t0
         um = float(np.max(np.abs(u)))
-        g_head = ((um + 1.0) * math.exp(_stub_reach(rep.mu) * (um + abs(t0))), 0.0)
-        return _synth(rep.mu, lambda x, w: _accel.e_lambda_dt_damped_vals(x, u[:, None], t0) @ w,
-                      g_head, (2.0, -1.0, min(float(ts.min()), t0)), rep.d, ts, tol, True,
-                      "interval first derivative")
+        g_head = ((um + 1.0) * math.exp(msr.stub_reach(rep.mu.density) * (um + abs(t0))), 0.0)
+        return msr.integral_value(
+            rep.mu, lambda x, w: _accel.e_lambda_dt_damped_vals(x, u[:, None], t0) @ w, g_head,
+            (2.0, -1.0, min(float(ts.min()), t0)), ts, tol, "interval first derivative", rep.d)
 
     return quadrature_handle(evaluate, rep.interval, "interval_synth", 8)
 
@@ -451,34 +431,10 @@ def bernstein_to_increasing(rep, tol=SYNTH_TOL):
     value at t = 1, and the lam = 0 atom supplies the linear part.
     """
     c = synth_bernstein(rep, 1.0, tol)
-    atoms = [(0.0, rep.b)] if rep.b > 0 else []
-    atoms += [(lam, lam * w) for lam, w in rep.sigma.atoms]
-    dens = rep.sigma.density
-    new_dens = None
-    if dens is not None:
-        if isinstance(dens, msr.GriddedDensity):
-            new_dens = msr.GriddedDensity(dens.grid, dens.grid * dens.values, dens.rule)
-        else:
-            h = dens.head
-            if dens.lo == 0.0:
-                head = msr.HeadBound(h.coef, h.power + 1.0, h.cutoff)
-            else:
-                head = msr.HeadBound(h.coef * (dens.lo + h.cutoff), h.power, h.cutoff)
-            env = dens.tail_env
-            new_env = (
-                None
-                if env is None
-                else msr.Envelope(env.coef, env.power + 1.0, env.decay, env.cutoff)
-            )
-            base = dens.fn
-            new_dens = msr.FuncDensity(
-                lambda x: x * np.asarray(base(x), dtype=np.float64),
-                dens.lo,
-                dens.hi,
-                head,
-                new_env,
-            )
-    mu = msr.Measure(atoms=tuple(atoms), density=new_dens, support=msr.HALF_LINE)
+    weighted = msr.lambda_weighted(rep.sigma)
+    atoms = ((0.0, rep.b),) if rep.b > 0 else ()
+    mu = msr.Measure(atoms=atoms + weighted.atoms, density=weighted.density,
+                     support=msr.HALF_LINE)
     return LKIncreasingRep(c=c, mu=mu)
 
 

@@ -1,7 +1,10 @@
 """Positive measures on the line and their Laplace transforms.
 
 A :class:`Measure` is a finite list of weighted atoms plus an optional
-density.  Two density representations are supported:
+density.  Only this module reads a density's bounds: the others build
+densities by name (``density_from_spec``), weight them by lambda
+(``lambda_weighted``) and finish integrals through ``integral_value``.  Two
+density representations are supported:
 
 - :class:`GriddedDensity`: sampled values on a strictly increasing grid,
   integrated by the trapezoid rule or by per-cell Gauss-Kronrod on the
@@ -37,12 +40,13 @@ flat however large the batch.
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
 from . import _accel
-from .errors import DivergentIntegral, InvalidMeasure
+from .errors import DivergentIntegral, InvalidMeasure, UnknownName
 from .jsonfmt import render, required
 from .kernelcheck import _scale, resolve_tol
 
@@ -265,6 +269,111 @@ def point_mass(lam, weight=1.0):
     return Measure(atoms=((lam, weight),), support=(lam, lam))
 
 
+def on_half_line(mu):
+    """Whether every atom and the density of ``mu`` lie in [0, inf)."""
+    lam, _ = mu.atom_arrays()
+    return not np.any(lam < 0) and (mu.density is None or mu.density.lo >= 0)
+
+
+def lambda_weighted(mu):
+    """The measure lam * mu(dlam) of a measure on [0, inf): atoms (lam, lam*w)
+    and the density times lam, whose head and tail bounds rise one power
+    (a gridded density is scaled at its knots)."""
+    if not on_half_line(mu):
+        raise InvalidMeasure("lam-weighting needs a measure on [0, inf)")
+    dens = mu.density
+    if isinstance(dens, GriddedDensity):
+        # not lam times the interpolant, and no bound covers the difference
+        dens = GriddedDensity(dens.grid, dens.grid * dens.values, dens.rule)
+    elif dens is not None:
+        h, env, base = dens.head, dens.tail_env, dens.fn
+        # lam <= stub_reach over a head that does not start at 0
+        head = (replace(h, power=h.power + 1.0) if dens.lo == 0.0
+                else replace(h, coef=h.coef * stub_reach(dens)))
+        env = None if env is None else replace(env, power=env.power + 1.0)
+        dens = FuncDensity(lambda x: x * np.asarray(base(x), dtype=np.float64), dens.lo, dens.hi,
+                           head, env)
+    return Measure(tuple((lam, lam * w) for lam, w in mu.atoms), dens, mu.support)
+
+
+def stub_reach(dens):
+    """Largest |lam| the unresolved stub of a function density reaches; 0 otherwise."""
+    return abs(dens.lo) + dens.head.cutoff if isinstance(dens, FuncDensity) else 0.0
+
+
+# ---------------------------------------------------------------------------
+# named densities (serializable by reference from measure JSON)
+
+
+def _power_decay_density(coef, power, decay, name, params):
+    coef = float(coef)
+    power = float(power)
+    decay = float(decay)
+    if coef <= 0 or decay < 0 or not all(map(math.isfinite, (coef, power, decay))):
+        raise InvalidMeasure("density needs coef > 0, decay >= 0, finite power")
+
+    def fn(lam):
+        lam = np.asarray(lam, dtype=np.float64)
+        return coef * np.power(lam, power) * np.exp(-decay * lam)
+
+    return FuncDensity(
+        fn=fn,
+        lo=0.0,
+        hi=math.inf,
+        head=HeadBound(coef=coef, power=power),
+        tail_env=Envelope(coef=coef, power=power, decay=decay),
+        name=name,
+        params=params,
+    )
+
+
+def _stable_sigma(alpha=0.5):
+    # (alpha / Gamma(1-alpha)) lam^(-1-alpha) dlam, the alpha-stable jump density
+    alpha = float(alpha)
+    if not 0.0 < alpha < 1.0:
+        raise InvalidMeasure("stable_sigma needs 0 < alpha < 1")
+    coef = alpha / math.gamma(1.0 - alpha)
+    return _power_decay_density(coef, -1.0 - alpha, 0.0, "stable_sigma", {"alpha": alpha})
+
+
+def _gamma_density(alpha=1.0):
+    alpha = float(alpha)
+    if alpha <= 0:
+        raise InvalidMeasure("gamma density needs alpha > 0")
+    try:
+        coef = 1.0 / math.gamma(alpha)
+    except OverflowError:  # past alpha = 171.6, where 1/Gamma underflows
+        coef = 0.0
+    return _power_decay_density(coef, alpha - 1.0, 1.0, "gamma", {"alpha": alpha})
+
+
+def _raw_power_decay(coef=1.0, power=0.0, decay=0.0):
+    return _power_decay_density(
+        coef, power, decay, "power_decay",
+        {"coef": float(coef), "power": float(power), "decay": float(decay)},
+    )
+
+
+_DENSITY_SPECS = {
+    # dlam, exp(-lam) dlam and exp(-lam)/lam dlam
+    "lebesgue": partial(_power_decay_density, 1.0, 0.0, 0.0, "lebesgue", {}),
+    "exp": partial(_power_decay_density, 1.0, 0.0, 1.0, "exp", {}),
+    "log_sigma": partial(_power_decay_density, 1.0, -1.0, 1.0, "log_sigma", {}),
+    "stable_sigma": _stable_sigma,
+    "gamma": _gamma_density,
+    "power_decay": _raw_power_decay,
+}
+
+
+def density_from_spec(name, params=None):
+    """Build a named density; this is how measure JSON references callables."""
+    try:
+        builder = _DENSITY_SPECS[name]
+    except KeyError:
+        raise UnknownName(f"unknown density {name!r}") from None
+    return builder(**dict(params or {}))
+
+
 # ---------------------------------------------------------------------------
 # quadrature engine
 
@@ -440,6 +549,19 @@ def integrate_against(mu, wsum, g_head=(1.0, 0.0), g_tail=(1.0, 0.0, 0.0), tol=Q
     return total + part, float(np.max(bound)), bound
 
 
+def integral_value(mu, wsum, g_head, g_tail, t, tol, what, offset=None):
+    """``offset`` (if given) plus ``integrate_against(mu, wsum, g_head, g_tail,
+    tol)`` for the batch of t, as a ``LaplaceValue`` shaped like t that is
+    converged when the largest bound meets tol.  A non-finite value raises
+    ``DivergentIntegral`` naming ``what`` and the first such t."""
+    part, worst, bounds = integrate_against(mu, wsum, g_head, g_tail, tol)
+    value = part if offset is None else offset + part
+    bad = ~np.isfinite(value)
+    if bad.any():
+        raise DivergentIntegral(f"{what} overflowed at t = {np.ravel(t)[bad][0]:g}")
+    return LaplaceValue.shaped(t, value, bounds, worst <= tol)
+
+
 # ---------------------------------------------------------------------------
 # public transforms
 
@@ -447,12 +569,11 @@ def integrate_against(mu, wsum, g_head=(1.0, 0.0), g_tail=(1.0, 0.0, 0.0), tol=Q
 def _laplace_g_head(dens, t, k):
     """(coef, power) bound for lam**k * exp(-lam*t) near dens.lo, for every t of the batch."""
     cut = dens.head.cutoff  # stub panel can reach the full head cutoff
-    top = abs(dens.lo) + cut
     # sup of exp(-lam*t) over the stub (lo, lo+cut]; convex in t, so the batch's ends bound it
     grow = max(math.exp(-s * (dens.lo if s >= 0.0 else dens.lo + cut)) for s in (t.min(), t.max()))
     if dens.lo == 0.0:
         return grow, float(k)
-    return (top**k if k else 1.0) * grow, 0.0
+    return (stub_reach(dens)**k if k else 1.0) * grow, 0.0
 
 
 def laplace_deriv(mu, t, k, tol=QUAD_TOL):
@@ -473,15 +594,9 @@ def laplace_deriv(mu, t, k, tol=QUAD_TOL):
     ts = np.ravel(np.asarray(t, dtype=np.float64))
     dens = mu.density
     g_head = _laplace_g_head(dens, ts, k) if isinstance(dens, FuncDensity) else (1.0, 0.0)
-    total, worst, bound = integrate_against(
-        mu, lambda x, w: _accel.exp_weighted_sum(x, w, ts, k), g_head,
-        (1.0, float(k), float(ts.min())), tol
-    )
-    value = (-1.0) ** k * total
-    bad = ~np.isfinite(value)
-    if bad.any():
-        raise DivergentIntegral("transform overflowed at t = %g" % ts[bad][0])
-    return LaplaceValue.shaped(t, value, bound, worst <= tol)
+    sign = (-1.0) ** k  # exact, so it changes no bit of the sums or their bounds
+    return integral_value(mu, lambda x, w: sign * _accel.exp_weighted_sum(x, w, ts, k), g_head,
+                          (1.0, float(k), float(ts.min())), t, tol, "transform")
 
 
 def laplace(mu, t, tol=QUAD_TOL):
@@ -570,9 +685,7 @@ def measure_from_doc(doc):
     density = None
     if dens_doc is not None:
         if "catalog" in dens_doc:
-            from . import catalog
-
-            density = catalog.density_from_spec(dens_doc["catalog"], dens_doc.get("params", {}))
+            density = density_from_spec(dens_doc["catalog"], dens_doc.get("params", {}))
         else:
             density = GriddedDensity(
                 np.asarray(required(dens_doc, "grid", InvalidMeasure), dtype=np.float64),

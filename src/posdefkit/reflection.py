@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import measure as msr
-from .diffcalc import _convex_decreasing, _sample, bernstein_check
+from .diffcalc import _convex_decreasing, _dip, _sample, bernstein_check
 from .errors import (
     ConsistencyError,
     DomainError,
@@ -171,13 +171,8 @@ def polya_check(phi, grid, tol=None):
     caller's promise; the grid must sit in [0, inf).
     """
     grid, tol, vals, scale = _sample(phi, grid, tol, lo=0.0)
-    i_min = int(np.argmin(vals))
-    if vals[i_min] < -tol * scale:
-        return PositivityVerdict(
-            FAIL, float(vals[i_min]) / scale, tol, scale,
-            np.array([float(grid[i_min])]), grid,
-        )
-    return _convex_decreasing(grid, tol, vals, scale)
+    dip = _dip(grid, tol, vals)
+    return _convex_decreasing(grid, tol, vals, scale) if dip is None else dip
 
 
 def extendable_check(psi, a, tol=None):
@@ -194,7 +189,7 @@ def extendable_check(psi, a, tol=None):
     pts = np.concatenate(([0.0], chebyshev_grid(0.0, a, 22), [a]))
     vals = np.atleast_1d(psi(pts))
     scale = _scale(vals)
-    if float(vals.min()) < -tol * scale:
+    if _dip(pts, tol, vals) is not None:
         raise NotConvex("function must be nonnegative on [0, a]")
     slopes = np.diff(vals) / np.diff(pts)
     drop = float(np.max(slopes[:-1] - slopes[1:]))
@@ -229,10 +224,10 @@ def boundary_derivative_check(mu, a, n=12, tol=None):
     when the transform slope there is < -tol.  The slope never decreases
     (phi is convex), so no larger b can qualify when this one fails.  A
     nonpositive boundary slope together with a failed kernel check is a
-    contradiction and raises ``ConsistencyError``.
+    contradiction and raises ``ConsistencyError``; a transform that diverges
+    on the window raises ``DivergentIntegral``.
     """
     a, n, tol = _window(a, n, tol)
-    msr.laplace(mu, a * np.array([1e-3, 0.5, 1.0]), tol=1e-6)  # DivergentIntegral if unusable
     b = 1e-3 * a
     transform = quadrature_handle(lambda ts, k: msr.laplace_deriv(mu, ts, k), (0.0, a),
                                   "transform", 1)
@@ -268,10 +263,7 @@ def periodic_rp(mu_plus, beta, t, tol=msr.QUAD_TOL):
     beta = float(beta)
     if not (beta > 0 and math.isfinite(beta)):
         raise ValueError("beta must be positive and finite")
-    lam, _ = mu_plus.atom_arrays()
-    if (lam.size and np.any(lam < 0)) or (
-        mu_plus.density is not None and mu_plus.density.lo < 0
-    ):
+    if not msr.on_half_line(mu_plus):
         raise InvalidMeasure("periodic construction needs a measure on [0, inf)")
     r = math.fmod(float(t), beta)
     if r < 0.0:

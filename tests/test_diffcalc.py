@@ -96,6 +96,21 @@ def test_bernstein_verdicts():
     assert dc.bernstein_check(pk.get("cosh").func, grid).verdict == "FAIL"
 
 
+@pytest.mark.parametrize("c", [1.0, 1e3])
+def test_bernstein_nonnegativity_does_not_change_when_rescaled(c):
+    # t/(1+t) shifted so that its lowest grid value is -dip
+    grid = fns.chebyshev_grid(0.05, 4.0, 12)
+    low = grid[0] / (1.0 + grid[0])
+    shifted = lambda dip: handle(lambda t: c * (t / (1.0 + t) - low - dip), domain=(0.0, np.inf))
+    assert dc.bernstein_check(shifted(5e-10), grid).verdict == "PASS"
+    deep = shifted(0.1)
+    v, vals = dc.bernstein_check(deep, grid), deep(grid)
+    assert v.verdict == "FAIL"
+    assert v.witness.tolist() == [grid[0], 0.0, -1.0]
+    assert v.scale == max(1.0, float(np.abs(vals).max()))
+    assert v.extremal_eig == vals.min() / v.scale
+
+
 def test_hankel_exp():
     f = pk.get("exp_decay").func
     assert dc.hankel_check(f, 1.0, 3).verdict == "PASS"

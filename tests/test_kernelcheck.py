@@ -136,7 +136,7 @@ def test_schoenberg_minus_power(alpha, want):
     # |t|^alpha is cnd on R exactly for alpha <= 2
     f = fns.from_callable(lambda s, a=alpha: np.abs(s) ** a)
     grid = fns.chebyshev_grid(-2.0, 2.0, 12)
-    v = kc.schoenberg_check(f, grid, kind="minus")
+    v = kc.schoenberg_check(f, grid)
     assert v.verdict == want
     if want == kc.FAIL:
         assert v.h is not None and v.witness is not None
@@ -145,7 +145,7 @@ def test_schoenberg_minus_power(alpha, want):
 def test_schoenberg_plus_linear():
     # exp(-h t) is a rank-one plus kernel, psd for every h
     f = fns.from_callable(lambda s: np.asarray(s, dtype=np.float64))
-    v = kc.schoenberg_check(f, fns.chebyshev_grid(0.1, 4.0, 10), kind="plus")
+    v = kc.schoenberg_check(f, fns.chebyshev_grid(0.1, 4.0, 10))
     assert v.verdict == kc.PASS
 
 
@@ -155,7 +155,7 @@ def test_schoenberg_cnd_consistency():
     pts = fns.chebyshev_grid(0.2, 3.0, 8)
     G = kc.gram_plus(fns.from_callable(lambda s: -f.fn(s)), pts)
     assert kc.cnd_check(G.entries).verdict == kc.PASS
-    v = kc.schoenberg_check(fns.from_callable(lambda s: -f.fn(s)), pts, kind="plus")
+    v = kc.schoenberg_check(fns.from_callable(lambda s: -f.fn(s)), pts)
     assert v.verdict == kc.PASS
 
 

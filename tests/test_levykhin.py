@@ -406,6 +406,7 @@ def test_gram_evaluates_the_density_once():
     (lk.synth_increasing, "log", 0.0),
     (lk.synth_increasing, "log", math.inf),
     (lk.synth_bernstein, "log1p", -1.0),
+    (lk.synth_bernstein, "log1p", -5e-324),
     (lk.synth_reflection_negative, "abs_power", math.nan),
 ])
 def test_batch_rejects_a_bad_t_like_the_scalar_call(fn, name, bad):
@@ -415,6 +416,18 @@ def test_batch_rejects_a_bad_t_like_the_scalar_call(fn, name, bad):
     with pytest.raises(pk.DomainError) as batch:
         fn(rep, np.array([1.5, bad, 2.0]))
     assert str(batch.value) == str(scalar.value)
+
+
+@pytest.mark.parametrize("name, params", [("log1p", {}), ("power", {"alpha": 0.5}), ("ratio", {})])
+def test_bernstein_handle_reaches_t_zero(name, params):
+    entry = pk.get(name, **params)
+    h = lk.bernstein_handle(entry.lk_data)
+    assert h(0.0) == entry.lk_data.a
+    # gram_minus puts t = 0 on the diagonal
+    g = pk.gram_minus(h, fns.chebyshev_grid(0.1, 3.0, 8))
+    exact = entry.func(0.5 * np.abs(g.points[:, None] - g.points[None, :]))
+    slack = 8.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(exact))
+    assert np.all(np.abs(g.entries - exact) <= g.bounds + slack)
 
 
 def test_large_gram_memory_stays_flat():

@@ -549,3 +549,20 @@ def test_gridded_rules_bound_the_interpolant_integral(rule):
         assert abs(value - float(want)) <= bound
         if rule == "gauss-composite":
             assert bound <= 1e-12
+
+
+def test_lambda_weighted_moves_the_measure_one_power_up():
+    mu = pk.Measure(atoms=((0.5, 2.0),), density=pk.density_from_spec("gamma", {"alpha": 1.5}),
+                    support=msr.HALF_LINE)
+    weighted = msr.lambda_weighted(mu)
+    assert weighted.atoms == ((0.5, 1.0),)
+    # the transform of lam*mu is minus the slope of mu's transform
+    t = np.array([0.5, 2.0])
+    got, slope = msr.laplace(weighted, t), msr.laplace_deriv(mu, t, 1)
+    assert got.converged and slope.converged
+    assert np.all(np.abs(got.value + slope.value)
+                  <= got.truncation_bound + slope.truncation_bound + 1e-15)
+    for bad in (pk.Measure(atoms=((-1.0, 1.0),)),
+                pk.Measure(density=pk.GriddedDensity(np.array([-1.0, 1.0]), np.ones(2)))):
+        with pytest.raises(pk.InvalidMeasure):
+            msr.lambda_weighted(bad)

@@ -70,8 +70,8 @@ def test_reflection_negative_powers(alpha, want):
 def test_reflection_negative_scans_match_schoenberg_check(alpha):
     psi = pk.get("abs_power", alpha=alpha).func
     rep = rf.reflection_negative_check(psi, 2.0, 10)
-    for got, kind, lo in ((rep.schoenberg_minus, "minus", -2.0), (rep.schoenberg_plus, "plus", 0.0)):
-        want = pk.schoenberg_check(psi, fns.chebyshev_grid(lo, 2.0, 10), kind=kind)
+    for got, lo in ((rep.schoenberg_minus, -2.0), (rep.schoenberg_plus, 0.0)):
+        want = pk.schoenberg_check(psi, fns.chebyshev_grid(lo, 2.0, 10))
         assert (got.verdict, got.extremal_eig, got.h) == (want.verdict, want.extremal_eig, want.h)
         if want.witness is None:
             assert got.witness is None
@@ -229,6 +229,15 @@ def test_boundary_derivative_reads_the_gram_bounds():
     rep = rf.boundary_derivative_check(exp, 1.0)
     assert 0.0 < rep.rp.bound <= msr.QUAD_TOL
     assert rep.rp.verdict == "PASS"
+
+
+def test_boundary_derivative_check_names_a_divergent_transform():
+    mu = pk.Measure(density=pk.density_from_spec("stable_sigma", {"alpha": 0.5}),
+                    support=msr.HALF_LINE)
+    with pytest.raises(pk.DivergentIntegral) as exc:
+        rf.boundary_derivative_check(mu, 1.0)
+    assert str(exc.value) == ("integrand behaves like (lam-lo)**-1.5 at the lower endpoint; "
+                              "not integrable")
 
 
 def test_reflection_reports_carry_the_largest_gram_bound():
