@@ -9,15 +9,17 @@ Numerical conventions:
 
 - weighted exp sums are accumulated in log space per term, so an individually
   overflowing factor (huge weight, steep exp growth) cannot produce inf*0;
-- ``e_lambda``/``f_lambda`` use closed forms away from zero and a six-term
-  Taylor branch for |lambda*u| < 1e-2.  The wide switch matters for
-  ``e_lambda``: its direct form (expm1(-x) + x)/lam**2 cancels to x**2/2, so
-  the relative error grows like 2*eps/x as x shrinks; at the 1e-2 boundary
-  both branches agree to ~5e-14 and the series is exact to ~5e-17 below it;
+- ``e_lambda`` uses its closed form away from zero and a six-term Taylor
+  branch for |lambda*u| < 1e-2.  The wide switch matters: its direct form
+  (expm1(-x) + x)/lam**2 cancels to x**2/2, so the relative error grows
+  like 2*eps/x as x shrinks; at the 1e-2 boundary both branches agree to
+  ~5e-14 and the series is exact to ~5e-17 below it;
 - the damped kernels fuse the factor exp(-lam*t0) into the basis function
   (t0 = 0 gives e_lambda itself).  For |lambda*u| < 1 they multiply the
   expm1 form by it; beyond that they use a difference of exponentials whose
   every term has a single exponent, so large lam*|u| cannot make 0*inf.
+  The increasing form's f_lambda(t) is the negated ``e_lambda_dt`` kernel
+  at u = t - 1, t0 = 1, whose expm1 form does not cancel for small lam*u.
   ``e_lambda_damped_vals`` forms only the branches its block uses: a block
   wholly inside the series range skips the closed forms;
 - the Bernstein sum of w_i * (1 - exp(-lam_i*t)) skips expm1 at saturated
@@ -99,24 +101,6 @@ def e_lambda_dt_damped_vals(lam, u, t0):
         diff = (np.exp(-lam * t0 - x) - np.exp(-lam * t0)) / lam
     out = np.where(small, prod, diff)
     return np.where(lam == 0.0, -u, out)
-
-
-def f_lambda_vals(lam, t):
-    """(exp(-lam) - exp(-lam*t)) / lam elementwise, with the lam = 0 limit t-1."""
-    lam = np.ascontiguousarray(lam, dtype=np.float64)
-    t = np.asarray(t, dtype=np.float64)
-    u = t - 1.0
-    y = lam * u
-    small = np.abs(y) < SERIES_SWITCH
-    damp = np.exp(-lam)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # plain difference: exp(-lam)*expm1(-y) makes 0*inf for t < 1
-        direct = (damp - np.exp(-lam * t)) / lam
-    y2 = y * y
-    poly = 1.0 - y / 2.0 + y2 / 6.0 - y2 * y / 24.0 + y2 * y2 / 120.0 - y2 * y2 * y / 720.0
-    series = u * poly * damp
-    out = np.where(small, series, direct)
-    return np.where(lam == 0.0, u, out)
 
 
 def one_minus_exp_sum(lam, w, t):

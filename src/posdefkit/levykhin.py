@@ -69,7 +69,7 @@ def e_lambda(lam, t, t0=0.0):
 
 def f_lambda(lam, t):
     """(exp(-lam) - exp(-lam*t)) / lam; equals t - 1 at lam = 0, zero at t = 1."""
-    return float(_accel.f_lambda_vals(lam, float(t))[0])
+    return float(-_accel.e_lambda_dt_damped_vals(lam, float(t) - 1.0, 1.0)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +107,10 @@ class LKIntervalRep:
     interval: tuple = (-math.inf, math.inf)
 
     def __post_init__(self):
-        a, b = float(self.interval[0]), float(self.interval[1])
+        try:
+            a, b = (float(x) for x in self.interval)
+        except (TypeError, ValueError):
+            raise InvalidRep("interval must be two numbers") from None
         object.__setattr__(self, "interval", (a, b))
         object.__setattr__(self, "t0", float(self.t0))
         object.__setattr__(self, "c", float(self.c))
@@ -206,9 +209,10 @@ def synth_interval(rep, t, tol=SYNTH_TOL, full=False):
 def synth_increasing(rep, t, tol=SYNTH_TOL, full=False):
     """c + integral f_lam(t) dmu for t > 0; equals c exactly at t = 1."""
     ts = _batch(t, "increasing synthesis is defined for t > 0", 0.0)
-    um = float(np.max(np.abs(ts - 1.0)))
+    u = ts[:, None] - 1.0
+    um = float(np.max(np.abs(u)))
     g_head = (um * math.exp(msr.stub_reach(rep.mu.density) * um), 0.0)
-    return _synth(rep.mu, lambda x, w: _accel.f_lambda_vals(x, ts[:, None]) @ w, g_head,
+    return _synth(rep.mu, lambda x, w: -(_accel.e_lambda_dt_damped_vals(x, u, 1.0) @ w), g_head,
                   (2.0, -1.0, min(1.0, float(ts.min()))), rep.c, t, tol, full,
                   "increasing synthesis")
 
@@ -428,10 +432,12 @@ def bernstein_to_increasing(rep, tol=SYNTH_TOL):
 
     c = psi(1) and mu = b*delta_0 + lam dsigma(lam): integrating f_lam
     against lam dsigma telescopes to the (1 - e^{-lam t}) kernel minus its
-    value at t = 1, and the lam = 0 atom supplies the linear part.
+    value at t = 1, and the lam = 0 atom supplies the linear part.  A gridded
+    sigma is its interpolant in both c and mu, whatever its rule.
     """
-    c = synth_bernstein(rep, 1.0, tol)
-    weighted = msr.lambda_weighted(rep.sigma)
+    sigma = msr.interpolated(rep.sigma)
+    c = synth_bernstein(replace(rep, sigma=sigma), 1.0, tol)
+    weighted = msr.lambda_weighted(sigma)
     atoms = ((0.0, rep.b),) if rep.b > 0 else ()
     mu = msr.Measure(atoms=atoms + weighted.atoms, density=weighted.density,
                      support=msr.HALF_LINE)
@@ -444,7 +450,7 @@ def bernstein_to_increasing(rep, tol=SYNTH_TOL):
 
 _REPS = {cls.form: cls for cls in (LKIntervalRep, LKIncreasingRep, BernsteinRep)}
 # (to JSON, from JSON) of the ``json_fields`` that are not floats
-_CODECS = {"interval": (list, lambda v: (float(v[0]), float(v[1]))),
+_CODECS = {"interval": (list, lambda v: v),
            "mu": (msr.measure_doc, msr.measure_from_doc),
            "sigma": (msr.measure_doc, msr.measure_from_doc)}
 _FLOAT = (float, float)

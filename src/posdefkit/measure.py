@@ -7,10 +7,9 @@ densities by name (``density_from_spec``), weight them by lambda
 density representations are supported:
 
 - :class:`GriddedDensity`: sampled values on a strictly increasing grid,
-  integrated by the trapezoid rule or by per-cell Gauss-Kronrod on the
-  piecewise-linear interpolant.  This is the JSON round-trip form.  Its
-  error bound covers the disagreement between quadrature rules on that
-  interpolant, not how well the interpolant models a continuous density.
+  standing for their piecewise-linear interpolant.  This is the JSON
+  round-trip form.  Its bound covers the quadrature of that interpolant,
+  not how well the interpolant models a continuous density.
 - :class:`FuncDensity`: a vectorized callable on an interval ``[lo, hi)``
   carrying an analytic bound near ``lo`` (:class:`HeadBound`) and, when
   ``hi`` is infinite, a tail :class:`Envelope`.  This form covers densities
@@ -20,20 +19,22 @@ density representations are supported:
 
 Every integral (transforms, masses, the one-wedge integral and the
 syntheses in ``levykhin``) goes through :func:`integrate_against`, which
-sums atoms exactly and dispatches the density part to one of the two
-quadrature routines.  Both use one embedded rule, 21-point Kronrod with its
-10-point Gauss rule (G10/K21): one pass over a mesh gives a value and an
-error estimate.  Function densities use panels on a geometrically graded
-mesh toward ``lo``; the reported ``truncation_bound`` adds the analytic stub
-and tail bounds and a rounding allowance to the Kronrod-Gauss difference,
-so ``converged`` is an honest claim.
+sums atoms exactly and integrates the density in one refinement loop with
+one embedded rule, 21-point Kronrod and its 10-point Gauss rule (G10/K21):
+one pass over a mesh gives a value and an error estimate.  Function
+densities use panels geometrically graded toward ``lo``, gridded ones
+their knots; the caller's ``breaks`` stay on panel edges.  The reported
+``truncation_bound`` adds the analytic stub and tail bounds and a rounding
+allowance to the Kronrod-Gauss difference, so ``converged`` is an honest
+claim.
 
 One call integrates a whole batch of t: the integrand family is given as
 one weighted sum per t and weight column.  The batch shares one truncation
 point and one stub, both sized for its worst-case integrand bounds, and one
 mesh per refinement level, on which the density is evaluated once.  A batch
-not converged on the first mesh refines it, and a refined mesh must also
-agree with the one before.  The integrand is summed over blocks of nodes
+not converged on the first mesh refines it (a graded mesh doubles its
+panels per octave, a knot mesh halves every panel), and a refined mesh must
+also agree with the one before.  The integrand is summed over blocks of nodes
 holding a fixed number (``_BLOCK``) of node-by-t elements, so memory stays
 flat however large the batch.
 """
@@ -156,7 +157,9 @@ class HeadBound:
 
 @dataclass(frozen=True)
 class GriddedDensity:
-    """Density sampled on a strictly increasing grid with nonnegative values."""
+    """Piecewise-linear density through nonnegative values on a strictly
+    increasing grid.  Integrals report its Kronrod value (``"gauss-composite"``)
+    or the trapezoid sum at the knots, whose bound adds |trapezoid - Kronrod|."""
 
     grid: np.ndarray
     values: np.ndarray
@@ -220,8 +223,15 @@ class FuncDensity:
 
 
 @dataclass(frozen=True)
+class _Interpolant(FuncDensity):
+    """A bounded density smooth between its ``knots`` (lo, ..., hi): no stub or tail."""
+
+    knots: np.ndarray = None
+
+
+@dataclass(frozen=True)
 class Measure:
-    """Nonnegative measure: weighted atoms plus an optional density part."""
+    """Nonnegative measure: weighted atoms plus an optional density, inside ``support``."""
 
     atoms: tuple = ()
     density: GriddedDensity | FuncDensity | None = None
@@ -236,8 +246,18 @@ class Measure:
             if w < 0:
                 raise InvalidMeasure("atom weights must be nonnegative")
             cleaned.append((lam, w))
+        try:
+            lo, hi = (float(x) for x in self.support)
+        except (TypeError, ValueError):
+            lo = hi = math.nan
+        if not lo <= hi:
+            raise InvalidMeasure("support must be two numbers lo <= hi")
+        dens = self.density
+        ends = [lam for lam, _ in cleaned] + ([] if dens is None else [dens.lo, dens.hi])
+        if not all(lo <= x <= hi for x in ends):
+            raise InvalidMeasure(f"atoms and density must lie inside the support [{lo:g}, {hi:g}]")
         object.__setattr__(self, "atoms", tuple(cleaned))
-        object.__setattr__(self, "support", (float(self.support[0]), float(self.support[1])))
+        object.__setattr__(self, "support", (lo, hi))
 
     def atom_arrays(self):
         a = np.asarray(self.atoms, dtype=np.float64).reshape(-1, 2)
@@ -275,24 +295,32 @@ def on_half_line(mu):
     return not np.any(lam < 0) and (mu.density is None or mu.density.lo >= 0)
 
 
+def interpolated(mu):
+    """``mu`` with a gridded density as the function density of its
+    interpolant, whose integrals take the Kronrod value; others as they are."""
+    dens = mu.density
+    if not isinstance(dens, GriddedDensity):
+        return mu
+    fn = partial(np.interp, xp=dens.grid, fp=dens.values)
+    return replace(mu, density=_Interpolant(fn, dens.lo, dens.hi, HeadBound(float(dens.values.max())),
+                                            knots=dens.grid))
+
+
 def lambda_weighted(mu):
     """The measure lam * mu(dlam) of a measure on [0, inf): atoms (lam, lam*w)
-    and the density times lam, whose head and tail bounds rise one power
-    (a gridded density is scaled at its knots)."""
+    and the density (a gridded one as its interpolant) times lam, whose head
+    and tail bounds rise one power."""
     if not on_half_line(mu):
         raise InvalidMeasure("lam-weighting needs a measure on [0, inf)")
-    dens = mu.density
-    if isinstance(dens, GriddedDensity):
-        # not lam times the interpolant, and no bound covers the difference
-        dens = GriddedDensity(dens.grid, dens.grid * dens.values, dens.rule)
-    elif dens is not None:
+    dens = interpolated(mu).density
+    if dens is not None:
         h, env, base = dens.head, dens.tail_env, dens.fn
         # lam <= stub_reach over a head that does not start at 0
         head = (replace(h, power=h.power + 1.0) if dens.lo == 0.0
                 else replace(h, coef=h.coef * stub_reach(dens)))
         env = None if env is None else replace(env, power=env.power + 1.0)
-        dens = FuncDensity(lambda x: x * np.asarray(base(x), dtype=np.float64), dens.lo, dens.hi,
-                           head, env)
+        dens = replace(dens, fn=lambda x: x * np.asarray(base(x), dtype=np.float64), head=head,
+                       tail_env=env, name="", params={})
     return Measure(tuple((lam, lam * w) for lam, w in mu.atoms), dens, mu.support)
 
 
@@ -386,20 +414,12 @@ def _panel_nodes(edges):
     return nodes, (half[:, None, None] * _KRONROD_WEIGHTS).reshape(-1, 2)
 
 
-def _graded_edges(lo, eps, span, level, breaks=()):
-    """Geometric mesh lo+eps .. lo+span, panel count doubling with level.
-
-    Interior ``breaks`` are forced onto panel edges so integrand kinks
-    never sit inside a quadrature panel.
-    """
+def _graded_edges(lo, eps, span, level):
+    """Geometric mesh lo+eps .. lo+span, panel count doubling with level."""
     n_oct = max(1, int(math.ceil(math.log2(span / eps))))
     m = min(n_oct * (2**level), _MAX_PANELS)
     ratio = (span / eps) ** (1.0 / m)
-    edges = lo + eps * ratio ** np.arange(m + 1)
-    cuts = [b for b in breaks if edges[0] < b < edges[-1]]
-    if cuts:
-        edges = np.union1d(edges, np.asarray(cuts, dtype=np.float64))
-    return edges
+    return lo + eps * ratio ** np.arange(m + 1)
 
 
 def _stub_epsilon(head, g_coef, g_power, budget, span):
@@ -463,18 +483,26 @@ def _integrate_func_density(dens, wsum, g_head, g_tail, tol, breaks=()):
     bound per t.
     """
     budget = tol / 10.0
-    if math.isinf(dens.hi):
-        gc, gp, gd = g_tail
-        T, tail_bound = _choose_truncation(dens.tail_env, gp, gd, gc, dens.lo, budget)
+    if isinstance(dens, _Interpolant):
+        # level l cuts every panel into 2**l equal ones, at fractional knot indices
+        knots, bound = dens.knots, 0.0
+        mesh = lambda level: np.interp(np.arange((knots.size - 1) * 2**level + 1) / 2**level,
+                                       np.arange(knots.size), knots)
     else:
-        T, tail_bound = dens.hi, 0.0
-    span = T - dens.lo
-    eps, stub_bound = _stub_epsilon(dens.head, g_head[0], g_head[1], budget, span)
+        gc, gp, gd = g_tail
+        T, tail_bound = (_choose_truncation(dens.tail_env, gp, gd, gc, dens.lo, budget)
+                         if math.isinf(dens.hi) else (dens.hi, 0.0))
+        span = T - dens.lo
+        eps, stub_bound = _stub_epsilon(dens.head, g_head[0], g_head[1], budget, span)
+        bound = stub_bound + tail_bound
+        mesh = lambda level: _graded_edges(dens.lo, eps, span, level)
 
     value = None
     for level in range(_MAX_LEVEL + 1):
-        edges = _graded_edges(dens.lo, eps, span, level, breaks)
-        nodes, wts = _panel_nodes(edges)
+        edges = mesh(level)
+        # the kinks listed in ``breaks`` stay on panel edges
+        cuts = [b for b in breaks if edges[0] < b < edges[-1]]
+        nodes, wts = _panel_nodes(np.union1d(edges, cuts) if cuts else edges)
         rho = np.asarray(dens.fn(nodes), dtype=np.float64)
         if rho.shape != nodes.shape:
             raise InvalidMeasure("density callable must return an array matching its input")
@@ -495,28 +523,7 @@ def _integrate_func_density(dens, wsum, g_head, g_tail, tol, breaks=()):
             break
     if not np.all(np.isfinite(value)):
         raise DivergentIntegral("quadrature overflowed; transform diverges on this input")
-    return value, stub_bound + tail_bound + quad_err
-
-
-def _integrate_gridded(dens, wsum):
-    """Integrate wsum against the piecewise-linear interpolant of ``dens``.
-
-    Both rules feed the same ``wsum``: the trapezoid rule as weights on the
-    grid, G10/K21 as 21 nodes per cell, whose Kronrod-Gauss difference bounds
-    the Kronrod value.  Returns one value and one bound per t.
-    """
-    grid, vals = dens.grid, dens.values
-    nodes, wts = _panel_nodes(grid)
-    kron, gauss = np.moveaxis(wsum(nodes, np.interp(nodes, grid, vals)[:, None] * wts), -1, 0)
-    if dens.rule == "trapezoid":
-        half = 0.5 * np.diff(grid)
-        val = wsum(grid, vals * (np.append(half, 0.0) + np.insert(half, 0, 0.0)))
-        bound = np.abs(val - kron) + np.abs(kron - gauss)
-    else:
-        val, bound = kron, np.abs(kron - gauss) + 1e-15 * np.abs(kron)
-    if not np.all(np.isfinite(val + bound)):
-        raise DivergentIntegral("integrand not finite on the density grid")
-    return val, bound
+    return value, bound + quad_err
 
 
 def integrate_against(mu, wsum, g_head=(1.0, 0.0), g_tail=(1.0, 0.0, 0.0), tol=QUAD_TOL, breaks=()):
@@ -527,9 +534,9 @@ def integrate_against(mu, wsum, g_head=(1.0, 0.0), g_tail=(1.0, 0.0, 0.0), tol=Q
     (N, m), one sum per t and per column of W (a scalar or an (m,) array for
     a single integrand).  Atoms are summed exactly through it, with 1-d W.
     For a function density, ``g_head = (coef, power)`` bounds every |g_t|
-    near its lower endpoint, ``g_tail = (coef, power, decay)`` bounds every
-    |g_t| for large lambda, and interior kinks listed in ``breaks`` stay on
-    panel edges.  Returns ``(values, worst, bounds)``: one value and one
+    near its lower endpoint and ``g_tail = (coef, power, decay)`` bounds
+    every |g_t| for large lambda.  Interior kinks listed in ``breaks`` stay
+    on panel edges for either kind of density.  Returns ``(values, worst, bounds)``: one value and one
     bound per t, and the largest bound, which decides convergence.  ``tol``
     must be finite and > 0, as in ``resolve_tol`` (``ValueError``).
     """
@@ -541,10 +548,13 @@ def integrate_against(mu, wsum, g_head=(1.0, 0.0), g_tail=(1.0, 0.0, 0.0), tol=Q
         return total, 0.0, np.zeros_like(total)
     step = max(1, _BLOCK // total.size)
     blocked = lambda x, w: sum(wsum(x[i:i + step], w[i:i + step]) for i in range(0, x.size, step))
-    if isinstance(dens, FuncDensity):
-        part, bound = _integrate_func_density(dens, blocked, g_head, g_tail, tol, breaks)
-    else:
-        part, bound = _integrate_gridded(dens, blocked)
+    part, bound = _integrate_func_density(interpolated(mu).density, blocked, g_head, g_tail, tol,
+                                          breaks)
+    if isinstance(dens, GriddedDensity) and dens.rule == "trapezoid":
+        # the trapezoid sum at the knots, within |trap - K| of the Kronrod value K
+        half = 0.5 * np.diff(dens.grid)
+        trap = blocked(dens.grid, dens.values * (np.append(half, 0.0) + np.insert(half, 0, 0.0)))
+        part, bound = trap, bound + np.abs(trap - part)
     bound = bound + _ROUNDING * np.abs(part)
     return total + part, float(np.max(bound)), bound
 
@@ -613,18 +623,16 @@ def tail_mass(mu, T, tol=QUAD_TOL):
     """Mass of {|lam| > T}; raises ``DivergentIntegral`` when infinite."""
     if T < 0:
         raise ValueError("T must be nonnegative")
+    # the trapezoid sum has no knot at the cut: a gridded density gives its Kronrod value
+    mu = interpolated(mu)
     dens = mu.density
     g_head = (1.0, 0.0)
-    if isinstance(dens, GriddedDensity):
-        # knots at +-T put every Gauss cell of the interpolant on one side of the cut
-        grid = np.union1d(dens.grid, [c for c in (-T, T) if dens.lo < c < dens.hi])
-        dens = GriddedDensity(grid, np.interp(grid, dens.grid, dens.values), "gauss-composite")
-    elif dens is not None and -T <= dens.lo < T:
+    if dens is not None and -T <= dens.lo < T:
         # the indicator is <= ((lam - lo)/(T - lo))**p for any p >= 0; p = 4
         # keeps the stub integrable against heads down to (lam - lo)**-4.9
         g_head = ((T - dens.lo) ** -4.0, 4.0)
     # the cuts at +-T stay on panel edges, so no Gauss panel straddles them
-    return float(integrate_against(Measure(mu.atoms, dens), lambda x, w: w[np.abs(x) > T].sum(0),
+    return float(integrate_against(mu, lambda x, w: w[np.abs(x) > T].sum(0),
                                    g_head, tol=tol, breaks=(-T, T))[0])
 
 
@@ -676,11 +684,14 @@ def measure_doc(mu):
 
 def measure_from_doc(doc):
     """Rebuild a measure from the dict form of ``measure_doc``; a missing key
-    raises ``InvalidMeasure``."""
+    or a malformed value raises ``InvalidMeasure``."""
     if not isinstance(doc, dict):
         raise InvalidMeasure("measure JSON must be an object")
+    atoms = doc.get("atoms", [])
+    if not (isinstance(atoms, list) and all(isinstance(a, dict) for a in atoms)):
+        raise InvalidMeasure("measure JSON atoms must be a list of objects")
     atoms = tuple((float(required(a, "lambda", InvalidMeasure)),
-                   float(required(a, "weight", InvalidMeasure))) for a in doc.get("atoms", []))
+                   float(required(a, "weight", InvalidMeasure))) for a in atoms)
     dens_doc = doc.get("density")
     density = None
     if dens_doc is not None:
@@ -693,9 +704,7 @@ def measure_from_doc(doc):
                 dens_doc.get("rule", "trapezoid"),
             )
     support = doc.get("support")
-    if support is None:
-        support = (-math.inf, math.inf)
-    return Measure(atoms=atoms, density=density, support=(float(support[0]), float(support[1])))
+    return Measure(atoms, density, (-math.inf, math.inf) if support is None else support)
 
 
 def measure_to_json(mu):

@@ -421,3 +421,42 @@ def test_json_input_with_a_missing_field_is_input_error(capsys, tmp_path, cmd, f
     code, out = run(capsys, cmd, flag, str(path), *extra, "--json")
     assert code == 2
     assert repr(missing) in json.loads(out)["error"]
+
+
+_ATOM = {"lambda": 1.0, "weight": 1.0}
+_BAD_MEASURES = {
+    "support_one_entry": {"atoms": [_ATOM], "support": [0]},
+    "support_reversed": {"atoms": [_ATOM], "support": [1, 0]},
+    "support_letter": {"atoms": [_ATOM], "support": "x"},
+    "atom_outside_support": {"atoms": [_ATOM], "support": [2, 3]},
+    "atoms_not_a_list": {"atoms": _ATOM},
+    "grid_values_lengths": {"density": {"grid": [0, 1, 2], "values": [1, 0]}},
+    "missing_weight": {"atoms": [{"lambda": 1.0}]},
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_MEASURES))
+@pytest.mark.parametrize("cmd", ["thm59", "synth"])
+def test_malformed_measure_json_is_input_error(capsys, tmp_path, cmd, case):
+    # the measure alone for thm59, embedded in an increasing representation for synth
+    path = tmp_path / "in.json"
+    doc = _BAD_MEASURES[case]
+    if cmd == "synth":
+        doc = {"form": "increasing", "c": 0.0, "mu": doc}
+        argv = ["synth", "--rep", str(path), "--t", "1.0"]
+    else:
+        argv = ["thm59", "--measure", str(path), "--a", "1.0"]
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, *argv, "--json")
+    assert code == 2
+    assert list(json.loads(out)) == ["error"]
+
+
+@pytest.mark.parametrize("interval", [[0], "xy", None, [1, 0]])
+def test_malformed_representation_interval_is_input_error(capsys, tmp_path, interval):
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps({"form": "interval", "t0": 0.0, "c": 0.0, "d": 0.0,
+                                "interval": interval, "mu": {"atoms": [_ATOM]}}))
+    code, out = run(capsys, "synth", "--rep", str(path), "--t", "0.5", "--json")
+    assert code == 2
+    assert list(json.loads(out)) == ["error"]

@@ -57,6 +57,17 @@ def test_series_switch_matches_reference(lam, t):
     assert lk.f_lambda(lam, t) == pytest.approx(f_ref(lam, t), rel=1e-12, abs=0.0)
 
 
+def test_f_lambda_keeps_its_digits_where_a_plain_difference_cancels():
+    # on 1e-2 <= |lam*(t-1)| < 1 the plain difference e^-lam - e^-(lam t)
+    # cancels: it lost up to 7.1e3 ulps on these draws
+    rng = np.random.default_rng(7)
+    lam = 10.0 ** rng.uniform(0.0, 2.5, 200)
+    x = rng.choice([-1.0, 1.0], 200) * 10.0 ** rng.uniform(-2.0, 0.0, 200)
+    for lam_i, t in zip(lam, 1.0 + x / lam):
+        want = f_ref(lam_i, t)
+        assert abs(lk.f_lambda(lam_i, t) - want) <= 4.0 * math.ulp(want), (lam_i, t)
+
+
 def straddle_grid(u):
     # lambdas on both sides of |lam*u| = 1e-2 (Taylor switch) and 1 (form switch)
     scales = np.array([0.5, 0.9, 0.999, 1.001, 1.1, 2.0])
@@ -296,11 +307,11 @@ def test_bernstein_and_increasing_forms_agree_within_their_bounds(rep, t):
     assert_forms_agree(rep, [t])
 
 
-@pytest.mark.xfail(strict=True, reason="bernstein_to_increasing scales a gridded sigma by lam at "
-                   "the knots only, and the interpolant of lam*v is not lam times the interpolant")
-def test_gridded_sigma_forms_agree_within_their_bounds():
+@pytest.mark.parametrize("rule", ["gauss-composite", "trapezoid"])
+def test_gridded_sigma_forms_agree_within_their_bounds(rule):
+    # both forms integrate the interpolant; the trapezoid bound covers its distance from it
     grid = np.linspace(0.5, 6.0, 8)
-    dens = msr.GriddedDensity(grid, np.exp(-grid), "gauss-composite")
+    dens = msr.GriddedDensity(grid, np.exp(-grid), rule)
     rep = lk.BernsteinRep(a=0.0, b=0.3, sigma=pk.Measure(density=dens, support=(0.0, math.inf)))
     assert_forms_agree(rep, [0.2, 0.7, 2.0, 4.0])
 

@@ -551,6 +551,47 @@ def test_gridded_rules_bound_the_interpolant_integral(rule):
             assert bound <= 1e-12
 
 
+@pytest.mark.parametrize("what", ["one_wedge", "tail_mass"])
+def test_gridded_integrals_keep_a_break_inside_a_cell_on_a_panel_edge(what):
+    # min(1, lam) kinks at 1 and the tail indicator jumps at 1.2, both inside the cell [0.7, 1.6]
+    grid, vals = np.array([0.2, 0.7, 1.6, 3.0]), np.array([1.0, 0.6, 0.9, 0.1])
+    mu = pk.Measure(density=msr.GriddedDensity(grid, vals, "gauss-composite"),
+                    support=msr.HALF_LINE)
+    rho = lambda lam: mp.mpf(np.interp(float(lam), grid, vals))
+    if what == "one_wedge":
+        got = msr.one_wedge_integral(mu)
+        want = mp.quad(lambda lam: min(1, lam) * rho(lam), [0.2, 0.7, 1.0, 1.6, 3.0])
+    else:
+        got, want = msr.tail_mass(mu, 1.2), mp.quad(rho, [1.2, 1.6, 3.0])
+    assert abs(got - float(want)) <= 1e-12
+
+
+def test_gridded_density_halves_the_cells_that_miss_tol():
+    # one G10/K21 pass over the single cell misses tol at t = 8 by 4e7x; halving it converges
+    mu = pk.Measure(density=msr.GriddedDensity(np.array([0.0, 10.0]), np.array([1.0, 0.0]),
+                                               "gauss-composite"), support=(0.0, 10.0))
+    ts = np.array([2.0, 8.0])
+    lv = msr.laplace(mu, ts)
+    want = [float(mp.quad(lambda lam: (1 - lam / 10) * mp.exp(-lam * t), [0, 10])) for t in ts]
+    assert lv.converged
+    assert np.all(np.abs(lv.value - want) <= lv.truncation_bound)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"support": (0.0,)},
+    {"support": (1.0, 0.0)},
+    {"support": "x"},
+    {"support": (0.0, math.nan)},
+    {"atoms": ((-1.0, 1.0),), "support": msr.HALF_LINE},
+    {"density": pk.density_from_spec("exp"), "support": (1.0, math.inf)},
+    {"density": msr.GriddedDensity(np.array([0.0, 5.0]), np.ones(2)), "support": (0.0, 4.0)},
+], ids=["one_entry", "reversed", "letter", "nan", "atom_outside", "func_outside",
+        "grid_outside"])
+def test_measure_needs_a_support_that_holds_it(kwargs):
+    with pytest.raises(pk.InvalidMeasure):
+        pk.Measure(**kwargs)
+
+
 def test_lambda_weighted_moves_the_measure_one_power_up():
     mu = pk.Measure(atoms=((0.5, 2.0),), density=pk.density_from_spec("gamma", {"alpha": 1.5}),
                     support=msr.HALF_LINE)
