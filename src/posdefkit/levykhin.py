@@ -200,7 +200,7 @@ def synth_interval(rep, t, tol=SYNTH_TOL, full=False):
     u, t0 = ts - rep.t0, rep.t0
     um = float(np.max(np.abs(u)))
     # |e_lam(u)| <= u^2/2 * e^{|lam u|} over the stub
-    g_head = (0.5 * um * um * math.exp(msr.stub_reach(rep.mu.density) * (um + abs(t0))), 0.0)
+    g_head = (msr.scaled_exp(0.5 * um * um, msr.stub_reach(rep.mu.density) * (um + abs(t0))), 0.0)
     return _synth(rep.mu, lambda x, w: _accel.e_lambda_damped_vals(x, u[:, None], t0) @ w, g_head,
                   (2.0 + um, -1.0, min(float(ts.min()), t0)), rep.c + rep.d * u, t, tol, full,
                   "interval synthesis")
@@ -211,7 +211,7 @@ def synth_increasing(rep, t, tol=SYNTH_TOL, full=False):
     ts = _batch(t, "increasing synthesis is defined for t > 0", 0.0)
     u = ts[:, None] - 1.0
     um = float(np.max(np.abs(u)))
-    g_head = (um * math.exp(msr.stub_reach(rep.mu.density) * um), 0.0)
+    g_head = (msr.scaled_exp(um, msr.stub_reach(rep.mu.density) * um), 0.0)
     return _synth(rep.mu, lambda x, w: -(_accel.e_lambda_dt_damped_vals(x, u, 1.0) @ w), g_head,
                   (2.0, -1.0, min(1.0, float(ts.min()))), rep.c, t, tol, full,
                   "increasing synthesis")
@@ -279,7 +279,7 @@ def interval_handle(rep, tol=SYNTH_TOL):
         ts = _batch(ts)
         u, t0 = ts - rep.t0, rep.t0
         um = float(np.max(np.abs(u)))
-        g_head = ((um + 1.0) * math.exp(msr.stub_reach(rep.mu.density) * (um + abs(t0))), 0.0)
+        g_head = (msr.scaled_exp(um + 1.0, msr.stub_reach(rep.mu.density) * (um + abs(t0))), 0.0)
         return msr.integral_value(
             rep.mu, lambda x, w: _accel.e_lambda_dt_damped_vals(x, u[:, None], t0) @ w, g_head,
             (2.0, -1.0, min(float(ts.min()), t0)), ts, tol, "interval first derivative", rep.d)

@@ -22,21 +22,21 @@ syntheses in ``levykhin``) goes through :func:`integrate_against`, which
 sums atoms exactly and integrates the density in one refinement loop with
 one embedded rule, 21-point Kronrod and its 10-point Gauss rule (G10/K21):
 one pass over a mesh gives a value and an error estimate.  Function
-densities use panels geometrically graded toward ``lo``, gridded ones
-their knots; the caller's ``breaks`` stay on panel edges.  The reported
-``truncation_bound`` adds the analytic stub and tail bounds and a rounding
-allowance to the Kronrod-Gauss difference, so ``converged`` is an honest
-claim.
+densities use panels uniform in log(lam - lo), two octaves wide at the
+first level, gridded ones their knots; the caller's ``breaks`` stay on
+panel edges.  The reported ``truncation_bound`` adds the analytic stub and
+tail bounds and a rounding allowance to the Kronrod-Gauss difference, so
+``converged`` is an honest claim.
 
 One call integrates a whole batch of t: the integrand family is given as
 one weighted sum per t and weight column.  The batch shares one truncation
 point and one stub, both sized for its worst-case integrand bounds, and one
 mesh per refinement level, on which the density is evaluated once.  A batch
 not converged on the first mesh refines it (a graded mesh doubles its
-panels per octave, a knot mesh halves every panel), and a refined mesh must
-also agree with the one before.  The integrand is summed over blocks of nodes
-holding a fixed number (``_BLOCK``) of node-by-t elements, so memory stays
-flat however large the batch.
+panels per two octaves, a knot mesh halves every panel), and a refined mesh
+must also agree with the one before.  The integrand is summed over blocks of
+nodes holding a fixed number (``_BLOCK``) of node-by-t elements, so memory
+stays flat however large the batch.
 """
 
 import json
@@ -75,7 +75,7 @@ HALF_LINE = (0.0, math.inf)
 # default tolerance of every quadrature: transforms, masses and syntheses
 QUAD_TOL = 1e-10
 
-# refinement levels double the panel count per octave
+# refinement levels double the panel count per two octaves
 _MAX_LEVEL = 4
 _MAX_PANELS = 8192
 # every quadrature bound adds this share of the density part: a refinement
@@ -324,6 +324,15 @@ def lambda_weighted(mu):
     return Measure(tuple((lam, lam * w) for lam, w in mu.atoms), dens, mu.support)
 
 
+def scaled_exp(scale, x):
+    """``scale * e**x`` for a coefficient bound (scale >= 0): 0 when scale is
+    0, +inf where it overflows, so an unbounded integrand bound is no bound."""
+    try:
+        return scale * math.exp(x) if scale else 0.0
+    except OverflowError:
+        return math.inf
+
+
 def stub_reach(dens):
     """Largest |lam| the unresolved stub of a function density reaches; 0 otherwise."""
     return abs(dens.lo) + dens.head.cutoff if isinstance(dens, FuncDensity) else 0.0
@@ -406,20 +415,32 @@ def density_from_spec(name, params=None):
 # quadrature engine
 
 
-def _panel_nodes(edges):
-    """G10/K21 nodes on every panel and their (N, 2) weights: Kronrod, Gauss."""
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * np.diff(edges)
+def _panel_nodes(edges, lo=None):
+    """G10/K21 nodes on every panel and their (N, 2) weights: Kronrod, Gauss.
+
+    With ``lo``, ``edges`` are offsets above lo and the panels are uniform in
+    u = log(lam - lo), where (lam - lo)**p is the entire e**((p+1)u): the
+    nodes are lo + e**u and both weight columns carry the Jacobian lam - lo.
+    """
+    u = edges if lo is None else np.log(edges)
+    mid = 0.5 * (u[:-1] + u[1:])
+    half = 0.5 * np.diff(u)
     nodes = (mid[:, None] + half[:, None] * _KRONROD_NODES).ravel()
-    return nodes, (half[:, None, None] * _KRONROD_WEIGHTS).reshape(-1, 2)
+    wts = (half[:, None, None] * _KRONROD_WEIGHTS).reshape(-1, 2)
+    if lo is None:
+        return nodes, wts
+    off = np.exp(nodes)
+    return lo + off, wts * off[:, None]
 
 
 def _graded_edges(lo, eps, span, level):
-    """Geometric mesh lo+eps .. lo+span, panel count doubling with level."""
+    """Geometric offsets eps .. span above lo, the log-space panel edges of
+    ``_panel_nodes``: 2**level panels per two octaves.  As offsets, a first
+    edge lo + eps never rounds onto lo."""
     n_oct = max(1, int(math.ceil(math.log2(span / eps))))
-    m = min(n_oct * (2**level), _MAX_PANELS)
+    m = min(-(-n_oct // 2) * 2**level, _MAX_PANELS)
     ratio = (span / eps) ** (1.0 / m)
-    return lo + eps * ratio ** np.arange(m + 1)
+    return eps * ratio ** np.arange(m + 1)
 
 
 def _stub_epsilon(head, g_coef, g_power, budget, span):
@@ -429,13 +450,14 @@ def _stub_epsilon(head, g_coef, g_power, budget, span):
         raise DivergentIntegral(
             f"integrand behaves like (lam-lo)**{p:g} at the lower endpoint; not integrable"
         )
-    c = head.coef * g_coef
+    # an overflowed g_coef is +inf: a stub bound of inf, never inf * 0
+    c = head.coef * g_coef if head.coef > 0.0 else 0.0
     if c <= 0.0:
         return min(head.cutoff, 0.5 * span), 0.0
     eps = (budget * (1.0 + p) / c) ** (1.0 / (1.0 + p))
     eps = min(eps, head.cutoff, 0.5 * span)
     eps = max(eps, span * 1e-280)
-    bound = c * eps ** (1.0 + p) / (1.0 + p)
+    bound = c * eps ** (1.0 + p) / (1.0 + p) if c < math.inf else math.inf
     return eps, bound
 
 
@@ -485,7 +507,7 @@ def _integrate_func_density(dens, wsum, g_head, g_tail, tol, breaks=()):
     budget = tol / 10.0
     if isinstance(dens, _Interpolant):
         # level l cuts every panel into 2**l equal ones, at fractional knot indices
-        knots, bound = dens.knots, 0.0
+        knots, bound, origin = dens.knots, 0.0, None
         mesh = lambda level: np.interp(np.arange((knots.size - 1) * 2**level + 1) / 2**level,
                                        np.arange(knots.size), knots)
     else:
@@ -494,15 +516,16 @@ def _integrate_func_density(dens, wsum, g_head, g_tail, tol, breaks=()):
                          if math.isinf(dens.hi) else (dens.hi, 0.0))
         span = T - dens.lo
         eps, stub_bound = _stub_epsilon(dens.head, g_head[0], g_head[1], budget, span)
-        bound = stub_bound + tail_bound
+        bound, origin = stub_bound + tail_bound, dens.lo
         mesh = lambda level: _graded_edges(dens.lo, eps, span, level)
 
+    # the kinks listed in ``breaks`` stay on panel edges, offsets above lo on a graded mesh
+    shift = 0.0 if origin is None else origin
     value = None
     for level in range(_MAX_LEVEL + 1):
         edges = mesh(level)
-        # the kinks listed in ``breaks`` stay on panel edges
-        cuts = [b for b in breaks if edges[0] < b < edges[-1]]
-        nodes, wts = _panel_nodes(np.union1d(edges, cuts) if cuts else edges)
+        cuts = [b - shift for b in breaks if edges[0] < b - shift < edges[-1]]
+        nodes, wts = _panel_nodes(np.union1d(edges, cuts) if cuts else edges, origin)
         rho = np.asarray(dens.fn(nodes), dtype=np.float64)
         if rho.shape != nodes.shape:
             raise InvalidMeasure("density callable must return an array matching its input")
@@ -579,11 +602,11 @@ def integral_value(mu, wsum, g_head, g_tail, t, tol, what, offset=None):
 def _laplace_g_head(dens, t, k):
     """(coef, power) bound for lam**k * exp(-lam*t) near dens.lo, for every t of the batch."""
     cut = dens.head.cutoff  # stub panel can reach the full head cutoff
-    # sup of exp(-lam*t) over the stub (lo, lo+cut]; convex in t, so the batch's ends bound it
-    grow = max(math.exp(-s * (dens.lo if s >= 0.0 else dens.lo + cut)) for s in (t.min(), t.max()))
+    # log-sup of exp(-lam*t) over the stub (lo, lo+cut]; convex in t, so the batch's ends bound it
+    grow = max(-s * (dens.lo if s >= 0.0 else dens.lo + cut) for s in (t.min(), t.max()))
     if dens.lo == 0.0:
-        return grow, float(k)
-    return (stub_reach(dens)**k if k else 1.0) * grow, 0.0
+        return scaled_exp(1.0, grow), float(k)
+    return scaled_exp(stub_reach(dens)**k if k else 1.0, grow), 0.0
 
 
 def laplace_deriv(mu, t, k, tol=QUAD_TOL):

@@ -266,6 +266,17 @@ def test_synth_nonconverged_exit(capsys, tmp_path):
     assert "converged=false" in out
 
 
+@pytest.mark.parametrize("name", ["neg_tlogt", "log"])
+def test_synth_with_an_overflowing_head_bound_exits_3(capsys, tmp_path, name):
+    path = tmp_path / "rep.json"
+    path.write_text(lk.rep_to_json(pk.get(name).lk_data))
+    code, doc, _ = run_json(capsys, "synth", "--rep", str(path), "--t", "800")
+    assert code == 3
+    (rec,) = doc["results"]
+    assert rec["converged"] is False and rec["truncation_bound"] == math.inf
+    assert math.isfinite(rec["value"])
+
+
 def test_synth_gridded_rep_reports_nonconvergence(capsys, tmp_path):
     mu = pk.Measure(
         density=msr.GriddedDensity(np.array([0.0, 1.0, 5.0, 20.0]), np.array([1.0, 0.5, 0.2, 0.0])),

@@ -324,6 +324,19 @@ def test_synth_full_reports_convergence():
     assert lv.truncation_bound <= 1e-10
 
 
+def test_synthesis_with_an_overflowing_head_bound_reports_an_infinite_bound():
+    # stub_reach * |t - t0| past 709 overflows e**(...): the value stays right, unconverged
+    interval = pk.get("neg_tlogt").lk_data
+    for lv, want in [(lk.synth_interval(interval, 800.0, full=True), -800.0 * math.log(800.0)),
+                     (lk.synth_increasing(pk.get("log").lk_data, 800.0, full=True),
+                      math.log(800.0))]:
+        assert not lv.converged and lv.truncation_bound == math.inf
+        assert lv.value == pytest.approx(want, rel=1e-13)
+    psi = lk.interval_handle(interval)
+    assert psi.deriv_at(800.0, 1) == pytest.approx(-math.log(800.0) - 1.0, rel=1e-13)
+    assert psi.bounds_at(800.0, 1) == math.inf
+
+
 def test_gridded_increasing_synthesis():
     # int f_lam(t) e^{-lam} dlam = log((1 + t) / 2), here on a gridded model of e^{-lam}
     g = np.linspace(0.0, 40.0, 4001)

@@ -1,6 +1,9 @@
 """Laplace transform quadrature against closed-form oracles."""
+import ast
+import dataclasses
 import itertools
 import math
+import pathlib
 import subprocess
 import sys
 
@@ -374,6 +377,23 @@ def test_divergent_transforms():
     assert msr.laplace(mu, 0.5).value == pytest.approx(2.0 * math.exp(0.5), rel=1e-14, abs=0.0)
 
 
+def test_an_overflowing_head_bound_is_infinite_not_an_error():
+    # e**(800 * stub) overflows the head coefficient: a diverging transform still
+    # raises DivergentIntegral, and a convergent one comes back with an infinite bound
+    for t in (-800.0, -1.0):
+        with pytest.raises(pk.DivergentIntegral):
+            msr.laplace(exp_measure(), t)
+    steep = pk.Measure(density=pk.density_from_spec("power_decay", {"decay": 1000.0}),
+                       support=msr.HALF_LINE)
+    lv = msr.laplace(steep, np.array([-800.0, 1.0]))
+    assert not lv.converged and np.all(lv.truncation_bound == math.inf)
+    assert lv.value == pytest.approx([1 / 200, 1 / 1001], rel=1e-13)
+    # a head bound of 0 stays 0 against an infinite integrand bound
+    zero = msr.FuncDensity(fn=np.zeros_like, lo=0.0, hi=5.0, head=msr.HeadBound(0.0))
+    lv = msr.laplace(pk.Measure(density=zero, support=(0.0, 5.0)), -800.0)
+    assert lv == msr.LaplaceValue(0.0, 0.0, True)
+
+
 def test_invalid_measures():
     with pytest.raises(pk.InvalidMeasure):
         pk.Measure(atoms=((1.0, -0.5),))
@@ -532,6 +552,61 @@ def test_smooth_densities_meet_their_bounds(name, alpha, k, ts):
     assert lv.converged
     assert np.all(np.abs(lv.value - [float(bern(mp.mpf(t))) for t in ts]) <= lv.truncation_bound)
     assert np.all(lv.truncation_bound <= TOL)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    coef=st.floats(0.2, 3.0),
+    power=st.floats(-0.95, 3.0, exclude_min=True),
+    decay=st.floats(0.05, 6.0),
+    k=st.integers(0, 3),
+    log_tol=st.floats(-12.0, -6.0),
+    ts=st.lists(st.floats(0.02, 6.0), min_size=1, max_size=5),
+)
+def test_log_space_panels_keep_power_decay_transforms_within_their_bounds(coef, power, decay, k,
+                                                                         log_tol, ts):
+    # c lam**p e**-(d lam) has k-th transform derivative (-1)**k c Gamma(p+k+1) (t+d)**-(p+k+1)
+    dens = pk.density_from_spec("power_decay", {"coef": coef, "power": power, "decay": decay})
+    mu = pk.Measure(density=dens, support=msr.HALF_LINE)
+    ts, tol = np.array(ts), 10.0**log_tol
+    lv = msr.laplace_deriv(mu, ts, k, tol)
+    a = mp.mpf(power) + k + 1
+    want = np.array([float((-1) ** k * coef * mp.gamma(a) / (mp.mpf(t) + decay) ** a) for t in ts])
+    slack = 8 * np.finfo(float).eps * np.maximum(1.0, np.abs(want))
+    assert np.all(np.abs(lv.value - want) <= lv.truncation_bound + slack)
+    # wherever the rounding allowance leaves room, the level-0 rule converges:
+    # a Gauss column off by a part in 1e6 shows here, not in the bound
+    if 16 * np.finfo(float).eps * np.abs(want).max() <= tol / 10:
+        assert lv.converged
+
+
+def test_a_smooth_batch_evaluates_its_density_once_on_the_level_0_mesh(monkeypatch):
+    # the Bernstein synthesis of sqrt over the arguments of a 12-point gram_plus:
+    # one density call on 21 nodes per two octaves between the stub and the truncation
+    rep = pk.get("power", alpha=0.5).lk_data
+    dens, calls, meshes = rep.sigma.density, [], []
+    counted = dataclasses.replace(dens, fn=lambda lam: calls.append(lam.size) or dens.fn(lam))
+    rep = dataclasses.replace(rep, sigma=dataclasses.replace(rep.sigma, density=counted))
+    calls.clear()  # the representation's own integrability check
+    graded = msr._graded_edges
+    monkeypatch.setattr(msr, "_graded_edges", lambda *a: meshes.append(a) or graded(*a))
+    grid = pk.chebyshev_grid(0.1, 3.0, 12)
+    lv = lk.synth_bernstein(rep, np.unique(0.5 * (grid[:, None] + grid)), full=True)
+    assert lv.converged
+    (_, eps, span, level), = meshes
+    assert level == 0
+    assert calls == [21 * math.ceil(math.ceil(math.log2(span / eps)) / 2)]
+
+
+def test_benchmark_times_the_package_quadrature_tolerance():
+    # perfbench states its own SYNTH_TOL; read it without importing perfbench
+    bench = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+    for name in ("rounds.py", "oracles.py"):
+        tree = ast.parse((bench / name).read_text(encoding="utf-8"))
+        values = [ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == "SYNTH_TOL" for t in node.targets)]
+        assert values == [msr.QUAD_TOL], name
 
 
 @pytest.mark.parametrize("rule", ["gauss-composite", "trapezoid"])
