@@ -433,7 +433,9 @@ def bernstein_to_increasing(rep, tol=SYNTH_TOL):
     c = psi(1) and mu = b*delta_0 + lam dsigma(lam): integrating f_lam
     against lam dsigma telescopes to the (1 - e^{-lam t}) kernel minus its
     value at t = 1, and the lam = 0 atom supplies the linear part.  A gridded
-    sigma is its interpolant in both c and mu, whatever its rule.
+    sigma is its interpolant in both c and mu, whatever its rule.  c is a
+    quadrature value stored as exact, so the increasing form carries the
+    error of psi(1), up to its bound, at every t.
     """
     sigma = msr.interpolated(rep.sigma)
     c = synth_bernstein(replace(rep, sigma=sigma), 1.0, tol)

@@ -21,22 +21,31 @@ Every integral (transforms, masses, the one-wedge integral and the
 syntheses in ``levykhin``) goes through :func:`integrate_against`, which
 sums atoms exactly and integrates the density in one refinement loop with
 one embedded rule, 21-point Kronrod and its 10-point Gauss rule (G10/K21):
-one pass over a mesh gives a value and an error estimate.  Function
-densities use panels uniform in log(lam - lo), two octaves wide at the
-first level, gridded ones their knots; the caller's ``breaks`` stay on
-panel edges.  The reported ``truncation_bound`` adds the analytic stub and
-tail bounds and a rounding allowance to the Kronrod-Gauss difference, so
-``converged`` is an honest claim.
+one pass over a mesh gives a value and an error estimate.  Gridded
+densities use their knot cells.  A function density has one fixed lattice
+of panels uniform in log(lam - lo): panel j spans the offsets [4**j,
+4**(j+1)] above lo, two octaves.  A quadrature integrates the contiguous
+slice of panels from its stub to its truncation point, both rounded out to
+lattice points.  The caller's ``breaks`` stay on panel edges.  The reported
+``truncation_bound`` adds the analytic stub and tail bounds and a rounding
+allowance to the Kronrod-Gauss difference, so ``converged`` is an honest
+claim.
+
+Only the integrand depends on t, so each function density memoizes its
+lattice: per refinement level, the nodes of one contiguous run of panels
+and the weights times the checked density values.  A slice inside the run
+evaluates nothing; one reaching past it evaluates and checks only its new
+panels.  The memo lives and dies with its density, so ``fn`` must be pure.
 
 One call integrates a whole batch of t: the integrand family is given as
 one weighted sum per t and weight column.  The batch shares one truncation
 point and one stub, both sized for its worst-case integrand bounds, and one
-mesh per refinement level, on which the density is evaluated once.  A batch
-not converged on the first mesh refines it (a graded mesh doubles its
-panels per two octaves, a knot mesh halves every panel), and a refined mesh
-must also agree with the one before.  The integrand is summed over blocks of
-nodes holding a fixed number (``_BLOCK``) of node-by-t elements, so memory
-stays flat however large the batch.
+mesh per refinement level.  A batch not converged on the first mesh
+refines it (level l splits every lattice panel into 2**l, a knot mesh
+halves every cell), and a refined mesh must also agree with the one
+before.  The integrand is summed over blocks of nodes holding a fixed
+number (``_BLOCK``) of node-by-t elements, so memory stays flat however
+large the batch.
 """
 
 import json
@@ -77,7 +86,6 @@ QUAD_TOL = 1e-10
 
 # refinement levels double the panel count per two octaves
 _MAX_LEVEL = 4
-_MAX_PANELS = 8192
 # every quadrature bound adds this share of the density part: a refinement
 # difference below a few ulps of the value is summation noise, not accuracy
 _ROUNDING = 16.0 * np.finfo(float).eps
@@ -203,6 +211,10 @@ class FuncDensity:
     kernel ``1 - exp(-lam*t)`` is the motivating case).  Each integral checks
     its own combined endpoint exponent and raises ``DivergentIntegral`` when
     the pairing is genuinely non-integrable.
+
+    ``fn`` must be pure: the density keeps its values on the lattice panels
+    that its quadratures have reached, for as long as it lives.
+    ``dataclasses.replace`` gives a density with a lattice of its own.
     """
 
     fn: object
@@ -212,6 +224,9 @@ class FuncDensity:
     tail_env: Envelope | None = None
     name: str = ""
     params: dict = field(default_factory=dict)
+    # level -> (j0, j1, nodes, weights times density) of lattice panels j0 .. j1-1;
+    # outside __init__, so dataclasses.replace starts a new density with none
+    _lattice: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not math.isfinite(self.lo):
@@ -433,18 +448,89 @@ def _panel_nodes(edges, lo=None):
     return lo + off, wts * off[:, None]
 
 
-def _graded_edges(lo, eps, span, level):
-    """Geometric offsets eps .. span above lo, the log-space panel edges of
-    ``_panel_nodes``: 2**level panels per two octaves.  As offsets, a first
-    edge lo + eps never rounds onto lo."""
-    n_oct = max(1, int(math.ceil(math.log2(span / eps))))
-    m = min(-(-n_oct // 2) * 2**level, _MAX_PANELS)
-    ratio = (span / eps) ** (1.0 / m)
-    return eps * ratio ** np.arange(m + 1)
+def _log4_floor(x):
+    """The j with 4**j <= x < 4**(j+1), exactly, for a finite x > 0."""
+    return (math.frexp(x)[1] - 1) // 2
 
 
-def _stub_epsilon(head, g_coef, g_power, budget, span):
-    """Largest eps whose unresolved stub [lo, lo+eps] is bounded by budget."""
+def _log4_ceil(x):
+    """The j with 4**(j-1) < x <= 4**j, exactly, for a finite x > 0."""
+    j = _log4_floor(x)
+    return j + (math.ldexp(1.0, 2 * j) < x)
+
+
+def _lattice_end(dens, j):
+    """Offset of the lattice point j above lo: 4**j, or hi - lo past a finite hi."""
+    return min(math.ldexp(1.0, 2 * j), dens.hi - dens.lo)
+
+
+def _lattice_edges(dens, j0, j1, level):
+    """Offsets above lo of the lattice panels j0 .. j1-1, each cut into
+    2**level panels uniform in log: panel j spans [4**j, 4**(j+1)], and the
+    top panel of a bounded density [4**j, hi - lo].  Every panel's edges
+    depend on j and level alone, so slices of one lattice nest."""
+    ends = np.array([_lattice_end(dens, j) for j in range(j0, j1 + 1)])
+    steps = np.arange(2**level) / 2**level
+    edges = ends[:-1, None] * (ends[1:] / ends[:-1])[:, None] ** steps
+    return np.append(edges.ravel(), ends[-1])
+
+
+def _weighted_nodes(dens, edges, lo=None):
+    """``_panel_nodes(edges, lo)`` with both weight columns times the density,
+    which is checked to be finite and nonnegative at every node."""
+    nodes, wts = _panel_nodes(edges, lo)
+    rho = np.asarray(dens.fn(nodes), dtype=np.float64)
+    if rho.shape != nodes.shape:
+        raise InvalidMeasure("density callable must return an array matching its input")
+    if not np.all(np.isfinite(rho)):
+        raise InvalidMeasure("density callable produced non-finite values")
+    if np.any(rho < 0):
+        worst = float(rho.min())
+        if worst < -1e-12 * _scale(rho):
+            raise InvalidMeasure("density callable produced negative values")
+        rho = np.maximum(rho, 0.0)
+    return nodes, rho[:, None] * wts
+
+
+def _lattice_slice(dens, ja, jb, breaks, level):
+    """Nodes and density-weighted (Kronrod, Gauss) weights of the lattice
+    panels ja .. jb-1 at ``level``, as read-only views of the density's memo.
+
+    The memo keeps one contiguous run of panels per level and grows by the
+    panels of the slice it lacks, so only those are evaluated and checked; a
+    slice apart from the run replaces it.  Each entry is replaced whole, so
+    threads sharing a density may build a panel twice but always slice one
+    consistent entry.  A cut in ``breaks`` strictly inside a panel gets a
+    union mesh of its own, which is not kept.
+    """
+    lo = dens.lo
+    cuts = [b - lo for b in breaks if math.ldexp(1.0, 2 * ja) < b - lo < _lattice_end(dens, jb)]
+    if cuts:
+        edges = _lattice_edges(dens, ja, jb, level)
+        if not np.isin(cuts, edges).all():
+            return _weighted_nodes(dens, np.union1d(edges, cuts), lo)
+    memo = dens._lattice.get(level)
+    if memo is None or ja > memo[1] or jb < memo[0]:
+        memo = (ja, ja, np.empty(0), np.empty((0, 2)))
+    j0, j1, nodes, wr = memo
+    parts = [(nodes, wr)]
+    if ja < j0:
+        parts.insert(0, _weighted_nodes(dens, _lattice_edges(dens, ja, j0, level), lo))
+    if jb > j1:
+        parts.append(_weighted_nodes(dens, _lattice_edges(dens, j1, jb, level), lo))
+    if len(parts) > 1:
+        nodes, wr = (np.concatenate(column) for column in zip(*parts))
+        j0, j1 = min(ja, j0), max(jb, j1)
+        nodes.flags.writeable = wr.flags.writeable = False
+        dens._lattice[level] = (j0, j1, nodes, wr)
+    per = _KRONROD_NODES.size * 2**level
+    return nodes[(ja - j0) * per:(jb - j0) * per], wr[(ja - j0) * per:(jb - j0) * per]
+
+
+def _stub_panel(head, g_coef, g_power, budget, jb):
+    """Lattice index ja < jb of the widest stub [lo, lo + 4**ja] whose bound
+    meets the budget, and that bound.  The stub reaches down to 2**-1022 =
+    4**-511, the smallest normal double, at most."""
     p = head.power + g_power
     if p <= -1.0:
         raise DivergentIntegral(
@@ -452,13 +538,13 @@ def _stub_epsilon(head, g_coef, g_power, budget, span):
         )
     # an overflowed g_coef is +inf: a stub bound of inf, never inf * 0
     c = head.coef * g_coef if head.coef > 0.0 else 0.0
-    if c <= 0.0:
-        return min(head.cutoff, 0.5 * span), 0.0
-    eps = (budget * (1.0 + p) / c) ** (1.0 / (1.0 + p))
-    eps = min(eps, head.cutoff, 0.5 * span)
-    eps = max(eps, span * 1e-280)
-    bound = c * eps ** (1.0 + p) / (1.0 + p) if c < math.inf else math.inf
-    return eps, bound
+    try:
+        eps = (budget * (1.0 + p) / c) ** (1.0 / (1.0 + p)) if c > 0.0 else head.cutoff
+    except OverflowError:  # a coefficient so small that any stub meets the budget
+        eps = head.cutoff
+    ja = min(_log4_floor(max(min(eps, head.cutoff), _SMALLEST_NORMAL)), jb - 1)
+    bound = c * math.ldexp(1.0, 2 * ja) ** (1.0 + p) / (1.0 + p) if c < math.inf else math.inf
+    return ja, bound
 
 
 def _choose_truncation(env, g_power, g_decay, g_coef, lo, budget):
@@ -506,37 +592,36 @@ def _integrate_func_density(dens, wsum, g_head, g_tail, tol, breaks=()):
     """
     budget = tol / 10.0
     if isinstance(dens, _Interpolant):
-        # level l cuts every panel into 2**l equal ones, at fractional knot indices
-        knots, bound, origin = dens.knots, 0.0, None
-        mesh = lambda level: np.interp(np.arange((knots.size - 1) * 2**level + 1) / 2**level,
-                                       np.arange(knots.size), knots)
-    else:
-        gc, gp, gd = g_tail
-        T, tail_bound = (_choose_truncation(dens.tail_env, gp, gd, gc, dens.lo, budget)
-                         if math.isinf(dens.hi) else (dens.hi, 0.0))
-        span = T - dens.lo
-        eps, stub_bound = _stub_epsilon(dens.head, g_head[0], g_head[1], budget, span)
-        bound, origin = stub_bound + tail_bound, dens.lo
-        mesh = lambda level: _graded_edges(dens.lo, eps, span, level)
+        knots, bound = dens.knots, 0.0
 
-    # the kinks listed in ``breaks`` stay on panel edges, offsets above lo on a graded mesh
-    shift = 0.0 if origin is None else origin
+        def mesh(level):
+            # level l cuts every knot cell into 2**l equal panels, at fractional
+            # knot indices; the kinks listed in ``breaks`` stay on panel edges
+            edges = np.interp(np.arange((knots.size - 1) * 2**level + 1) / 2**level,
+                              np.arange(knots.size), knots)
+            cuts = [b for b in breaks if edges[0] < b < edges[-1]]
+            return _weighted_nodes(dens, np.union1d(edges, cuts) if cuts else edges)
+    else:
+        # the lattice slice holds [eps, T]: its ends round out to lattice points,
+        # where the stub and tail bounds hold as well
+        lo = dens.lo
+        if math.isinf(dens.hi):
+            gc, gp, gd = g_tail
+            T, tail_bound = _choose_truncation(dens.tail_env, gp, gd, gc, lo, budget)
+            jb = _log4_ceil(T - lo)
+            # Envelope.tail need not fall with T, but the tail past lo + 4**jb lies past T
+            tail_bound = min(tail_bound, dens.tail_env.tail(
+                max(T, lo + math.ldexp(1.0, 2 * jb)), gp, gd, gc))
+        else:
+            jb, tail_bound = _log4_ceil(dens.hi - lo), 0.0
+        ja, stub_bound = _stub_panel(dens.head, g_head[0], g_head[1], budget, jb)
+        bound = stub_bound + tail_bound
+        mesh = partial(_lattice_slice, dens, ja, jb, breaks)
+
     value = None
     for level in range(_MAX_LEVEL + 1):
-        edges = mesh(level)
-        cuts = [b - shift for b in breaks if edges[0] < b - shift < edges[-1]]
-        nodes, wts = _panel_nodes(np.union1d(edges, cuts) if cuts else edges, origin)
-        rho = np.asarray(dens.fn(nodes), dtype=np.float64)
-        if rho.shape != nodes.shape:
-            raise InvalidMeasure("density callable must return an array matching its input")
-        if not np.all(np.isfinite(rho)):
-            raise InvalidMeasure("density callable produced non-finite values")
-        if np.any(rho < 0):
-            worst = float(rho.min())
-            if worst < -1e-12 * _scale(rho):
-                raise InvalidMeasure("density callable produced negative values")
-            rho = np.maximum(rho, 0.0)
-        kron, gauss = np.moveaxis(wsum(nodes, rho[:, None] * wts), -1, 0)
+        nodes, wr = mesh(level)
+        kron, gauss = np.moveaxis(wsum(nodes, wr), -1, 0)
         quad_err = np.abs(kron - gauss)
         if value is not None:
             # a refined mesh must also agree with the one that failed

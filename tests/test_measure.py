@@ -496,24 +496,27 @@ def test_import_computes_no_rule_table():
     assert out.stdout.splitlines()[-1] == "False"
 
 
+def counted_density(fn, calls, **kwargs):
+    """A FuncDensity of fn that records the size of every call, with a fresh lattice memo."""
+    return msr.FuncDensity(fn=lambda lam: calls.append(lam.size) or fn(lam), **kwargs)
+
+
 @pytest.mark.parametrize("k", [0, 1])
-def test_refined_bound_covers_the_error_at_an_interior_kink(monkeypatch, k):
+def test_refined_bound_covers_the_error_at_an_interior_kink(k):
     # a kink inside the panels: no mesh converges, so every level runs, and
     # each refined value must agree with the last mesh as well as with Gauss
-    levels = []
-    graded = msr._graded_edges
-    monkeypatch.setattr(msr, "_graded_edges", lambda *a: levels.append(a[3]) or graded(*a))
-    dens = msr.FuncDensity(fn=lambda lam: np.abs(lam - 1.3), lo=0.0, hi=3.0,
-                           head=msr.HeadBound(1.3, 0.0, 1.0))
-    mu = pk.Measure(density=dens, support=(0.0, 3.0))
     ts = np.array([0.5, 2.0])
     kink = mp.mpf("1.3")
     want = [float((-1) ** k * mp.quad(lambda lam: abs(lam - kink) * lam**k * mp.exp(-lam * t),
                                       [0, kink, 3])) for t in ts]
     for tol in (1e-6, 1e-8, 1e-10):
-        levels.clear()
-        lv = msr.laplace_deriv(mu, ts, k, tol)
-        assert max(levels) >= 1
+        calls = []
+        dens = counted_density(lambda lam: np.abs(lam - 1.3), calls, lo=0.0, hi=3.0,
+                               head=msr.HeadBound(1.3, 0.0, 1.0))
+        lv = msr.laplace_deriv(pk.Measure(density=dens, support=(0.0, 3.0)), ts, k, tol)
+        # a fresh density is evaluated once per level, on 21 * 2**level nodes a lattice panel
+        assert len(calls) >= 2
+        assert calls == [calls[0] * 2**level for level in range(len(calls))]
         assert np.all(np.abs(lv.value - want) <= lv.truncation_bound)
 
 
@@ -580,22 +583,23 @@ def test_log_space_panels_keep_power_decay_transforms_within_their_bounds(coef, 
         assert lv.converged
 
 
-def test_a_smooth_batch_evaluates_its_density_once_on_the_level_0_mesh(monkeypatch):
+def test_a_smooth_batch_evaluates_its_density_once_on_the_level_0_mesh():
     # the Bernstein synthesis of sqrt over the arguments of a 12-point gram_plus:
-    # one density call on 21 nodes per two octaves between the stub and the truncation
+    # one density call on 21 nodes per two-octave lattice panel from the stub to the truncation
     rep = pk.get("power", alpha=0.5).lk_data
-    dens, calls, meshes = rep.sigma.density, [], []
-    counted = dataclasses.replace(dens, fn=lambda lam: calls.append(lam.size) or dens.fn(lam))
+    dens, calls = rep.sigma.density, []
+    counted = dataclasses.replace(dens, fn=lambda lam: calls.append(lam.copy()) or dens.fn(lam))
     rep = dataclasses.replace(rep, sigma=dataclasses.replace(rep.sigma, density=counted))
     calls.clear()  # the representation's own integrability check
-    graded = msr._graded_edges
-    monkeypatch.setattr(msr, "_graded_edges", lambda *a: meshes.append(a) or graded(*a))
+    counted._lattice.clear()
     grid = pk.chebyshev_grid(0.1, 3.0, 12)
     lv = lk.synth_bernstein(rep, np.unique(0.5 * (grid[:, None] + grid)), full=True)
     assert lv.converged
-    (_, eps, span, level), = meshes
-    assert level == 0
-    assert calls == [21 * math.ceil(math.ceil(math.log2(span / eps)) / 2)]
+    (nodes,) = calls
+    ja = math.floor(math.log(nodes.min(), 4))
+    jb = math.ceil(math.log(nodes.max(), 4))
+    assert 4.0**ja < nodes.min() and nodes.max() < 4.0**jb
+    assert nodes.size == 21 * (jb - ja)
 
 
 def test_benchmark_times_the_package_quadrature_tolerance():
@@ -682,3 +686,113 @@ def test_lambda_weighted_moves_the_measure_one_power_up():
                 pk.Measure(density=pk.GriddedDensity(np.array([-1.0, 1.0]), np.ones(2)))):
         with pytest.raises(pk.InvalidMeasure):
             msr.lambda_weighted(bad)
+
+
+def counted_exp(calls):
+    """The exp density, counting the nodes of every call, with a fresh lattice memo."""
+    dens = pk.density_from_spec("exp")
+    return dataclasses.replace(dens, fn=lambda lam: calls.append(lam.size) or dens.fn(lam))
+
+
+def test_a_repeat_inside_the_lattice_range_evaluates_no_density():
+    calls = []
+    mu = pk.Measure(density=counted_exp(calls), support=msr.HALF_LINE)
+    msr.laplace(mu, np.array([0.5, 2.0]))
+    assert len(calls) == 1
+    # a fresh t inside the batch: its stub and truncation fall inside the batch's slice
+    lv = msr.laplace(mu, 1.3)
+    assert len(calls) == 1
+    # a slice of the memo gives the bits of a fresh lattice
+    fresh = msr.laplace(pk.Measure(density=counted_exp([]), support=msr.HALF_LINE), 1.3)
+    assert (lv.value, lv.truncation_bound) == (fresh.value, fresh.truncation_bound)
+
+
+@pytest.mark.parametrize("first, then", [((20.0, 1e-6), (0.01, 1e-6)), ((2.0, 1e-6), (2.0, 1e-12))],
+                         ids=["tail", "stub"])
+def test_a_wider_range_evaluates_only_its_new_panels(first, then):
+    # gamma(1/2): a smaller t truncates further out, a smaller tol also leaves a smaller stub
+    calls = []
+    dens = pk.density_from_spec("gamma", {"alpha": 0.5})
+    dens = dataclasses.replace(dens, fn=lambda lam, fn=dens.fn: calls.append(lam.size) or fn(lam))
+    mu = pk.Measure(density=dens, support=msr.HALF_LINE)
+    msr.laplace(mu, *first)
+    (j0, j1, *_), = dens._lattice.values()
+    lv = msr.laplace(mu, *then)
+    assert lv.converged and abs(lv.value - (1.0 + then[0]) ** -0.5) <= lv.truncation_bound
+    (k0, k1, *_), = dens._lattice.values()
+    assert (k0 < j0, j1 < k1) == ((True, False) if then[1] < first[1] else (False, True))
+    assert calls[1:] == [21 * n for n in (j0 - k0, k1 - j1) if n]
+
+
+def test_refinement_levels_grow_their_own_lattices():
+    # the kink density at two tolerances: each level adds 21 * 2**level nodes per new panel
+    calls = []
+    dens = counted_density(lambda lam: np.abs(lam - 1.3), calls, lo=0.0, hi=3.0,
+                           head=msr.HeadBound(1.3, 0.0, 1.0))
+    mu = pk.Measure(density=dens, support=(0.0, 3.0))
+    msr.laplace(mu, np.array([0.5, 2.0]), 1e-6)
+    before = {level: memo[:2] for level, memo in dens._lattice.items()}
+    calls.clear()
+    msr.laplace(mu, np.array([0.5, 2.0]), 1e-10)
+    after = {level: memo[:2] for level, memo in dens._lattice.items()}
+    assert sorted(after) == list(range(msr._MAX_LEVEL + 1)) == sorted(before)
+    assert calls == [21 * 2**level * (before[level][0] - after[level][0]) for level in after]
+    assert all(after[level][1] == before[level][1] for level in after)
+
+
+def test_a_replaced_density_starts_its_own_lattice():
+    mu = exp_measure()
+    dens, t = mu.density, np.array([0.5, 2.0])
+    base = msr.laplace(mu, t)
+    assert dens._lattice
+    doubled = dataclasses.replace(dens, fn=lambda lam: 2.0 * dens.fn(lam))
+    assert not doubled._lattice
+    # doubling every density value doubles every product and sum exactly
+    assert np.array_equal(msr.laplace(pk.Measure(density=doubled, support=msr.HALF_LINE), t).value,
+                          2.0 * base.value)
+    # lam e**-lam has transform 1 / (1 + t)**2
+    weighted = msr.laplace(msr.lambda_weighted(mu), t)
+    assert np.all(np.abs(weighted.value - 1.0 / (1.0 + t) ** 2) <= weighted.truncation_bound)
+
+
+def test_a_density_is_checked_only_on_the_panels_a_quadrature_reaches():
+    # e**-(lam/10), but negative past lam = 100: the transform at t = 5 never gets there
+    calls = []
+    fn = lambda lam: np.where(lam < 100.0, np.exp(-0.1 * lam), -1.0)
+    dens = counted_density(fn, calls, lo=0.0, hi=math.inf, head=msr.HeadBound(1.0),
+                           tail_env=msr.Envelope(1.0, decay=0.1))
+    mu = pk.Measure(density=dens, support=msr.HALF_LINE)
+    lv = msr.laplace(mu, 5.0)
+    assert lv.converged and abs(lv.value - 1.0 / 5.1) <= lv.truncation_bound
+    with pytest.raises(pk.InvalidMeasure, match="negative"):
+        msr.laplace(mu, 0.01)
+    # the failed panels were not kept: the first slice still costs nothing
+    calls.clear()
+    assert msr.laplace(mu, 5.0) == lv and not calls
+
+
+@pytest.mark.parametrize("hi", [1.0 + 1e-9, 3.0, 4.0, 5.0, 1000.7, 4.0**3 * 1.0001, 2e6])
+def test_bounded_lattice_edges_increase_strictly_and_nest(hi):
+    dens = msr.FuncDensity(fn=np.ones_like, lo=-0.5, hi=hi, head=msr.HeadBound(1.0))
+    jb = math.ceil(math.log(hi + 0.5, 4) - 1e-12)
+    for level in range(msr._MAX_LEVEL + 1):
+        edges = msr._lattice_edges(dens, -3, jb, level)
+        assert edges.size == (jb + 3) * 2**level + 1
+        assert np.all(np.diff(edges) > 0.0)
+        assert edges[0] == 4.0**-3 and edges[-1] == hi + 0.5
+        # every level splits the panels of the level before, and a slice takes its panels' edges
+        if level:
+            assert np.array_equal(edges[::2], msr._lattice_edges(dens, -3, jb, level - 1))
+        assert np.array_equal(msr._lattice_edges(dens, -1, jb, level), edges[2 * 2**level:])
+
+
+@pytest.mark.parametrize("coef, t, tol", [(3.0, 0.02, 1e-12), (1e-30, 1.0, 1e-10)],
+                         ids=["deep", "tiny_coef"])
+def test_the_stub_reaches_down_to_the_smallest_normal_double(coef, t, tol):
+    # 3 lam**-0.95 needs a stub near 3e-294 at tol 1e-12; at coef 1e-30 the
+    # stub that meets the budget, (budget * 0.05 / coef)**20, overflows
+    dens = pk.density_from_spec("power_decay", {"coef": coef, "power": -0.95, "decay": 0.05})
+    lv = msr.laplace_deriv(pk.Measure(density=dens, support=msr.HALF_LINE), t, 0, tol)
+    want = coef * mp.gamma(mp.mpf("0.05")) * (mp.mpf(t) + mp.mpf("0.05")) ** mp.mpf("-0.05")
+    assert lv.converged
+    assert abs(lv.value - float(want)) <= lv.truncation_bound
