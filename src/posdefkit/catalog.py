@@ -355,6 +355,7 @@ def get(name, **params):
         builder = _BUILDERS[name]
     except KeyError:
         raise UnknownName(f"unknown catalog entry {name!r}") from None
+    UnknownName.check_params(builder, f"catalog entry {name!r}", params)
     return builder(**params)
 
 

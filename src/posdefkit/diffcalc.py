@@ -13,7 +13,8 @@ import math
 import numpy as np
 
 from .errors import DomainError, OrderTooHigh
-from .kernelcheck import FAIL, PASS, PositivityVerdict, _scale, psd_check, resolve_tol
+from .kernelcheck import (FAIL, PASS, PositivityVerdict, _check_points, _decide, _scale,
+                          psd_check, resolve_tol)
 
 _EPS = np.finfo(float).eps
 
@@ -96,8 +97,8 @@ def _difference_scan(f, grid, k_range, deltas, tol, sign):
     signed binomial rows.  sign=+1 demands the differences be >= -tol*scale
     (complete monotonicity), sign=-1 demands them <= tol*scale (Bernstein
     derivative device), with scale = max(1, |f(t)|).  Returns (worst
-    normalized value, witness or None, failed); the witness is the first
-    worst (t, d_eff, k) in (t, delta, k) order.
+    normalized value, witness); the witness is None on a PASS, else the
+    first worst (t, d_eff, k) in (t, delta, k) order.
     """
     ks = list(k_range)
     deltas = np.asarray(DEFAULT_DELTAS if deltas is None else deltas, dtype=np.float64)
@@ -115,7 +116,7 @@ def _difference_scan(f, grid, k_range, deltas, tol, sign):
             raise DomainError("difference stencil leaves the function domain")
         f(t[i])  # raises the handle's own out-of-domain error
     if not (ks and pts.size):
-        return math.inf, None, False
+        return math.inf, None
     vals = np.asarray(f(pts.ravel())).reshape(-1, width)  # one row per (t, delta)
     diffs = (vals @ _binomial_rows(ks, width).T).reshape(t.size, deltas.size, len(ks))
     local = np.maximum(1.0, np.abs(vals[:: deltas.size, 0]))  # f(t) opens each t's first row
@@ -124,11 +125,10 @@ def _difference_scan(f, grid, k_range, deltas, tol, sign):
     margins[np.isnan(margins)] = np.inf
     i = int(np.argmin(margins))
     worst = float(margins.flat[i])
-    failed = worst < -tol
-    if not failed:
-        return worst, None, False
+    if _decide(worst, tol) == PASS:
+        return worst, None
     i_t, i_d, i_k = np.unravel_index(i, margins.shape)
-    return worst, (float(t[i_t]), float(d_eff[i_t, i_d]), ks[i_k]), True
+    return worst, (float(t[i_t]), float(d_eff[i_t, i_d]), ks[i_k])
 
 
 def _scan_setup(grid, tol, k_max, first):
@@ -150,10 +150,9 @@ def completely_monotone_check(f, grid, k_max=4, deltas=None, tol=None):
     holds the worst difference normalized by max(1, |f(t)|).
     """
     grid, tol, orders = _scan_setup(grid, tol, k_max, 0)
-    worst, witness, failed = _difference_scan(f, grid, orders, deltas, tol, sign=+1.0)
-    if failed:
-        return PositivityVerdict(FAIL, worst, tol, 1.0, np.array(witness), grid)
-    return PositivityVerdict(PASS, worst, tol, 1.0, None, grid)
+    worst, witness = _difference_scan(f, grid, orders, deltas, tol, sign=+1.0)
+    return PositivityVerdict(_decide(worst, tol), worst, tol, 1.0,
+                             None if witness is None else np.array(witness), grid)
 
 
 def bernstein_check(psi, grid, k_max=3, deltas=None, tol=None):
@@ -171,8 +170,8 @@ def bernstein_check(psi, grid, k_max=3, deltas=None, tol=None):
     dip = _dip(grid, tol, vals, (0.0, -1.0))
     if dip is not None:
         return dip
-    worst, witness, failed = _difference_scan(psi, grid, orders, deltas, tol, sign=-1.0)
-    if failed:
+    worst, witness = _difference_scan(psi, grid, orders, deltas, tol, sign=-1.0)
+    if witness is not None:
         t, d_eff, order = witness
         return PositivityVerdict(FAIL, worst, tol, 1.0, np.array([t, d_eff, order - 1]), grid)
     return PositivityVerdict(PASS, min(worst, float(vals.min())), tol, 1.0, None, grid)
@@ -214,16 +213,16 @@ def _dip(grid, tol, vals, witness=()):
     below -tol*scale, scale = max(1, max|vals|); None when none is."""
     scale = _scale(vals)
     i = int(np.argmin(vals))
-    if vals[i] < -tol * scale:
+    if _decide(vals[i], tol, scale) == FAIL:
         return PositivityVerdict(FAIL, float(vals[i]) / scale, tol, scale,
                                  np.array([float(grid[i]), *witness]), grid)
     return None
 
 
 def _sample(f, grid, tol, lo=-math.inf):
-    """The sorted grid (at least three points, none below ``lo``), its tol,
-    f on it, and the scale max(1, max|f|)."""
-    grid = np.sort(np.atleast_1d(np.asarray(grid, dtype=np.float64)))
+    """The sorted grid (at least three distinct points, none below ``lo``),
+    its tol, f on it, and the scale max(1, max|f|)."""
+    grid = _check_points(np.atleast_1d(grid))
     if grid.size < 3:
         raise ValueError("need at least three points")
     if grid[0] < lo:
@@ -257,6 +256,6 @@ def _convex_decreasing(grid, tol, vals, scale):
         j = int(np.argmax(kinks))
         if kinks[j] > worst:
             worst, where = float(kinks[j]), float(grid[j + 1])
-    if worst > tol:
-        return PositivityVerdict(FAIL, -worst, tol, scale, np.array([where]), grid)
-    return PositivityVerdict(PASS, -worst, tol, scale, None, grid)
+    verdict = _decide(-worst, tol)
+    witness = None if verdict == PASS else np.array([where])
+    return PositivityVerdict(verdict, -worst, tol, scale, witness, grid)

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import inspect
+
 
 class PosdefkitError(Exception):
     """Base class for all package-specific errors."""
@@ -55,7 +57,22 @@ class InvalidRep(PosdefkitError, ValueError):
 
 
 class UnknownName(PosdefkitError, KeyError):
-    """A catalog lookup used a name that is not registered."""
+    """A lookup used a name that is not registered, or a parameter that the
+    named builder does not take."""
+
+    __str__ = Exception.__str__  # the message itself, not KeyError's repr of it
+
+    @classmethod
+    def check_params(cls, builder, what, params):
+        """Raise one, naming ``what`` and the parameters ``builder`` accepts,
+        unless ``builder(**params)`` binds to its signature."""
+        sig = inspect.signature(builder)
+        try:
+            sig.bind(**params)
+        except TypeError:
+            accepts = ", ".join(sig.parameters) or "no parameters"
+            extra = [key for key in params if key not in sig.parameters]
+            raise cls(f"{what} accepts {accepts}, not {', '.join(extra)}") from None
 
 
 class ConsistencyError(PosdefkitError, RuntimeError):

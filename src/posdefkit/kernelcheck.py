@@ -6,14 +6,14 @@ Two kernel constructions recur everywhere: the plus kernel ``f((x+y)/2)``
 the eigenvalues alone (``eigvalsh``); only a FAIL runs ``eigh`` for its
 witness vector and decides again on eigh's eigenvalue, so a FAIL keeps the
 bits of a full eigendecomposition and a PASS eigenvalue moves by rounding.
-PASS means the extremal eigenvalue is within ``tol*scale`` of the admissible
-side and FAIL requires a margin beyond it; ``psd_check`` and ``cnd_check``
-return nothing else.  INCONCLUSIVE comes from two places today:
-``schoenberg_scan`` on a Gram with non-finite entries, and the reflection
-module's ``boundary_derivative_check``, when its Grams' entry bounds
-(``KernelGram.bounds``, read as ``ReflectionReport.bound``) exceed the
-quadrature tolerance.  Weighing every verdict against those bounds is
-still open.
+Every PASS or FAIL in the package comes from one rule, ``_decide``: PASS when
+the statistic is within ``tol*scale`` of the admissible side (a tie passes),
+else FAIL; ``psd_check`` and ``cnd_check`` return nothing else.  INCONCLUSIVE
+comes from two places today: ``schoenberg_scan`` on a Gram with non-finite
+entries, and the reflection module's ``boundary_derivative_check``, when its
+Grams' entry bounds (``KernelGram.bounds``, read as ``ReflectionReport.bound``)
+exceed the quadrature tolerance.  Weighing every verdict against those bounds
+is still open.
 """
 
 import math
@@ -174,18 +174,24 @@ def _as_matrix(G):
     return M, pts
 
 
-def _extremal(M, passes, pick, lam=None):
-    """Values first, vectors on FAIL: eigenvalue ``pick`` (0 smallest, -1
-    largest) of symmetric M, given as ``lam`` if the caller has it from
-    ``eigvalsh``, and its eigenvector from ``eigh`` if ``passes`` rejects it
-    there too (None on a PASS)."""
+def _decide(stat, tol, scale=1.0, upper=False):
+    """The one verdict rule: PASS when ``stat`` >= -tol*scale (<= tol*scale
+    when ``upper``), else FAIL.  A tie passes and a NaN fails."""
+    return PASS if (stat <= tol * scale if upper else stat >= -tol * scale) else FAIL
+
+
+def _extremal(M, tol, scale, pick, lam=None):
+    """Values first, vectors on FAIL: eigenvalue ``pick`` of symmetric M (0 smallest, a
+    lower limit; -1 largest, an upper one), as ``lam`` if the caller has it from
+    ``eigvalsh``, with its ``eigh`` eigenvector if that fails too (None on a PASS)."""
+    upper = pick == -1
     if lam is None:
         lam = np.linalg.eigvalsh(M)[pick]
-    if passes(float(lam)):
+    if _decide(float(lam), tol, scale, upper) == PASS:
         return float(lam), None
     vals, vecs = np.linalg.eigh(M)
     lam = float(vals[pick])
-    return lam, None if passes(lam) else vecs[:, pick].copy()
+    return lam, None if _decide(lam, tol, scale, upper) == PASS else vecs[:, pick].copy()
 
 
 def _scale(M):
@@ -230,7 +236,7 @@ def psd_check(G, tol=None):
     """
     M, pts, tol = _symmetric(G, tol)
     scale = _scale(M)
-    lam_min, w = _extremal(M, lambda lam: lam >= -tol * scale, 0)
+    lam_min, w = _extremal(M, tol, scale, 0)
     return PositivityVerdict(PASS if w is None else FAIL, lam_min, tol, scale, w, pts)
 
 
@@ -246,7 +252,7 @@ def cnd_check(G, tol=None):
     P = np.eye(n) - np.full((n, n), 1.0 / n)
     C = _symmetrize(P @ M @ P)
     scale = _scale(M)
-    lam_max, w = _extremal(C, lambda lam: lam <= tol * scale, -1)
+    lam_max, w = _extremal(C, tol, scale, -1)
     if w is None:
         return PositivityVerdict(PASS, lam_max, tol, scale, None, pts)
     w = P @ w
@@ -281,9 +287,9 @@ def schoenberg_scan(gram, hs=None, tol=None):
     k = len(hs) if finite.all() else int(np.argmin(finite))
     lams = np.linalg.eigvalsh(E[:k])[:, 0]
     scales = np.max(E[:k], axis=(1, 2), initial=1.0)  # entries are >= 0
-    for i in np.flatnonzero(lams < -tol * scales):
+    for i in range(k):
         scale = float(scales[i])
-        lams[i], w = _extremal(E[i], lambda lam: lam >= -tol * scale, 0, lams[i])
+        lams[i], w = _extremal(E[i], tol, scale, 0, lams[i])
         if w is not None:
             return PositivityVerdict(FAIL, float(lams[i]), tol, scale, w, pts, h=hs[i])
     if k < len(hs):
@@ -323,12 +329,12 @@ def quotient_space(K, tau_pairing, plus_indices, tol=None):
         raise ValueError("base kernel Gram is not positive semidefinite")
     gram_tau = M[np.ix_(tau[idx], idx)]
     asym = float(np.abs(gram_tau - gram_tau.T).max()) if gram_tau.size else 0.0
-    if asym > tol * _scale(gram_tau):
+    if _decide(asym, tol, _scale(gram_tau), upper=True) == FAIL:
         raise ValueError("kernel is not invariant under the reflection pairing")
     gram_tau = _symmetrize(gram_tau)
     vals = np.linalg.eigvalsh(gram_tau)
     scale = _scale(gram_tau)
-    lam, w = _extremal(gram_tau, lambda lam: lam >= -tol * scale, 0, vals[0])
+    lam, w = _extremal(gram_tau, tol, scale, 0, vals[0])
     if w is not None:
         raise NotReflectionPositive(
             "reflected kernel has a negative direction", witness=w, extremal_eig=lam)

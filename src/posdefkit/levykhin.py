@@ -39,7 +39,7 @@ from .errors import (
 )
 from .funcs import FuncHandle, quadrature_handle
 from .jsonfmt import render, required
-from .kernelcheck import resolve_tol
+from .kernelcheck import FAIL, _decide, resolve_tol
 
 # default quadrature tolerance of every synthesis, and sign tolerance of the fits
 SYNTH_TOL = msr.QUAD_TOL
@@ -378,7 +378,7 @@ def analyze_interval(psi, t0, fit_grid, lambda_grid=None, tol=FIT_TOL):
     c = psi(t0)
     d = derivative(psi, t0, 1)
     y = -np.asarray(derivative(psi, fit, 2))
-    if y.min() < -tol:
+    if _decide(y.min(), tol) == FAIL:
         i = int(np.argmin(y))
         raise NotNegativeDefinite(
             f"second derivative is positive at t = {fit[i]:g}; "
@@ -401,7 +401,7 @@ def analyze_increasing(psi, fit_grid, lambda_grid=None, tol=FIT_TOL):
         raise DomainError("fit grid must lie in (0, inf)")
     c = psi(1.0)
     y = np.asarray(derivative(psi, fit, 1))
-    if y.min() < -tol:
+    if _decide(y.min(), tol) == FAIL:
         i = int(np.argmin(y))
         raise NotIncreasing(f"derivative is negative at t = {fit[i]:g}")
     dpsi = _derivative_handle(psi)

@@ -423,7 +423,9 @@ def density_from_spec(name, params=None):
         builder = _DENSITY_SPECS[name]
     except KeyError:
         raise UnknownName(f"unknown density {name!r}") from None
-    return builder(**dict(params or {}))
+    params = dict(params or {})
+    UnknownName.check_params(builder, f"density {name!r}", params)
+    return builder(**params)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from .kernelcheck import (
     INCONCLUSIVE,
     PASS,
     PositivityVerdict,
+    _decide,
     _scale,
     cnd_check,
     combine,
@@ -105,7 +106,7 @@ def _window(a, n, tol, finite=True):
 def _evenness(f, sym_grid, tol):
     # one evaluation of f on the grid and its mirror image
     vals, mirror = np.split(np.atleast_1d(f(np.concatenate([sym_grid, -sym_grid]))), 2)
-    return float(np.abs(vals - mirror).max()) <= tol * _scale(vals)
+    return _decide(float(np.abs(vals - mirror).max()), tol, _scale(vals), upper=True) == PASS
 
 
 def reflection_positive_check(phi, a, n=12, tol=None):
@@ -193,7 +194,7 @@ def extendable_check(psi, a, tol=None):
         raise NotConvex("function must be nonnegative on [0, a]")
     slopes = np.diff(vals) / np.diff(pts)
     drop = float(np.max(slopes[:-1] - slopes[1:]))
-    if drop > tol * scale:
+    if _decide(drop, tol, scale, upper=True) == FAIL:
         raise NotConvex("sampled slopes decrease; function is not convex on [0, a]")
     # one-sided slope at a-: first-order backward differences pushed through
     # three extrapolation levels (base steps h, 2h, 4h, 8h)
@@ -211,7 +212,7 @@ def extendable_check(psi, a, tol=None):
         domain=(-math.inf, math.inf),
         name=(psi.name or "psi") + "_extended",
     )
-    return bool(slope_a <= tol), extension
+    return _decide(slope_a, tol, upper=True) == PASS, extension
 
 
 def boundary_derivative_check(mu, a, n=12, tol=None):
@@ -232,7 +233,7 @@ def boundary_derivative_check(mu, a, n=12, tol=None):
     transform = quadrature_handle(lambda ts, k: msr.laplace_deriv(mu, ts, k), (0.0, a),
                                   "transform", 1)
     slope_b, slope = transform.deriv_at([b, a], 1)
-    sufficient = slope <= tol
+    sufficient = _decide(slope, tol, upper=True) == PASS
     phi = evenize(transform, "transform_even")
     rp = reflection_positive_check(phi, a, n, tol)
     if not rp.bound <= msr.QUAD_TOL:
@@ -242,8 +243,8 @@ def boundary_derivative_check(mu, a, n=12, tol=None):
         grid = chebyshev_grid(-a, a, max(n, 12))
         vals = np.atleast_1d(phi(grid))
         scale = _scale(vals)
-        nonconstant = float(vals.max() - vals.min()) > tol * scale
-        if nonconstant and slope_b < -tol:
+        nonconstant = _decide(float(vals.max() - vals.min()), tol, scale, upper=True) == FAIL
+        if nonconstant and _decide(slope_b, tol) == FAIL:
             witness = b
     if sufficient and rp.verdict == FAIL:
         raise ConsistencyError(

@@ -24,6 +24,9 @@ def test_names_cover_the_builders():
 def test_get_unknown_name():
     with pytest.raises(pk.UnknownName):
         cat.get("does_not_exist")
+    with pytest.raises(pk.UnknownName) as info:
+        cat.get("thermal_green", lam=1.0, alpha=2.0)
+    assert str(info.value) == "catalog entry 'thermal_green' accepts lam, beta, not alpha"
 
 
 def test_parameter_validation():

@@ -236,6 +236,17 @@ def test_unknown_command_usage_error(capsys):
     assert cli.main([]) == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["catalog:nope"], "unknown catalog entry 'nope'"),
+    (["catalog:ratio", "--alpha", "1"], "catalog entry 'ratio' accepts no parameters, not alpha"),
+    (["catalog:power", "--lam", "1"], "catalog entry 'power' accepts alpha, not lam"),
+])
+def test_a_bad_catalog_name_or_parameter_reports_its_message(capsys, argv, message):
+    code, out = run(capsys, "check-pd", "--function", *argv, "--json")
+    assert (code, out) == (2, jsonfmt.render({"error": message}) + "\n")
+    assert run(capsys, "check-pd", "--function", *argv) == (2, f"error: {message}\n")
+
+
 def test_synth_value(capsys, rep_file):
     code, out = run(capsys, "synth", "--rep", rep_file, "--t", "1.0")
     assert code == 0

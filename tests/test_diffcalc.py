@@ -125,6 +125,15 @@ def test_hankel_cosh_split():
     assert v.verdict == "FAIL"
 
 
+def test_convex_decreasing_rejects_a_repeated_grid_point():
+    # the repeated point gave a 0/0 slope, whose NaN kink hid the real one: PASS
+    f = fns.from_callable(lambda t: 1.0 - np.asarray(t, dtype=np.float64) ** 2 / 10.0)
+    v = dc.convex_decreasing_check(f, [0.0, 0.5, 1.0, 2.0, 3.0])
+    assert v.verdict == "FAIL" and list(v.witness) == [2.0]
+    with pytest.raises(ValueError, match="grid points must be distinct"):
+        dc.convex_decreasing_check(f, [0.0, 0.5, 0.5, 1.0, 2.0, 3.0])
+
+
 def test_convex_decreasing_verdicts():
     sg = np.linspace(0.05, 2.0, 9)
     assert dc.convex_decreasing_check(pk.get("triangle").func, sg).verdict == "PASS"
@@ -202,7 +211,9 @@ def reference_scan(f, grid, k_range, deltas, sign):
 
 
 def assert_scan_matches_reference(f, grid, k_range, deltas, tol, sign):
-    worst, witness, failed = dc._difference_scan(f, grid, k_range, deltas, tol, sign)
+    worst, witness = dc._difference_scan(f, grid, k_range, deltas, tol, sign)
+    failed = witness is not None  # the witness is None exactly on a PASS
+    assert failed == (worst < -tol)
     ref = reference_scan(f, grid, k_range, deltas, sign)
     ref_witness = min(ref, key=ref.get)  # first of the smallest, as a strict < scan keeps
     ref_worst = ref[ref_witness]
@@ -218,8 +229,6 @@ def assert_scan_matches_reference(f, grid, k_range, deltas, tol, sign):
     if failed:
         near = [key for key, m in ref.items() if m <= ref_worst + 2.0 * bound]
         assert witness == ref_witness if len(near) == 1 else witness in near
-    else:
-        assert witness is None
     return failed
 
 

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import posdefkit as pk
+from posdefkit import diffcalc as dc
 from posdefkit import funcs as fns
 from posdefkit import kernelcheck as kc
 from posdefkit import levykhin as lk
@@ -433,3 +434,35 @@ def test_every_check_rejects_a_bad_tol(check, tol):
 def test_every_check_takes_a_good_tol_and_the_default(check):
     _PUBLIC_CHECKS[check](1e-8)
     _PUBLIC_CHECKS[check](None)
+
+
+# a power of two, so each limit below and the statistic the check computes
+# at it are exact
+TIE_TOL = 2.0**-10
+
+
+def _psd_at(stat):
+    """psd_check of a Gram with smallest eigenvalue ``stat``, on scale 4."""
+    return kc.psd_check(np.diag([4.0, stat]), TIE_TOL)
+
+
+def _cnd_at(stat):
+    """cnd_check of a Gram with centered largest eigenvalue ``stat``, on scale 1."""
+    return kc.cnd_check(np.array([[0.0, -stat], [-stat, 0.0]]), TIE_TOL)
+
+
+def _convex_at(stat):
+    """convex_decreasing_check of a function that rises by -``stat``, on scale 1."""
+    f = fns.from_callable(lambda t: np.interp(t, [0.0, 1.0, 2.0], [0.0, -stat, -stat]))
+    return dc.convex_decreasing_check(f, [0.0, 1.0, 2.0], TIE_TOL)
+
+
+@pytest.mark.parametrize("check, limit", [
+    (_psd_at, -4.0 * TIE_TOL), (_cnd_at, TIE_TOL), (_convex_at, -TIE_TOL)])
+def test_a_statistic_at_its_limit_passes_and_one_ulp_beyond_fails(check, limit):
+    at = check(limit)
+    assert (at.extremal_eig, at.verdict) == (limit, kc.PASS)
+    beyond = float(np.nextafter(limit, math.copysign(math.inf, limit)))
+    out = check(beyond)
+    assert (out.extremal_eig, out.verdict) == (beyond, kc.FAIL)
+    assert out.witness is not None

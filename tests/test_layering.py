@@ -1,8 +1,12 @@
-"""Layering: only ``measure`` knows how a density stores its bounds.
+"""Layering: only ``measure`` knows how a density stores its bounds, and
+only ``kernelcheck._decide`` holds a statistic to its tolerance.
 
 The density classes and their bound fields (``head``, ``tail_env``) are
 named in ``measure.py`` alone, apart from the re-exports in
 ``__init__.py``, and ``measure`` imports none of the modules built on it.
+In the four modules that decide verdicts, no comparison reads ``tol`` apart
+from the rule itself, the validity test of ``resolve_tol`` and the rank count
+of ``quotient_space``, which is a threshold and not a verdict.
 """
 import ast
 import pathlib
@@ -13,6 +17,7 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "posdefkit"
 DENSITY_CLASSES = {"HeadBound", "Envelope", "FuncDensity", "GriddedDensity"}
 DENSITY_FIELDS = {"head", "tail_env"}
 ABOVE_MEASURE = {"catalog", "levykhin", "reflection", "cli"}
+VERDICT_MODULES = ("kernelcheck.py", "diffcalc.py", "reflection.py", "levykhin.py")
 
 
 def _tree(name):
@@ -42,6 +47,33 @@ def _density_format_uses(tree, reexports):
             yield from ((node.lineno, a.name) for a in node.names if a.name in DENSITY_CLASSES)
 
 
+def _outside_calls(node):
+    """The nodes of an expression, without the arguments of its calls: a
+    comparison of ``_decide(stat, tol)`` with PASS does not read tol."""
+    yield node
+    if not isinstance(node, ast.Call):
+        for child in ast.iter_child_nodes(node):
+            yield from _outside_calls(child)
+
+
+def _tol_comparisons(tree):
+    """(enclosing top-level definition, source) of every comparison that has
+    the name ``tol`` in an operand."""
+    for top in tree.body:
+        where = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Compare) and any(
+                    isinstance(n, ast.Name) and n.id == "tol"
+                    for operand in (node.left, *node.comparators)
+                    for n in _outside_calls(operand)):
+                yield where, ast.unparse(node)
+
+
+def _not_a_verdict(where, source):
+    return where in ("_decide", "resolve_tol") or (where, source) == (
+        "quotient_space", "vals > tol * scale")
+
+
 def test_measure_imports_no_module_built_on_it():
     assert ABOVE_MEASURE.isdisjoint(_imported_modules(_tree("measure.py")))
 
@@ -49,3 +81,16 @@ def test_measure_imports_no_module_built_on_it():
 @pytest.mark.parametrize("name", sorted(p.name for p in SRC.glob("*.py") if p.name != "measure.py"))
 def test_only_measure_reads_the_density_format(name):
     assert list(_density_format_uses(_tree(name), name == "__init__.py")) == []
+
+
+@pytest.mark.parametrize("name", VERDICT_MODULES)
+def test_every_verdict_goes_through_decide(name):
+    found = [hit for hit in _tol_comparisons(_tree(name)) if not _not_a_verdict(*hit)]
+    assert found == []
+
+
+def test_the_exempt_comparisons_are_still_there():
+    """The exemptions name real code, so a rename cannot empty the rule."""
+    hits = set(_tol_comparisons(_tree("kernelcheck.py")))
+    assert {where for where, _ in hits} == {"_decide", "resolve_tol", "quotient_space"}
+    assert ("quotient_space", "vals > tol * scale") in hits

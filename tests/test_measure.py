@@ -73,6 +73,17 @@ def test_exp_density_laplace(t):
     assert lv.truncation_bound <= TOL
 
 
+@pytest.mark.parametrize("name, params, message", [
+    ("nope", {}, "unknown density 'nope'"),
+    ("exp", {"alpha": 1.0}, "density 'exp' accepts no parameters, not alpha"),
+    ("gamma", {"alpha": 1.0, "beta": 2.0}, "density 'gamma' accepts alpha, not beta"),
+])
+def test_density_from_spec_names_what_it_accepts(name, params, message):
+    with pytest.raises(pk.UnknownName) as info:
+        pk.density_from_spec(name, params)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("alpha", [0.5, 1.5, 3.0])
 def test_gamma_density_laplace(alpha):
     # normalized gamma density integrates to (1+t)^{-alpha}

@@ -124,6 +124,8 @@ def test_polya_grid_validation():
         rf.polya_check(f, np.array([-1.0, 0.0, 1.0]))
     with pytest.raises(ValueError):
         rf.polya_check(f, np.array([0.0, 1.0]))
+    with pytest.raises(ValueError, match="grid points must be distinct"):
+        rf.polya_check(f, np.array([0.0, 0.5, 0.5, 1.0]))
 
 
 def test_extendable_exp():
