@@ -40,8 +40,8 @@ def delta_k(f, t, delta, k):
     k = int(k)
     if k < 0 or k > _K_CAP:
         raise OrderTooHigh(f"difference order must be in 0..{_K_CAP}")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not (delta > 0 and math.isfinite(delta)):
+        raise ValueError("delta must be finite and > 0")
     lo, hi = f.domain
     if t < lo or t + k * delta > hi:
         raise DomainError("difference stencil leaves the function domain")
@@ -101,11 +101,11 @@ def _difference_scan(f, grid, k_range, deltas, tol, sign):
     first worst (t, d_eff, k) in (t, delta, k) order.
     """
     ks = list(k_range)
-    deltas = np.asarray(DEFAULT_DELTAS if deltas is None else deltas, dtype=np.float64)
-    if np.any(deltas <= 0):
-        raise ValueError("delta must be positive")
+    deltas = np.ravel(np.asarray(DEFAULT_DELTAS if deltas is None else deltas, dtype=np.float64))
+    if not (deltas.size and np.all((deltas > 0) & np.isfinite(deltas))):
+        raise ValueError("deltas must be a nonempty list of finite delta > 0")
     t = np.atleast_1d(np.asarray(grid, dtype=np.float64))
-    width = max(ks, default=0) + 1
+    width = max(ks) + 1
     d_eff = deltas * np.maximum(1.0, np.abs(t))[:, None]
     pts = t[:, None, None] + d_eff[..., None] * np.arange(width)
     lo, hi = f.domain
@@ -115,8 +115,6 @@ def _difference_scan(f, grid, k_range, deltas, tol, sign):
         if lo <= t[i] <= hi:
             raise DomainError("difference stencil leaves the function domain")
         f(t[i])  # raises the handle's own out-of-domain error
-    if not (ks and pts.size):
-        return math.inf, None
     vals = np.asarray(f(pts.ravel())).reshape(-1, width)  # one row per (t, delta)
     diffs = (vals @ _binomial_rows(ks, width).T).reshape(t.size, deltas.size, len(ks))
     local = np.maximum(1.0, np.abs(vals[:: deltas.size, 0]))  # f(t) opens each t's first row
@@ -132,8 +130,9 @@ def _difference_scan(f, grid, k_range, deltas, tol, sign):
 
 
 def _scan_setup(grid, tol, k_max, first):
-    """The grid as an array, its tol, and orders first..first+k_max within ``_K_CAP``."""
-    grid = np.atleast_1d(np.asarray(grid, dtype=np.float64))
+    """The grid as a nonempty finite array in its own order, its tol, and
+    orders first..first+k_max within ``_K_CAP``."""
+    grid = _check_points(np.atleast_1d(grid), sort=False)
     tol = resolve_tol(tol, grid.size)
     k_max = int(k_max)
     if k_max < 0:

@@ -110,13 +110,15 @@ class QuotientSpace:
     q_gram_eigvals: np.ndarray
 
 
-def _check_points(points):
+def _check_points(points, sort=True):
+    """The points as a nonempty 1-d array of finite floats, sorted and
+    distinct unless ``sort`` is False, which keeps the caller's order."""
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 1 or pts.size == 0:
         raise ValueError("points must be a nonempty 1-d array")
     if not np.all(np.isfinite(pts)):
         raise NonFiniteEntry("grid points must be finite")
-    if not np.all(np.diff(pts) > 0):
+    if sort and not np.all(np.diff(pts) > 0):
         pts = np.sort(pts)
         if np.any(np.diff(pts) == 0):
             raise ValueError("grid points must be distinct")

@@ -171,17 +171,6 @@ class BernsteinRep:
 # synthesis
 
 
-def _batch(t, message="", lo=-math.inf, hi=math.inf):
-    """t as a 1-d float array; a DomainError names the first t that is not
-    finite, else the first outside (lo, hi), as a scalar call there would."""
-    ts = np.ravel(np.asarray(t, dtype=np.float64))
-    for bad, text in ((~np.isfinite(ts), "synthesis needs a finite t, got {:g}"),
-                      ((ts <= lo) | (ts >= hi), message)):
-        if bad.any():
-            raise DomainError(text.format(ts[bad][0]))
-    return ts
-
-
 def _synth(mu, wsum, g_head, g_tail, offset, t, tol, full, what):
     """``msr.integral_value`` of offset + integral g_t dmu, or its value unless ``full``."""
     lv = msr.integral_value(mu, wsum, g_head, g_tail, t, tol, what, offset)
@@ -196,7 +185,7 @@ def synth_interval(rep, t, tol=SYNTH_TOL, full=False):
     synthesizer here, it takes a scalar or an array of t.
     """
     a, b = rep.interval
-    ts = _batch(t, f"t = {{:g}} outside the open interval ({a:g}, {b:g})", a, b)
+    ts = msr._batch(t, "synthesis", f"t = {{:g}} outside the open interval ({a:g}, {b:g})", a, b)
     u, t0 = ts - rep.t0, rep.t0
     um = float(np.max(np.abs(u)))
     # |e_lam(u)| <= u^2/2 * e^{|lam u|} over the stub
@@ -208,7 +197,7 @@ def synth_interval(rep, t, tol=SYNTH_TOL, full=False):
 
 def synth_increasing(rep, t, tol=SYNTH_TOL, full=False):
     """c + integral f_lam(t) dmu for t > 0; equals c exactly at t = 1."""
-    ts = _batch(t, "increasing synthesis is defined for t > 0", 0.0)
+    ts = msr._batch(t, "synthesis", "increasing synthesis is defined for t > 0", 0.0)
     u = ts[:, None] - 1.0
     um = float(np.max(np.abs(u)))
     g_head = (msr.scaled_exp(um, msr.stub_reach(rep.mu.density) * um), 0.0)
@@ -229,13 +218,13 @@ def synth_bernstein(rep, t, tol=SYNTH_TOL, full=False):
     """a + b*t + integral (1 - e^{-lam t}) dsigma for t >= 0; nonnegative,
     and exactly a at t = 0."""
     # the open bound one subnormal below 0 admits t = 0 and rejects every t < 0
-    ts = _batch(t, "Bernstein synthesis is defined for t >= 0", -math.ulp(0.0))
+    ts = msr._batch(t, "synthesis", "Bernstein synthesis is defined for t >= 0", -math.ulp(0.0))
     return _bernstein(rep, ts, t, tol, full)
 
 
 def synth_reflection_negative(rep, t, tol=SYNTH_TOL, full=False):
     """Even extension a + b|t| + integral (1 - e^{-lam |t|}) dsigma; exactly a at t = 0."""
-    return _bernstein(rep, _batch(np.abs(t)), t, tol, full)
+    return _bernstein(rep, msr._batch(np.abs(t), "synthesis"), t, tol, full)
 
 
 # synthesis form -> (the representation form it reads, its synthesizer)
@@ -276,7 +265,7 @@ def interval_handle(rep, tol=SYNTH_TOL):
         if k > 1:
             lv = msr.laplace_deriv(rep.mu, ts, k - 2, tol)
             return replace(lv, value=-lv.value)
-        ts = _batch(ts)
+        ts = msr._batch(ts, "synthesis")
         u, t0 = ts - rep.t0, rep.t0
         um = float(np.max(np.abs(u)))
         g_head = (msr.scaled_exp(um + 1.0, msr.stub_reach(rep.mu.density) * (um + abs(t0))), 0.0)

@@ -25,7 +25,8 @@ one pass over a mesh gives a value and an error estimate.  Gridded
 densities use their knot cells.  A function density has one fixed lattice
 of panels uniform in log(lam - lo): panel j spans the offsets [4**j,
 4**(j+1)] above lo, two octaves.  A quadrature integrates the contiguous
-slice of panels from its stub to its truncation point, both rounded out to
+slice of panels from the widest stub whose head bound meets the budget to
+the nearest lattice point past which the tail bound does; both ends are
 lattice points.  The caller's ``breaks`` stay on panel edges.  The reported
 ``truncation_bound`` adds the analytic stub and tail bounds and a rounding
 allowance to the Kronrod-Gauss difference, so ``converged`` is an honest
@@ -56,7 +57,7 @@ from functools import partial
 import numpy as np
 
 from . import _accel
-from .errors import DivergentIntegral, InvalidMeasure, UnknownName
+from .errors import DivergentIntegral, DomainError, InvalidMeasure, UnknownName
 from .jsonfmt import render, required
 from .kernelcheck import _scale, resolve_tol
 
@@ -549,36 +550,35 @@ def _stub_panel(head, g_coef, g_power, budget, jb):
     return ja, bound
 
 
-def _choose_truncation(env, g_power, g_decay, g_coef, lo, budget):
-    """Smallest doubling point T = T0 * 2**k with combined tail bound <= budget.
+def _tail_panel(env, g_tail, lo, budget):
+    """Smallest lattice index jb >= 0 with lo + 4**jb at or past the cutoff
+    whose tail bound past lo + 4**jb meets the budget, and that bound.
 
-    The search runs upward from k = 0 and gives up past T = 1e300 or after
-    600 steps.  A pure power-law tail, c * T**a / (-a) with a < 0, starts it
-    at the k of its closed form instead, stepped down while the bound one
-    doubling lower already meets the budget, so both find the same T.
+    The search steps up one lattice point at a time and gives up past 1e300
+    (jb < 500).  A pure power-law tail, c * T**a / (-a) with a < 0, starts
+    it at the jb of its closed form instead, stepped down while the point
+    below also meets the budget, so both find the same jb.
     """
-    T0 = max(env.cutoff, abs(lo) + 1.0, 1.0)
-
-    def tail(k):
-        return env.tail(math.ldexp(T0, k), extra_power=g_power, extra_decay=g_decay,
-                        extra_coef=g_coef)
-
-    k = 0
-    c, a = env.coef * g_coef, env.power + g_power + 1.0
-    if env.decay + g_decay == 0.0 and a < 0.0 and c > 0.0 and budget > 0.0:
+    gc, gp, gd = g_tail
+    end = lambda j: lo + math.ldexp(1.0, 2 * j)
+    tail = lambda j: env.tail(end(j), extra_power=gp, extra_decay=gd, extra_coef=gc)
+    j0 = 0
+    while j0 < 500 and end(j0) < env.cutoff:
+        j0 += 1
+    j, c, a = j0, env.coef * gc, env.power + gp + 1.0
+    if env.decay + gd == 0.0 and a < 0.0 and c > 0.0 and budget > 0.0:
         # c * T**a / (-a) <= budget  <=>  log2 T >= log2((-a) * budget / c) / a
-        need = (math.log2(-a) + math.log2(budget) - math.log2(c)) / a - math.log2(T0)
+        need = (math.log2(-a) + math.log2(budget) - math.log2(c)) / a
         if math.isfinite(need):
-            k = min(max(math.ceil(need), 0), 599)
-            # the search stops at the first T above 1e300
-            while k > 0 and (T0 * 2.0 ** (k - 1) > 1e300 or tail(k - 1) <= budget):
-                k -= 1
-    for k in range(k, 600):
-        T = math.ldexp(T0, k)
-        b = tail(k)
+            j = max(min(math.ceil(need / 2.0), 499), j0)
+            # the search stops at the first point above 1e300
+            while j > j0 and (end(j - 1) > 1e300 or tail(j - 1) <= budget):
+                j -= 1
+    for j in range(j, 500):
+        b = tail(j)
         if b <= budget:
-            return T, b
-        if T > 1e300:
+            return j, b
+        if end(j) > 1e300:
             break
     raise DivergentIntegral("tail bound cannot be brought below tolerance; transform diverges")
 
@@ -604,16 +604,10 @@ def _integrate_func_density(dens, wsum, g_head, g_tail, tol, breaks=()):
             cuts = [b for b in breaks if edges[0] < b < edges[-1]]
             return _weighted_nodes(dens, np.union1d(edges, cuts) if cuts else edges)
     else:
-        # the lattice slice holds [eps, T]: its ends round out to lattice points,
-        # where the stub and tail bounds hold as well
+        # the slice spans [lo + 4**ja, lo + 4**jb]; the stub and tail bounds cover the rest
         lo = dens.lo
         if math.isinf(dens.hi):
-            gc, gp, gd = g_tail
-            T, tail_bound = _choose_truncation(dens.tail_env, gp, gd, gc, lo, budget)
-            jb = _log4_ceil(T - lo)
-            # Envelope.tail need not fall with T, but the tail past lo + 4**jb lies past T
-            tail_bound = min(tail_bound, dens.tail_env.tail(
-                max(T, lo + math.ldexp(1.0, 2 * jb)), gp, gd, gc))
+            jb, tail_bound = _tail_panel(dens.tail_env, g_tail, lo, budget)
         else:
             jb, tail_bound = _log4_ceil(dens.hi - lo), 0.0
         ja, stub_bound = _stub_panel(dens.head, g_head[0], g_head[1], budget, jb)
@@ -686,6 +680,17 @@ def integral_value(mu, wsum, g_head, g_tail, t, tol, what, offset=None):
 # public transforms
 
 
+def _batch(t, what, message="", lo=-math.inf, hi=math.inf):
+    """t as a 1-d float array; a DomainError names the first t that is not
+    finite (``what`` needs a finite t), else the first outside (lo, hi)."""
+    ts = np.ravel(np.asarray(t, dtype=np.float64))
+    for bad, text in ((~np.isfinite(ts), what + " needs a finite t, got {:g}"),
+                      ((ts <= lo) | (ts >= hi), message)):
+        if bad.any():
+            raise DomainError(text.format(ts[bad][0]))
+    return ts
+
+
 def _laplace_g_head(dens, t, k):
     """(coef, power) bound for lam**k * exp(-lam*t) near dens.lo, for every t of the batch."""
     cut = dens.head.cutoff  # stub panel can reach the full head cutoff
@@ -706,12 +711,13 @@ def laplace_deriv(mu, t, k, tol=QUAD_TOL):
     integration with a value and a bound per t.
 
     Raises ``DivergentIntegral`` when the transform provably diverges at
-    ``t`` (non-decaying tail, non-integrable endpoint).
+    ``t`` (non-decaying tail, non-integrable endpoint), ``DomainError`` for
+    a t that is not finite and ``ValueError`` for a k that is not an integer
+    >= 0.
     """
-    k = int(k)
-    if k < 0:
-        raise ValueError("derivative order must be >= 0")
-    ts = np.ravel(np.asarray(t, dtype=np.float64))
+    if not (float(k).is_integer() and k >= 0):
+        raise ValueError(f"derivative order must be an integer >= 0, got {k}")
+    k, ts = int(k), _batch(t, "transform")
     dens = mu.density
     g_head = _laplace_g_head(dens, ts, k) if isinstance(dens, FuncDensity) else (1.0, 0.0)
     sign = (-1.0) ** k  # exact, so it changes no bit of the sums or their bounds
@@ -731,8 +737,8 @@ def total_mass(mu, tol=QUAD_TOL):
 
 def tail_mass(mu, T, tol=QUAD_TOL):
     """Mass of {|lam| > T}; raises ``DivergentIntegral`` when infinite."""
-    if T < 0:
-        raise ValueError("T must be nonnegative")
+    if not T >= 0:
+        raise ValueError(f"T must be nonnegative, got {T}")
     # the trapezoid sum has no knot at the cut: a gridded density gives its Kronrod value
     mu = interpolated(mu)
     dens = mu.density

@@ -266,7 +266,8 @@ def periodic_rp(mu_plus, beta, t, tol=msr.QUAD_TOL):
         raise ValueError("beta must be positive and finite")
     if not msr.on_half_line(mu_plus):
         raise InvalidMeasure("periodic construction needs a measure on [0, inf)")
-    r = math.fmod(float(t), beta)
+    (t,) = msr._batch(t, "periodic construction").tolist()
+    r = math.fmod(t, beta)
     if r < 0.0:
         r += beta
     near, far = msr.laplace(mu_plus, np.array([r, beta - r]), tol).value
@@ -280,7 +281,7 @@ def double_integral_rp(atoms, t):
     and the best available a is the smallest beta in the list); an empty
     atom list gives 0.  Sums are exact.
     """
-    t = float(t)
+    (t,) = msr._batch(t, "double integral construction").tolist()
     rows = [(float(l), float(b), float(w)) for (l, b, w) in atoms]
     for lam, beta, w in rows:
         if lam < 0 or w < 0 or beta <= 0 or not all(map(math.isfinite, (lam, beta, w))):

@@ -305,6 +305,30 @@ def test_scan_ties_keep_the_first_stencil():
     assert v.witness.tolist() == [3.0, 0.1 * 3.0, 0.0]
 
 
+@pytest.mark.parametrize("deltas", [[], [math.nan], [math.inf], [0.1, -0.1]])
+def test_scan_rejects_deltas_that_examine_nothing_or_are_not_finite(deltas):
+    # cosh is not completely monotone: an empty list of deltas passed it
+    with pytest.raises(ValueError, match="deltas must be a nonempty list of finite delta > 0"):
+        dc.completely_monotone_check(pk.get("cosh").func, [1.0, 2.0], deltas=deltas)
+
+
+@pytest.mark.parametrize("delta", [math.nan, math.inf, 0.0])
+def test_delta_k_rejects_a_delta_that_is_not_finite_and_positive(delta):
+    # a NaN delta was blamed on f, as a non-finite value at a requested point
+    with pytest.raises(ValueError, match="delta must be finite and > 0"):
+        dc.delta_k(pk.get("exp_decay").func, 1.0, delta, 2)
+
+
+@pytest.mark.parametrize("check", [dc.completely_monotone_check, dc.bernstein_check])
+def test_scan_rejects_an_empty_or_non_finite_grid(check):
+    # an empty grid passed with extremal_eig = inf, or leaked numpy's argmin error
+    f = pk.get("log1p").func
+    with pytest.raises(ValueError, match="points must be a nonempty 1-d array"):
+        check(f, [])
+    with pytest.raises(pk.NonFiniteEntry, match="grid points must be finite"):
+        check(f, [1.0, math.nan])
+
+
 @pytest.mark.parametrize("check", [dc.completely_monotone_check, dc.bernstein_check])
 @pytest.mark.parametrize("name", ["cosh", "ratio", "exp_decay"])
 def test_default_deltas_are_the_documented_ones(check, name):

@@ -6,7 +6,9 @@ named in ``measure.py`` alone, apart from the re-exports in
 ``__init__.py``, and ``measure`` imports none of the modules built on it.
 In the four modules that decide verdicts, no comparison reads ``tol`` apart
 from the rule itself, the validity test of ``resolve_tol`` and the rank count
-of ``quotient_space``, which is a threshold and not a verdict.
+of ``quotient_space``, which is a threshold and not a verdict.  In
+``measure.py`` only ``_tail_panel`` calls ``Envelope.tail``, so a quadrature
+picks its truncation point on the lattice of its panels and nowhere else.
 """
 import ast
 import pathlib
@@ -72,6 +74,19 @@ def _tol_comparisons(tree):
 def _not_a_verdict(where, source):
     return where in ("_decide", "resolve_tol") or (where, source) == (
         "quotient_space", "vals > tol * scale")
+
+
+def _tail_callers(tree):
+    """The top-level definition around every call of a method named ``tail``."""
+    for top in tree.body:
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "tail"):
+                yield top.name
+
+
+def test_only_the_tail_panel_calls_the_tail_bound():
+    assert set(_tail_callers(_tree("measure.py"))) == {"_tail_panel"}
 
 
 def test_measure_imports_no_module_built_on_it():

@@ -405,10 +405,10 @@ def test_batch_with_far_apart_t_shares_truncation_and_converges(monkeypatch):
     # log t = integral f_lam(t) e^0 dlam: the tail decays like e^{-0.02 lam} at t = 0.02
     rep = pk.get("log").lk_data
     calls = []
-    choose = msr._choose_truncation
-    monkeypatch.setattr(msr, "_choose_truncation", lambda *a: calls.append(a) or choose(*a))
+    panel = msr._tail_panel
+    monkeypatch.setattr(msr, "_tail_panel", lambda *a: calls.append(a) or panel(*a))
     lv = lk.synth_increasing(rep, np.array([0.02, 6.0]), full=True)
-    assert len(calls) == 1 and calls[0][2] == 0.02
+    assert len(calls) == 1 and calls[0][1][2] == 0.02
     assert lv.converged and np.all(lv.truncation_bound <= 1e-10)
     assert np.all(np.abs(lv.value - np.log([0.02, 6.0])) <= 1e-10)
 

@@ -127,25 +127,27 @@ def test_batched_transform_matches_batch_of_one_and_closed_form(k):
 def test_batch_shares_one_truncation_point(monkeypatch):
     # t = 0.02 decays far slower than t = 6; the batch truncates once, for 0.02
     calls = []
-    choose = msr._choose_truncation
-    monkeypatch.setattr(msr, "_choose_truncation", lambda *a: calls.append(a) or choose(*a))
+    panel = msr._tail_panel
+    monkeypatch.setattr(msr, "_tail_panel", lambda *a: calls.append(a) or panel(*a))
     mu = pk.Measure(density=pk.density_from_spec("gamma", {"alpha": 1.5}), support=(0, np.inf))
     lv = msr.laplace(mu, np.array([6.0, 0.02]))
-    assert len(calls) == 1 and calls[0][2] == 0.02
+    assert len(calls) == 1 and calls[0][1][2] == 0.02
     assert lv.converged and np.all(lv.truncation_bound <= TOL)
     assert np.all(np.abs(lv.value - (1.0 + np.array([6.0, 0.02])) ** -1.5) <= TOL)
 
 
-def doubling_search(env, g_power, g_decay, g_coef, lo, budget):
-    """The step-by-step doubling from T0, the reference for the truncation point."""
-    T = max(env.cutoff, abs(lo) + 1.0, 1.0)
-    for _ in range(600):
-        b = env.tail(T, extra_power=g_power, extra_decay=g_decay, extra_coef=g_coef)
+def lattice_search(env, g_tail, lo, budget):
+    """The step-by-step search over lattice points lo + 4**j, the reference for the truncation point."""
+    gc, gp, gd = g_tail
+    for j in range(500):
+        T = lo + math.ldexp(1.0, 2 * j)
+        if T < env.cutoff:
+            continue
+        b = env.tail(T, extra_power=gp, extra_decay=gd, extra_coef=gc)
         if b <= budget:
-            return T, b
+            return j, b
         if T > 1e300:
             break
-        T *= 2.0
     return None
 
 
@@ -161,29 +163,30 @@ def doubling_search(env, g_power, g_decay, g_coef, lo, budget):
     lo=st.one_of(st.floats(-1e3, 1e3), st.floats(1e200, 1e305)),
     budget=st.floats(1e-300, 1.0),
 )
-def test_truncation_point_matches_the_doubling_search(coef, power, decay, cutoff, g_power,
-                                                       g_decay, g_coef, lo, budget):
+def test_tail_panel_matches_the_lattice_search(coef, power, decay, cutoff, g_power, g_decay,
+                                               g_coef, lo, budget):
     # pure power-law tails (decay 0, power + g_power < -1) take the closed form
     env = msr.Envelope(coef, power, decay, cutoff)
-    want = doubling_search(env, g_power, g_decay, g_coef, lo, budget)
+    g_tail = (g_coef, g_power, g_decay)
+    want = lattice_search(env, g_tail, lo, budget)
     if want is None:
         with pytest.raises(pk.DivergentIntegral):
-            msr._choose_truncation(env, g_power, g_decay, g_coef, lo, budget)
+            msr._tail_panel(env, g_tail, lo, budget)
     else:
-        assert msr._choose_truncation(env, g_power, g_decay, g_coef, lo, budget) == want
+        assert msr._tail_panel(env, g_tail, lo, budget) == want
 
 
 def test_power_law_truncation_takes_few_tail_bounds(monkeypatch):
-    # the alpha = 1/2 stable sigma against the Bernstein kernel: T = 2**72
+    # the alpha = 1/2 stable sigma against the Bernstein kernel: lo + 4**36 = 2**72
     calls = []
     tail = msr.Envelope.tail
     monkeypatch.setattr(msr.Envelope, "tail", lambda *a, **k: calls.append(1) or tail(*a, **k))
     env = pk.density_from_spec("stable_sigma", {"alpha": 0.5}).tail_env
-    T, b = msr._choose_truncation(env, 0.0, 0.0, 1.0, 0.0, 1e-11)
-    assert len(calls) <= 3
+    jb, b = msr._tail_panel(env, (1.0, 0.0, 0.0), 0.0, 1e-11)
+    assert jb == 36 and len(calls) == 2
     calls.clear()
-    assert doubling_search(env, 0.0, 0.0, 1.0, 0.0, 1e-11) == (T, b)
-    assert len(calls) > 60
+    assert lattice_search(env, (1.0, 0.0, 0.0), 0.0, 1e-11) == (jb, b)
+    assert len(calls) == 37
 
 
 def exact_tail(env, T, g_power=0.0, g_decay=0.0):
@@ -250,18 +253,18 @@ DECAYING = [pk.density_from_spec("exp").tail_env, pk.density_from_spec("log_sigm
 
 @pytest.mark.parametrize("env", DECAYING, ids=["exp", "log_sigma", "gamma0.5", "gamma1.5", "gamma3"])
 def test_truncation_point_matches_the_exact_tail_search(env):
-    # the doubling search on the exact tail picks T_exact; the bound may only
-    # lose a doubling where a = power + g_power + 1 <= 0
+    # the lattice search on the exact tail picks j_exact; the bound may only
+    # lose a lattice point where a = power + g_power + 1 <= 0
     with mp.workdps(30):
         for g_power, g_decay, budget in itertools.product((-1.0, 0.0, 1.5, 3.0), (0.0, 0.5, 6.0),
                                                           (1e-12, 1e-7)):
-            T_exact = 1.0
-            while exact_tail(env, T_exact, g_power, g_decay) > budget:
-                T_exact *= 2.0
-            T, _ = msr._choose_truncation(env, g_power, g_decay, 1.0, 0.0, budget)
-            assert T_exact <= T <= 2.0 * T_exact, (g_power, g_decay, budget)
+            j_exact = 0
+            while exact_tail(env, 4.0**j_exact, g_power, g_decay) > budget:
+                j_exact += 1
+            jb, _ = msr._tail_panel(env, (1.0, g_power, g_decay), 0.0, budget)
+            assert j_exact <= jb <= j_exact + 1, (g_power, g_decay, budget)
             if env.power + g_power + 1.0 > 0.0:
-                assert T == T_exact, (g_power, g_decay, budget)
+                assert jb == j_exact, (g_power, g_decay, budget)
 
 
 @pytest.mark.parametrize("spec, alphas, want", [
@@ -302,6 +305,26 @@ def test_masses():
     atoms = pk.Measure(atoms=((0.5, 1.0), (3.0, 2.0)))
     assert msr.total_mass(atoms) == 3.0
     assert msr.tail_mass(atoms, 1.0) == 2.0
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_transform_needs_a_finite_t(t):
+    # NaN read as a divergent transform
+    with pytest.raises(pk.DomainError, match=f"transform needs a finite t, got {t}"):
+        msr.laplace(exp_measure(), np.array([1.0, t]))
+
+
+@pytest.mark.parametrize("k", [1.5, -1, math.nan, math.inf])
+def test_laplace_deriv_needs_an_integer_order(k):
+    # k = 1.5 was taken as k = 1
+    with pytest.raises(ValueError, match="derivative order must be an integer >= 0"):
+        msr.laplace_deriv(exp_measure(), 1.0, k)
+
+
+def test_tail_mass_rejects_a_nan_cut():
+    # NaN passed T < 0 and gave a mass of 0
+    with pytest.raises(ValueError, match="T must be nonnegative"):
+        msr.tail_mass(exp_measure(), math.nan)
 
 
 def test_gridded_tail_mass_cuts_the_interpolant():

@@ -182,6 +182,16 @@ def test_double_integral_rp():
         rf.double_integral_rp(((1.0, -2.0, 0.5),), 0.1)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_reflection_constructions_need_a_finite_t(t):
+    # NaN gave a NaN sum or a divergent transform, inf a bare math domain error
+    mu = pk.Measure(atoms=((1.0, 1.0),))
+    with pytest.raises(pk.DomainError, match=f"periodic construction needs a finite t, got {t}"):
+        rf.periodic_rp(mu, 2.0, t)
+    with pytest.raises(pk.DomainError, match=f"construction needs a finite t, got {t}"):
+        rf.double_integral_rp(((1.0, 2.0, 1.0),), t)
+
+
 def test_boundary_derivative_two_atom():
     a = 1.0
     good = pk.Measure(atoms=((1.0, 1.0), (-1.0, math.exp(-2.0))))
