@@ -19,7 +19,7 @@ Numerical conventions:
   expm1 form by it; beyond that they use a difference of exponentials whose
   every term has a single exponent, so large lam*|u| cannot make 0*inf.
   The increasing form's f_lambda(t) is the negated ``e_lambda_dt`` kernel
-  at u = t - 1, t0 = 1, whose expm1 form does not cancel for small lam*u.
+  at t0 = 1, whose expm1 form does not cancel for small lam*(t - 1).
   ``e_lambda_damped_vals`` forms only the branches its block uses: a block
   wholly inside the series range skips the closed forms;
 - the Bernstein sum of w_i * (1 - exp(-lam_i*t)) skips expm1 at saturated
@@ -45,6 +45,8 @@ def exp_weighted_sum(lam, w, t, k):
     w = np.ascontiguousarray(w, dtype=np.float64)
     t, k = np.asarray(t, dtype=np.float64), int(k)
     shape = t.shape + w.shape[1:]
+    if not lam.size:
+        return np.zeros(shape)
     lead = w if w.ndim == 1 else w[:, 0]
     keep = lead > 0.0
     lam, w, lead = lam[keep], w[keep], lead[keep]
@@ -71,6 +73,8 @@ def e_lambda_damped_vals(lam, u, t0):
     lam = np.ascontiguousarray(lam, dtype=np.float64)
     u, t0 = np.asarray(u, dtype=np.float64), float(t0)
     x = lam * u
+    if not x.size:  # no nodes: the empty block, at once
+        return x
     ax = np.abs(x)
     near = ax < SERIES_SWITCH
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -90,15 +94,22 @@ def e_lambda_damped_vals(lam, u, t0):
     return np.where(lam == 0.0, -0.5 * u * u, out)
 
 
-def e_lambda_dt_damped_vals(lam, u, t0):
-    """expm1(-lam*u)/lam * exp(-lam*t0) in overflow-safe form."""
+def e_lambda_dt_damped_vals(lam, t, t0):
+    """expm1(-lam*u)/lam * exp(-lam*t0) with u = t - t0, in overflow-safe form.
+
+    The difference form takes exp(-lam*t) from t itself: formed as
+    exp(-lam*t0 - lam*u), its exponent cancels to ~lam*eps for lam near 1/t.
+    """
     lam = np.ascontiguousarray(lam, dtype=np.float64)
-    u, t0 = np.asarray(u, dtype=np.float64), float(t0)
+    t, t0 = np.asarray(t, dtype=np.float64), float(t0)
+    u = t - t0
     x = lam * u
+    if not x.size:  # no nodes: the empty block, at once
+        return x
     small = np.abs(x) < 1.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         prod = np.expm1(-x) / lam * np.exp(-lam * t0)
-        diff = (np.exp(-lam * t0 - x) - np.exp(-lam * t0)) / lam
+        diff = (np.exp(-lam * t) - np.exp(-lam * t0)) / lam
     out = np.where(small, prod, diff)
     return np.where(lam == 0.0, -u, out)
 

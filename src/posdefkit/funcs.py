@@ -17,8 +17,9 @@ class FuncHandle:
     ``deriv(t, 0)`` must agree with the function itself.  ``bound(t, k)``,
     when set, is the error bound of the k-th derivative at each t;
     ``bounds_at`` reports zeros for a handle without it.  Domain endpoints
-    are admitted when the formula extends continuously there; evaluations
-    that come out non-finite raise ``DomainError``.
+    are admitted when the formula extends continuously there; a point that is
+    not finite, and an evaluation that comes out non-finite, raise
+    ``DomainError``.
     """
 
     fn: object
@@ -35,8 +36,14 @@ class FuncHandle:
         """fn at t inside the domain; a float for a scalar t, else an array."""
         arr = np.asarray(t, dtype=np.float64)
         lo, hi = self.domain
-        if (arr < lo).any() or (arr > hi).any():
-            raise DomainError(f"{what} evaluated outside its domain [{lo:g}, {hi:g}]")
+        if arr.size:
+            # a NaN point makes both ends NaN, so it is named here and never blamed on fn
+            first, last = arr.min(), arr.max()
+            if not (math.isfinite(first) and math.isfinite(last)):
+                bad = arr[~np.isfinite(arr)].flat[0]
+                raise DomainError(f"{what} needs a finite t, got {bad:g}")
+            if first < lo or last > hi:
+                raise DomainError(f"{what} evaluated outside its domain [{lo:g}, {hi:g}]")
         out = np.asarray(fn(arr), dtype=np.float64)
         if finite and not np.isfinite(out).all():
             raise DomainError(f"{what} is not finite at a requested point")

@@ -69,7 +69,7 @@ def e_lambda(lam, t, t0=0.0):
 
 def f_lambda(lam, t):
     """(exp(-lam) - exp(-lam*t)) / lam; equals t - 1 at lam = 0, zero at t = 1."""
-    return float(-_accel.e_lambda_dt_damped_vals(lam, float(t) - 1.0, 1.0)[0])
+    return float(-_accel.e_lambda_dt_damped_vals(lam, float(t), 1.0)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -198,11 +198,10 @@ def synth_interval(rep, t, tol=SYNTH_TOL, full=False):
 def synth_increasing(rep, t, tol=SYNTH_TOL, full=False):
     """c + integral f_lam(t) dmu for t > 0; equals c exactly at t = 1."""
     ts = msr._batch(t, "synthesis", "increasing synthesis is defined for t > 0", 0.0)
-    u = ts[:, None] - 1.0
-    um = float(np.max(np.abs(u)))
+    um = float(np.max(np.abs(ts - 1.0)))
     g_head = (msr.scaled_exp(um, msr.stub_reach(rep.mu.density) * um), 0.0)
-    return _synth(rep.mu, lambda x, w: -(_accel.e_lambda_dt_damped_vals(x, u, 1.0) @ w), g_head,
-                  (2.0, -1.0, min(1.0, float(ts.min()))), rep.c, t, tol, full,
+    return _synth(rep.mu, lambda x, w: -(_accel.e_lambda_dt_damped_vals(x, ts[:, None], 1.0) @ w),
+                  g_head, (2.0, -1.0, min(1.0, float(ts.min()))), rep.c, t, tol, full,
                   "increasing synthesis")
 
 
@@ -270,7 +269,7 @@ def interval_handle(rep, tol=SYNTH_TOL):
         um = float(np.max(np.abs(u)))
         g_head = (msr.scaled_exp(um + 1.0, msr.stub_reach(rep.mu.density) * (um + abs(t0))), 0.0)
         return msr.integral_value(
-            rep.mu, lambda x, w: _accel.e_lambda_dt_damped_vals(x, u[:, None], t0) @ w, g_head,
+            rep.mu, lambda x, w: _accel.e_lambda_dt_damped_vals(x, ts[:, None], t0) @ w, g_head,
             (2.0, -1.0, min(float(ts.min()), t0)), ts, tol, "interval first derivative", rep.d)
 
     return quadrature_handle(evaluate, rep.interval, "interval_synth", 8)

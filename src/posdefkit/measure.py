@@ -23,11 +23,13 @@ sums atoms exactly and integrates the density in one refinement loop with
 one embedded rule, 21-point Kronrod and its 10-point Gauss rule (G10/K21):
 one pass over a mesh gives a value and an error estimate.  Gridded
 densities use their knot cells.  A function density has one fixed lattice
-of panels uniform in log(lam - lo): panel j spans the offsets [4**j,
-4**(j+1)] above lo, two octaves.  A quadrature integrates the contiguous
-slice of panels from the widest stub whose head bound meets the budget to
-the nearest lattice point past which the tail bound does; both ends are
-lattice points.  The caller's ``breaks`` stay on panel edges.  The reported
+of panels uniform in log(lam - lo), graded: panel j spans the offsets
+[_LATTICE[j], _LATTICE[j+1]] above lo, two octaves across a band around the
+unit offset and twice as many octaves with each panel outside it, where the
+integrands are plain powers of lam.  A quadrature integrates the contiguous
+slice of panels from the widest stub on the lattice whose head bound meets
+the budget to the nearest lattice point past which the tail bound does.
+The caller's ``breaks`` stay on panel edges.  The reported
 ``truncation_bound`` adds the analytic stub and tail bounds and a rounding
 allowance to the Kronrod-Gauss difference, so ``converged`` is an honest
 claim.
@@ -49,6 +51,7 @@ number (``_BLOCK``) of node-by-t elements, so memory stays flat however
 large the batch.
 """
 
+import bisect
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -85,7 +88,7 @@ HALF_LINE = (0.0, math.inf)
 # default tolerance of every quadrature: transforms, masses and syntheses
 QUAD_TOL = 1e-10
 
-# refinement levels double the panel count per two octaves
+# refinement level l cuts every lattice panel into 2**l, uniform in log
 _MAX_LEVEL = 4
 # every quadrature bound adds this share of the density part: a refinement
 # difference below a few ulps of the value is summation noise, not accuracy
@@ -100,6 +103,22 @@ _BLOCK = 8192
 _TAIL_SLACK = 1e-13
 _EPS = float(np.finfo(float).eps)
 _SMALLEST_NORMAL = float(np.finfo(float).tiny)
+
+# Panel j of the lattice spans the offsets [_LATTICE[j], _LATTICE[j+1]] above a
+# density's lo, each point a power of 4: one step (two octaves) a panel across
+# _UNIT_BAND, steps doubling outward, so a long stub or tail costs a few wide
+# panels over integrands close to powers of lam.  Level 0 converges where the
+# band holds lam*|t| from about 1 to where e**(-lam*|t|) dies out: for the
+# catalog's synthesized forms, t from about 0.015 to 200.  The points run from
+# 4**-511 = 2**-1022, the smallest normal double, to 4**499, the first past
+# 1e300, then +inf, which the top panel of a bounded density clips to its hi.
+_UNIT_BAND = (-4, 5)
+_LATTICE = (*(math.ldexp(1.0, 2 * p) for p in sorted(
+    {*range(_UNIT_BAND[0], _UNIT_BAND[1] + 1),
+     *(max(_UNIT_BAND[0] + 2 - 2**k, -511) for k in range(2, 11)),
+     *(min(_UNIT_BAND[1] - 2 + 2**k, 499) for k in range(2, 11))})), math.inf)
+# index of the lattice point 1, where every truncation search starts
+_UNIT = _LATTICE.index(1.0)
 
 
 @dataclass(frozen=True)
@@ -451,27 +470,17 @@ def _panel_nodes(edges, lo=None):
     return lo + off, wts * off[:, None]
 
 
-def _log4_floor(x):
-    """The j with 4**j <= x < 4**(j+1), exactly, for a finite x > 0."""
-    return (math.frexp(x)[1] - 1) // 2
-
-
-def _log4_ceil(x):
-    """The j with 4**(j-1) < x <= 4**j, exactly, for a finite x > 0."""
-    j = _log4_floor(x)
-    return j + (math.ldexp(1.0, 2 * j) < x)
-
-
 def _lattice_end(dens, j):
-    """Offset of the lattice point j above lo: 4**j, or hi - lo past a finite hi."""
-    return min(math.ldexp(1.0, 2 * j), dens.hi - dens.lo)
+    """Offset of the lattice point j above lo: ``_LATTICE[j]``, or hi - lo past a finite hi."""
+    return min(_LATTICE[j], dens.hi - dens.lo)
 
 
 def _lattice_edges(dens, j0, j1, level):
     """Offsets above lo of the lattice panels j0 .. j1-1, each cut into
-    2**level panels uniform in log: panel j spans [4**j, 4**(j+1)], and the
-    top panel of a bounded density [4**j, hi - lo].  Every panel's edges
-    depend on j and level alone, so slices of one lattice nest."""
+    2**level panels uniform in log: panel j spans [_LATTICE[j],
+    _LATTICE[j+1]], and the top panel of a bounded density [_LATTICE[j],
+    hi - lo].  Every panel's edges depend on j and level alone, so slices of
+    one lattice nest."""
     ends = np.array([_lattice_end(dens, j) for j in range(j0, j1 + 1)])
     steps = np.arange(2**level) / 2**level
     edges = ends[:-1, None] * (ends[1:] / ends[:-1])[:, None] ** steps
@@ -507,7 +516,7 @@ def _lattice_slice(dens, ja, jb, breaks, level):
     union mesh of its own, which is not kept.
     """
     lo = dens.lo
-    cuts = [b - lo for b in breaks if math.ldexp(1.0, 2 * ja) < b - lo < _lattice_end(dens, jb)]
+    cuts = [b - lo for b in breaks if _LATTICE[ja] < b - lo < _lattice_end(dens, jb)]
     if cuts:
         edges = _lattice_edges(dens, ja, jb, level)
         if not np.isin(cuts, edges).all():
@@ -531,8 +540,8 @@ def _lattice_slice(dens, ja, jb, breaks, level):
 
 
 def _stub_panel(head, g_coef, g_power, budget, jb):
-    """Lattice index ja < jb of the widest stub [lo, lo + 4**ja] whose bound
-    meets the budget, and that bound.  The stub reaches down to 2**-1022 =
+    """Lattice index ja < jb of the widest stub [lo, lo + _LATTICE[ja]] whose
+    bound meets the budget, and that bound.  The stub reaches down to 2**-1022 =
     4**-511, the smallest normal double, at most."""
     p = head.power + g_power
     if p <= -1.0:
@@ -545,36 +554,39 @@ def _stub_panel(head, g_coef, g_power, budget, jb):
         eps = (budget * (1.0 + p) / c) ** (1.0 / (1.0 + p)) if c > 0.0 else head.cutoff
     except OverflowError:  # a coefficient so small that any stub meets the budget
         eps = head.cutoff
-    ja = min(_log4_floor(max(min(eps, head.cutoff), _SMALLEST_NORMAL)), jb - 1)
-    bound = c * math.ldexp(1.0, 2 * ja) ** (1.0 + p) / (1.0 + p) if c < math.inf else math.inf
+    eps = max(min(eps, head.cutoff), _SMALLEST_NORMAL)
+    ja = min(bisect.bisect_right(_LATTICE, eps) - 1, jb - 1)  # the lattice point at or below eps
+    bound = c * _LATTICE[ja] ** (1.0 + p) / (1.0 + p) if c < math.inf else math.inf
     return ja, bound
 
 
 def _tail_panel(env, g_tail, lo, budget):
-    """Smallest lattice index jb >= 0 with lo + 4**jb at or past the cutoff
-    whose tail bound past lo + 4**jb meets the budget, and that bound.
+    """Smallest lattice index jb >= ``_UNIT`` with lo + _LATTICE[jb] at or
+    past the cutoff whose tail bound past that point meets the budget, and
+    that bound.
 
-    The search steps up one lattice point at a time and gives up past 1e300
-    (jb < 500).  A pure power-law tail, c * T**a / (-a) with a < 0, starts
-    it at the jb of its closed form instead, stepped down while the point
-    below also meets the budget, so both find the same jb.
+    The search steps up one lattice point at a time and gives up past 1e300.
+    A pure power-law tail, c * T**a / (-a) with a < 0, starts it at the first
+    lattice point past the T of its closed form instead, stepped down while
+    the point below also meets the budget, so both find the same jb.
     """
     gc, gp, gd = g_tail
-    end = lambda j: lo + math.ldexp(1.0, 2 * j)
+    end = lambda j: lo + _LATTICE[j]
     tail = lambda j: env.tail(end(j), extra_power=gp, extra_decay=gd, extra_coef=gc)
-    j0 = 0
-    while j0 < 500 and end(j0) < env.cutoff:
+    top = len(_LATTICE) - 2  # the last finite point, past 1e300
+    j0 = _UNIT
+    while j0 < top and end(j0) < env.cutoff:
         j0 += 1
     j, c, a = j0, env.coef * gc, env.power + gp + 1.0
     if env.decay + gd == 0.0 and a < 0.0 and c > 0.0 and budget > 0.0:
         # c * T**a / (-a) <= budget  <=>  log2 T >= log2((-a) * budget / c) / a
         need = (math.log2(-a) + math.log2(budget) - math.log2(c)) / a
         if math.isfinite(need):
-            j = max(min(math.ceil(need / 2.0), 499), j0)
+            j = max(min(bisect.bisect_left(_LATTICE, need, key=math.log2), top), j0)
             # the search stops at the first point above 1e300
             while j > j0 and (end(j - 1) > 1e300 or tail(j - 1) <= budget):
                 j -= 1
-    for j in range(j, 500):
+    for j in range(j, top + 1):
         b = tail(j)
         if b <= budget:
             return j, b
@@ -604,12 +616,13 @@ def _integrate_func_density(dens, wsum, g_head, g_tail, tol, breaks=()):
             cuts = [b for b in breaks if edges[0] < b < edges[-1]]
             return _weighted_nodes(dens, np.union1d(edges, cuts) if cuts else edges)
     else:
-        # the slice spans [lo + 4**ja, lo + 4**jb]; the stub and tail bounds cover the rest
+        # the slice spans lo + [_LATTICE[ja], _LATTICE[jb]]; stub and tail bounds cover the rest
         lo = dens.lo
         if math.isinf(dens.hi):
             jb, tail_bound = _tail_panel(dens.tail_env, g_tail, lo, budget)
         else:
-            jb, tail_bound = _log4_ceil(dens.hi - lo), 0.0
+            # the first lattice point at or past hi, panel 0 at least
+            jb, tail_bound = max(bisect.bisect_left(_LATTICE, dens.hi - lo), 1), 0.0
         ja, stub_bound = _stub_panel(dens.head, g_head[0], g_head[1], budget, jb)
         bound = stub_bound + tail_bound
         mesh = partial(_lattice_slice, dens, ja, jb, breaks)

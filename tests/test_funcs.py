@@ -45,6 +45,20 @@ def test_handle_rejects_nonfinite_output():
         f(0.5)
 
 
+@pytest.mark.parametrize("call", [
+    lambda f: f(np.array([1.0, np.nan])),
+    lambda f: f(np.inf),
+    lambda f: f.deriv_at(np.nan, 1),
+    lambda f: pk.delta_k(f, np.nan, 0.1, 2),
+    lambda f: pk.hankel_check(f, np.nan, 2),
+], ids=["nan_in_array", "inf", "derivative", "delta_k", "hankel"])
+def test_a_point_that_is_not_finite_is_named_not_blamed_on_f(call):
+    # a NaN passes a domain test of comparisons, and exp_decay(nan) would blame f
+    f = pk.get("exp_decay").func
+    with pytest.raises(pk.DomainError, match=r"needs a finite t, got (nan|inf)"):
+        call(f)
+
+
 def test_evenize():
     f = fns.from_callable(lambda t: np.exp(-t), domain=(0.0, np.inf))
     g = fns.evenize(f)

@@ -8,7 +8,9 @@ In the four modules that decide verdicts, no comparison reads ``tol`` apart
 from the rule itself, the validity test of ``resolve_tol`` and the rank count
 of ``quotient_space``, which is a threshold and not a verdict.  In
 ``measure.py`` only ``_tail_panel`` calls ``Envelope.tail``, so a quadrature
-picks its truncation point on the lattice of its panels and nowhere else.
+picks its truncation point on the lattice of its panels and nowhere else, and
+only the ``_LATTICE`` table turns a lattice index into an offset: no other
+code there calls ``ldexp`` or ``frexp`` or raises 4 to a power.
 """
 import ast
 import pathlib
@@ -83,6 +85,24 @@ def _tail_callers(tree):
             if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                     and node.func.attr == "tail"):
                 yield top.name
+
+
+def _lattice_arithmetic(tree):
+    """The top-level definition or assignment around every call of ``ldexp``
+    or ``frexp`` and every power of the literal 4."""
+    for top in tree.body:
+        for node in ast.walk(top):
+            call = isinstance(node, ast.Call) and (
+                getattr(node.func, "attr", None) or getattr(node.func, "id", None)) in (
+                "ldexp", "frexp")
+            power = (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+                     and isinstance(node.left, ast.Constant) and node.left.value == 4)
+            if call or power:
+                yield top.name if hasattr(top, "name") else ast.unparse(top.targets[0])
+
+
+def test_only_the_lattice_table_computes_lattice_offsets():
+    assert set(_lattice_arithmetic(_tree("measure.py"))) == {"_LATTICE"}
 
 
 def test_only_the_tail_panel_calls_the_tail_bound():

@@ -9,7 +9,7 @@ import tracemalloc
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import posdefkit as pk
@@ -82,8 +82,8 @@ def e_damped_ref(lam, u, t0):
     return float((1 - lam * u - mp.e ** (-lam * u)) / lam**2 * mp.e ** (-lam * t0))
 
 
-def e_dt_damped_ref(lam, u, t0):
-    lam, u, t0 = mp.mpf(lam), mp.mpf(u), mp.mpf(t0)
+def e_dt_damped_ref(lam, t, t0):
+    lam, u, t0 = mp.mpf(lam), mp.mpf(t) - mp.mpf(t0), mp.mpf(t0)
     if lam == 0:
         return float(-u)
     return float((mp.e ** (-lam * u) - 1) / lam * mp.e ** (-lam * t0))
@@ -97,8 +97,8 @@ def test_damped_kernels_match_reference(u, t0):
     got = _accel.e_lambda_damped_vals(lams, u, t0)
     want = [e_damped_ref(lam, u, t0) for lam in lams]
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
-    got = _accel.e_lambda_dt_damped_vals(lams, u, t0)
-    want = [e_dt_damped_ref(lam, u, t0) for lam in lams]
+    got = _accel.e_lambda_dt_damped_vals(lams, u + t0, t0)
+    want = [e_dt_damped_ref(lam, u + t0, t0) for lam in lams]
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
@@ -418,11 +418,47 @@ def test_gram_evaluates_the_density_once():
     calls = []
     counted = dataclasses.replace(dens, fn=lambda lam: calls.append(1) or dens.fn(lam))
     rep = lk.BernsteinRep(a=0.0, b=0.0, sigma=pk.Measure(density=counted, support=(0, np.inf)))
-    calls.clear()
+    calls.clear()  # the representation's own integrability check, and the panels it reached
+    counted._lattice.clear()
     g = pk.gram_plus(lk.bernstein_handle(rep), fns.chebyshev_grid(0.1, 3.0, 12))
     # 78 distinct entries, one batch, converged on the first mesh: one density call
     assert len(calls) == 1
     assert np.abs(g.entries - np.log1p(0.5 * np.add.outer(g.points, g.points))).max() <= 1e-10
+
+
+def test_the_stable_half_gram_takes_few_density_nodes():
+    # sigma ~ lam**-1.5 has its stub and truncation points about 4**±37 apart: wide
+    # panels outside the unit band cover them (74 two-octave panels took 1,554 nodes)
+    rep = pk.get("power", alpha=0.5).lk_data
+    dens, sizes = rep.sigma.density, []
+    counted = dataclasses.replace(dens, fn=lambda lam: sizes.append(lam.size) or dens.fn(lam))
+    rep = dataclasses.replace(rep, sigma=dataclasses.replace(rep.sigma, density=counted))
+    sizes.clear()  # the representation's own integrability check, and the panels it reached
+    counted._lattice.clear()
+    g = pk.gram_plus(lk.bernstein_handle(rep), fns.chebyshev_grid(0.1, 3.0, 12))
+    assert len(sizes) == 1 and sizes[0] <= 600
+    exact = np.sqrt(0.5 * np.add.outer(g.points, g.points))
+    assert np.all(np.abs(g.entries - exact) <= g.bounds + 8.0 * np.finfo(float).eps * exact)
+
+
+# the seven catalog representations and forms that the benchmark synthesizes
+_SYNTHESIZED = [("neg_tlogt", {}), ("signed_power", {"alpha": 1.5}), ("log", {}), ("log1p", {}),
+                ("power", {"alpha": 0.5}), ("ratio", {}), ("abs_power", {"alpha": 0.5})]
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=st.sampled_from(_SYNTHESIZED), log_t=st.floats(-6.0, 2.0), negative=st.booleans())
+@example(case=("log", {}), log_t=-6.0, negative=False)
+def test_synthesized_forms_meet_their_bounds_from_1e_6_to_1e2(case, log_t, negative):
+    # the increasing form at t = 1e-6 took exp(-lam*t) from an exponent that
+    # cancels for lam near 1/t, and missed its bound by 1.6 times
+    name, params = case
+    entry = pk.get(name, **params)
+    t = -(10.0**log_t) if negative and entry.func.domain[0] < 0.0 else 10.0**log_t
+    lv = lk.synth(entry.lk_data, t, full=True, form=entry.lk_form)
+    want = entry.func(t)
+    assert lv.converged
+    assert abs(lv.value - want) <= lv.truncation_bound + 8.0 * math.ulp(want)
 
 
 @pytest.mark.parametrize("fn, name, bad", [

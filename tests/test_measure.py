@@ -1,5 +1,6 @@
 """Laplace transform quadrature against closed-form oracles."""
 import ast
+import bisect
 import dataclasses
 import itertools
 import math
@@ -137,10 +138,11 @@ def test_batch_shares_one_truncation_point(monkeypatch):
 
 
 def lattice_search(env, g_tail, lo, budget):
-    """The step-by-step search over lattice points lo + 4**j, the reference for the truncation point."""
+    """The step-by-step search over the finite lattice points lo + _LATTICE[j]
+    from the unit offset up, the reference for the truncation point."""
     gc, gp, gd = g_tail
-    for j in range(500):
-        T = lo + math.ldexp(1.0, 2 * j)
+    for j in range(msr._UNIT, len(msr._LATTICE) - 1):
+        T = lo + msr._LATTICE[j]
         if T < env.cutoff:
             continue
         b = env.tail(T, extra_power=gp, extra_decay=gd, extra_coef=gc)
@@ -177,16 +179,17 @@ def test_tail_panel_matches_the_lattice_search(coef, power, decay, cutoff, g_pow
 
 
 def test_power_law_truncation_takes_few_tail_bounds(monkeypatch):
-    # the alpha = 1/2 stable sigma against the Bernstein kernel: lo + 4**36 = 2**72
+    # the alpha = 1/2 stable sigma against the Bernstein kernel needs T = 4**36:
+    # the first lattice point past it is 4**67, and 4**35 below it misses the budget
     calls = []
     tail = msr.Envelope.tail
     monkeypatch.setattr(msr.Envelope, "tail", lambda *a, **k: calls.append(1) or tail(*a, **k))
     env = pk.density_from_spec("stable_sigma", {"alpha": 0.5}).tail_env
     jb, b = msr._tail_panel(env, (1.0, 0.0, 0.0), 0.0, 1e-11)
-    assert jb == 36 and len(calls) == 2
+    assert msr._LATTICE[jb - 1:jb + 1] == (4.0**35, 4.0**67) and len(calls) == 2
     calls.clear()
     assert lattice_search(env, (1.0, 0.0, 0.0), 0.0, 1e-11) == (jb, b)
-    assert len(calls) == 37
+    assert len(calls) == jb - msr._UNIT + 1
 
 
 def exact_tail(env, T, g_power=0.0, g_decay=0.0):
@@ -258,8 +261,8 @@ def test_truncation_point_matches_the_exact_tail_search(env):
     with mp.workdps(30):
         for g_power, g_decay, budget in itertools.product((-1.0, 0.0, 1.5, 3.0), (0.0, 0.5, 6.0),
                                                           (1e-12, 1e-7)):
-            j_exact = 0
-            while exact_tail(env, 4.0**j_exact, g_power, g_decay) > budget:
+            j_exact = msr._UNIT
+            while exact_tail(env, msr._LATTICE[j_exact], g_power, g_decay) > budget:
                 j_exact += 1
             jb, _ = msr._tail_panel(env, (1.0, g_power, g_decay), 0.0, budget)
             assert j_exact <= jb <= j_exact + 1, (g_power, g_decay, budget)
@@ -619,7 +622,7 @@ def test_log_space_panels_keep_power_decay_transforms_within_their_bounds(coef, 
 
 def test_a_smooth_batch_evaluates_its_density_once_on_the_level_0_mesh():
     # the Bernstein synthesis of sqrt over the arguments of a 12-point gram_plus:
-    # one density call on 21 nodes per two-octave lattice panel from the stub to the truncation
+    # one density call on 21 nodes per lattice panel from the stub to the truncation
     rep = pk.get("power", alpha=0.5).lk_data
     dens, calls = rep.sigma.density, []
     counted = dataclasses.replace(dens, fn=lambda lam: calls.append(lam.copy()) or dens.fn(lam))
@@ -630,9 +633,9 @@ def test_a_smooth_batch_evaluates_its_density_once_on_the_level_0_mesh():
     lv = lk.synth_bernstein(rep, np.unique(0.5 * (grid[:, None] + grid)), full=True)
     assert lv.converged
     (nodes,) = calls
-    ja = math.floor(math.log(nodes.min(), 4))
-    jb = math.ceil(math.log(nodes.max(), 4))
-    assert 4.0**ja < nodes.min() and nodes.max() < 4.0**jb
+    ja = bisect.bisect_right(msr._LATTICE, nodes.min()) - 1
+    jb = bisect.bisect_left(msr._LATTICE, nodes.max())
+    assert msr._LATTICE[ja] < nodes.min() and nodes.max() < msr._LATTICE[jb]
     assert nodes.size == 21 * (jb - ja)
 
 
@@ -805,19 +808,30 @@ def test_a_density_is_checked_only_on_the_panels_a_quadrature_reaches():
     assert msr.laplace(mu, 5.0) == lv and not calls
 
 
-@pytest.mark.parametrize("hi", [1.0 + 1e-9, 3.0, 4.0, 5.0, 1000.7, 4.0**3 * 1.0001, 2e6])
+@pytest.mark.parametrize("hi", [1.0 + 1e-9, 3.0, 4.0, 5.0, 1000.7, 4.0**3 * 1.0001, 2e6, 1e305])
 def test_bounded_lattice_edges_increase_strictly_and_nest(hi):
     dens = msr.FuncDensity(fn=np.ones_like, lo=-0.5, hi=hi, head=msr.HeadBound(1.0))
-    jb = math.ceil(math.log(hi + 0.5, 4) - 1e-12)
+    # the top panel ends at hi: no lattice point past it, and 1e305 ends the +inf panel
+    jb = bisect.bisect_left(msr._LATTICE, hi + 0.5)
+    assert msr._LATTICE[jb - 1] < hi + 0.5 <= msr._LATTICE[jb]
+    j3, j1 = msr._LATTICE.index(4.0**-3), msr._LATTICE.index(4.0**-1)
     for level in range(msr._MAX_LEVEL + 1):
-        edges = msr._lattice_edges(dens, -3, jb, level)
-        assert edges.size == (jb + 3) * 2**level + 1
+        edges = msr._lattice_edges(dens, j3, jb, level)
+        assert edges.size == (jb - j3) * 2**level + 1
         assert np.all(np.diff(edges) > 0.0)
         assert edges[0] == 4.0**-3 and edges[-1] == hi + 0.5
         # every level splits the panels of the level before, and a slice takes its panels' edges
         if level:
-            assert np.array_equal(edges[::2], msr._lattice_edges(dens, -3, jb, level - 1))
-        assert np.array_equal(msr._lattice_edges(dens, -1, jb, level), edges[2 * 2**level:])
+            assert np.array_equal(edges[::2], msr._lattice_edges(dens, j3, jb, level - 1))
+        assert np.array_equal(msr._lattice_edges(dens, j1, jb, level),
+                              edges[(j1 - j3) * 2**level:])
+
+
+def test_a_support_below_the_lowest_lattice_point_is_all_stub():
+    # hi - lo = 1e-310 < 4**-511: panel 0 shrinks to nothing and the stub bound covers the mass
+    dens = msr.FuncDensity(fn=np.ones_like, lo=0.0, hi=1e-310, head=msr.HeadBound(1.0))
+    lv = msr.laplace(pk.Measure(density=dens, support=(0.0, 1e-310)), 0.0)
+    assert lv.converged and abs(lv.value - 1e-310) <= lv.truncation_bound
 
 
 @pytest.mark.parametrize("coef, t, tol", [(3.0, 0.02, 1e-12), (1e-30, 1.0, 1e-10)],
