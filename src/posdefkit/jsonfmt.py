@@ -1,6 +1,6 @@
 """The one JSON writer: floats carry 17 significant digits, non-finite floats
 use the spellings the stdlib parser reads back (``Infinity``, ``NaN``).
-``required`` is the readers' rule for a missing key."""
+``required`` and ``number`` are the readers' rules for a missing key and a non-number."""
 
 import json
 import math
@@ -38,3 +38,12 @@ def required(doc, key, error):
         return doc[key]
     except KeyError:
         raise error(f"JSON input needs the key {key!r}") from None
+
+
+def number(doc, key, error):
+    """float(doc[key]) of a parsed JSON object; a missing key or a non-number raises ``error``."""
+    value = required(doc, key, error)
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise error(f"JSON key {key!r} needs a number, got {value!r}") from None

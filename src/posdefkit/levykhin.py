@@ -38,7 +38,7 @@ from .errors import (
     NotNegativeDefinite,
 )
 from .funcs import FuncHandle, quadrature_handle
-from .jsonfmt import render, required
+from .jsonfmt import number, render, required
 from .kernelcheck import FAIL, _decide, resolve_tol
 
 # default quadrature tolerance of every synthesis, and sign tolerance of the fits
@@ -443,7 +443,6 @@ _REPS = {cls.form: cls for cls in (LKIntervalRep, LKIncreasingRep, BernsteinRep)
 _CODECS = {"interval": (list, lambda v: v),
            "mu": (msr.measure_doc, msr.measure_from_doc),
            "sigma": (msr.measure_doc, msr.measure_from_doc)}
-_FLOAT = (float, float)
 
 
 def rep_to_json(rep):
@@ -451,19 +450,19 @@ def rep_to_json(rep):
     order; measures embed in their JSON dict form."""
     if not isinstance(rep, tuple(_REPS.values())):
         raise TypeError("not a representation object")
-    return render({"form": rep.form, **{name: _CODECS.get(name, _FLOAT)[0](getattr(rep, name))
+    return render({"form": rep.form, **{name: _CODECS.get(name, (float,))[0](getattr(rep, name))
                                         for name in rep.json_fields}})
 
 
 def rep_from_json(text):
-    """Parse any of the three representation JSON forms; a missing field
-    raises ``InvalidRep``."""
+    """Parse any of the three representation JSON forms; a missing field or
+    a scalar that is not a number raises ``InvalidRep``."""
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise InvalidRep("representation JSON must be an object")
     form = doc.get("form")
-    if form not in _REPS:
+    if not isinstance(form, str) or form not in _REPS:
         raise InvalidRep(f"unknown representation form {form!r}")
     cls = _REPS[form]
-    return cls(**{name: _CODECS.get(name, _FLOAT)[1](required(doc, name, InvalidRep))
-                  for name in cls.json_fields})
+    return cls(**{name: _CODECS[name][1](required(doc, name, InvalidRep)) if name in _CODECS
+                  else number(doc, name, InvalidRep) for name in cls.json_fields})

@@ -3,27 +3,24 @@
 A :class:`Measure` is a finite list of weighted atoms plus an optional
 density.  Only this module reads a density's bounds: the others build
 densities by name (``density_from_spec``), weight them by lambda
-(``lambda_weighted``) and finish integrals through ``integral_value``.  Two
-density representations are supported:
-
-- :class:`GriddedDensity`: sampled values on a strictly increasing grid,
-  standing for their piecewise-linear interpolant.  This is the JSON
-  round-trip form.  Its bound covers the quadrature of that interpolant,
-  not how well the interpolant models a continuous density.
-- :class:`FuncDensity`: a vectorized callable on an interval ``[lo, hi)``
-  carrying an analytic bound near ``lo`` (:class:`HeadBound`) and, when
-  ``hi`` is infinite, a tail :class:`Envelope`.  This form covers densities
-  with integrable endpoint singularities such as ``lambda**(-1-alpha)``
-  against ``1 - exp(-lambda*t)``, which no fixed grid can represent at the
-  tolerances used here.
+(``lambda_weighted``) and finish integrals through ``integral_value``.  There
+is one density type, :class:`FuncDensity`: a vectorized callable on an
+interval ``[lo, hi)`` carrying an analytic bound near ``lo``
+(:class:`HeadBound`) and, when ``hi`` is infinite, a tail :class:`Envelope`.
+This covers densities with integrable endpoint singularities such as
+``lambda**(-1-alpha)`` against ``1 - exp(-lambda*t)``, which no fixed grid
+can represent at the tolerances used here.  A :class:`GriddedDensity`,
+sampled values on a strictly increasing grid and the JSON round-trip form,
+is the function density of their piecewise-linear interpolant, with the
+grid as its ``knots``.
 
 Every integral (transforms, masses, the one-wedge integral and the
 syntheses in ``levykhin``) goes through :func:`integrate_against`, which
 sums atoms exactly and integrates the density in one refinement loop with
 one embedded rule, 21-point Kronrod and its 10-point Gauss rule (G10/K21):
-one pass over a mesh gives a value and an error estimate.  Gridded
-densities use their knot cells.  A function density has one fixed lattice
-of panels uniform in log(lam - lo), graded: panel j spans the offsets
+one pass over a mesh gives a value and an error estimate.  A density with
+knots uses its knot cells.  Any other has one fixed lattice of panels
+uniform in log(lam - lo), graded: panel j spans the offsets
 [_LATTICE[j], _LATTICE[j+1]] above lo, two octaves across a band around the
 unit offset and twice as many octaves with each panel outside it, where the
 integrands are plain powers of lam.  A quadrature integrates the contiguous
@@ -34,7 +31,7 @@ The caller's ``breaks`` stay on panel edges.  The reported
 allowance to the Kronrod-Gauss difference, so ``converged`` is an honest
 claim.
 
-Only the integrand depends on t, so each function density memoizes its
+Only the integrand depends on t, so each density without knots memoizes its
 lattice: per refinement level, the nodes of one contiguous run of panels
 and the weights times the checked density values.  A slice inside the run
 evaluates nothing; one reaching past it evaluates and checks only its new
@@ -61,7 +58,7 @@ import numpy as np
 
 from . import _accel
 from .errors import DivergentIntegral, DomainError, InvalidMeasure, UnknownName
-from .jsonfmt import render, required
+from .jsonfmt import number, render, required
 from .kernelcheck import _scale, resolve_tol
 
 # QUADPACK's G10/K21 pair (Piessens et al., 1983) to 20 digits, from a 50-digit
@@ -184,47 +181,14 @@ class HeadBound:
 
 
 @dataclass(frozen=True)
-class GriddedDensity:
-    """Piecewise-linear density through nonnegative values on a strictly
-    increasing grid.  Integrals report its Kronrod value (``"gauss-composite"``)
-    or the trapezoid sum at the knots, whose bound adds |trapezoid - Kronrod|."""
-
-    grid: np.ndarray
-    values: np.ndarray
-    rule: str = "trapezoid"
-
-    def __post_init__(self):
-        g = np.asarray(self.grid, dtype=np.float64)
-        v = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "grid", g)
-        object.__setattr__(self, "values", v)
-        if g.ndim != 1 or v.shape != g.shape or g.size < 2:
-            raise InvalidMeasure("density grid and values must be 1-d arrays of equal length >= 2")
-        if not np.all(np.diff(g) > 0):
-            raise InvalidMeasure("density grid must be strictly increasing")
-        if not np.all(np.isfinite(g)) or not np.all(np.isfinite(v)):
-            raise InvalidMeasure("density grid and values must be finite")
-        if np.any(v < 0):
-            raise InvalidMeasure("density values must be nonnegative")
-        if self.rule not in ("trapezoid", "gauss-composite"):
-            raise InvalidMeasure(f"unknown quadrature rule {self.rule!r}")
-
-    @property
-    def lo(self):
-        return float(self.grid[0])
-
-    @property
-    def hi(self):
-        return float(self.grid[-1])
-
-
-@dataclass(frozen=True)
 class FuncDensity:
     """Vectorized density callable on [lo, hi) with analytic endpoint control.
 
     ``head`` bounds the density just above ``lo`` and sizes the unresolved
     stub panel; ``tail_env`` is required when ``hi`` is infinite.  ``name``
-    and ``params`` let catalog densities serialize by reference.
+    and ``params`` let catalog densities serialize by reference.  A density
+    with ``knots`` (lo, ..., hi) is smooth between them and integrated on
+    their cells instead of the lattice: no stub or tail, no bound read.
 
     ``head.power <= -1`` is allowed: such a density has infinite mass near
     ``lo`` but stays usable against integrands vanishing there (the Bernstein
@@ -244,6 +208,7 @@ class FuncDensity:
     tail_env: Envelope | None = None
     name: str = ""
     params: dict = field(default_factory=dict)
+    knots: np.ndarray | None = None
     # level -> (j0, j1, nodes, weights times density) of lattice panels j0 .. j1-1;
     # outside __init__, so dataclasses.replace starts a new density with none
     _lattice: dict = field(default_factory=dict, init=False, compare=False, repr=False)
@@ -257,11 +222,37 @@ class FuncDensity:
             raise InvalidMeasure("unbounded function densities must carry a tail envelope")
 
 
-@dataclass(frozen=True)
-class _Interpolant(FuncDensity):
-    """A bounded density smooth between its ``knots`` (lo, ..., hi): no stub or tail."""
+@dataclass(frozen=True, init=False)
+class GriddedDensity(FuncDensity):
+    """The function density of the piecewise-linear interpolant through
+    nonnegative ``values`` on a strictly increasing ``grid``, its knots.
+    Integrals report its Kronrod value (``"gauss-composite"``) or the
+    trapezoid sum at the knots, whose bound adds |trapezoid - Kronrod|; no
+    bound covers how well it models a continuous density.  Build a new one
+    from grid and values: ``dataclasses.replace`` does not apply."""
 
-    knots: np.ndarray = None
+    grid: np.ndarray = None
+    values: np.ndarray = None
+    rule: str = "trapezoid"
+
+    def __init__(self, grid, values, rule="trapezoid"):
+        try:
+            g, v = (np.asarray(x, dtype=np.float64) for x in (grid, values))
+        except (TypeError, ValueError):
+            raise InvalidMeasure("density grid and values must be arrays of numbers") from None
+        if g.ndim != 1 or v.shape != g.shape or g.size < 2:
+            raise InvalidMeasure("density grid and values must be 1-d arrays of equal length >= 2")
+        if not np.all(np.isfinite(g)) or not np.all(np.isfinite(v)):
+            raise InvalidMeasure("density grid and values must be finite")
+        if not np.all(np.diff(g) > 0):
+            raise InvalidMeasure("density grid must be strictly increasing")
+        if np.any(v < 0):
+            raise InvalidMeasure("density values must be nonnegative")
+        if rule not in ("trapezoid", "gauss-composite"):
+            raise InvalidMeasure(f"unknown quadrature rule {rule!r}")
+        self.__dict__.update(grid=g, values=v, rule=rule)
+        super().__init__(partial(np.interp, xp=g, fp=v), float(g[0]), float(g[-1]),
+                         HeadBound(float(v.max())), knots=g)
 
 
 @dataclass(frozen=True)
@@ -269,7 +260,7 @@ class Measure:
     """Nonnegative measure: weighted atoms plus an optional density, inside ``support``."""
 
     atoms: tuple = ()
-    density: GriddedDensity | FuncDensity | None = None
+    density: FuncDensity | None = None
     support: tuple = (-math.inf, math.inf)
 
     def __post_init__(self):
@@ -331,31 +322,29 @@ def on_half_line(mu):
 
 
 def interpolated(mu):
-    """``mu`` with a gridded density as the function density of its
-    interpolant, whose integrals take the Kronrod value; others as they are."""
+    """``mu`` with a trapezoid gridded density switched to ``"gauss-composite"``,
+    so that its integrals take the Kronrod value; others as they are."""
     dens = mu.density
-    if not isinstance(dens, GriddedDensity):
+    if not (isinstance(dens, GriddedDensity) and dens.rule == "trapezoid"):
         return mu
-    fn = partial(np.interp, xp=dens.grid, fp=dens.values)
-    return replace(mu, density=_Interpolant(fn, dens.lo, dens.hi, HeadBound(float(dens.values.max())),
-                                            knots=dens.grid))
+    return replace(mu, density=GriddedDensity(dens.grid, dens.values, "gauss-composite"))
 
 
 def lambda_weighted(mu):
-    """The measure lam * mu(dlam) of a measure on [0, inf): atoms (lam, lam*w)
-    and the density (a gridded one as its interpolant) times lam, whose head
-    and tail bounds rise one power."""
+    """The measure lam * mu(dlam) of a measure on [0, inf): atoms (lam, lam*w) and
+    the density times lam on the same knots, whose head and tail bounds rise
+    one power; a gridded density's rule is dropped, so it takes the Kronrod value."""
     if not on_half_line(mu):
         raise InvalidMeasure("lam-weighting needs a measure on [0, inf)")
-    dens = interpolated(mu).density
+    dens = mu.density
     if dens is not None:
         h, env, base = dens.head, dens.tail_env, dens.fn
         # lam <= stub_reach over a head that does not start at 0
         head = (replace(h, power=h.power + 1.0) if dens.lo == 0.0
                 else replace(h, coef=h.coef * stub_reach(dens)))
         env = None if env is None else replace(env, power=env.power + 1.0)
-        dens = replace(dens, fn=lambda x: x * np.asarray(base(x), dtype=np.float64), head=head,
-                       tail_env=env, name="", params={})
+        dens = FuncDensity(lambda x: x * np.asarray(base(x), dtype=np.float64), dens.lo, dens.hi,
+                           head, env, knots=dens.knots)
     return Measure(tuple((lam, lam * w) for lam, w in mu.atoms), dens, mu.support)
 
 
@@ -369,8 +358,8 @@ def scaled_exp(scale, x):
 
 
 def stub_reach(dens):
-    """Largest |lam| the unresolved stub of a function density reaches; 0 otherwise."""
-    return abs(dens.lo) + dens.head.cutoff if isinstance(dens, FuncDensity) else 0.0
+    """Largest |lam| the unresolved stub of a density reaches (unread on knots); 0 for None."""
+    return 0.0 if dens is None else abs(dens.lo) + dens.head.cutoff
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +594,7 @@ def _integrate_func_density(dens, wsum, g_head, g_tail, tol, breaks=()):
     bound per t.
     """
     budget = tol / 10.0
-    if isinstance(dens, _Interpolant):
+    if dens.knots is not None:
         knots, bound = dens.knots, 0.0
 
         def mesh(level):
@@ -650,10 +639,10 @@ def integrate_against(mu, wsum, g_head=(1.0, 0.0), g_tail=(1.0, 0.0, 0.0), tol=Q
     ``sum_i W_i * g_t(x_i)`` for nodes x and weights W of shape (N,) or
     (N, m), one sum per t and per column of W (a scalar or an (m,) array for
     a single integrand).  Atoms are summed exactly through it, with 1-d W.
-    For a function density, ``g_head = (coef, power)`` bounds every |g_t|
-    near its lower endpoint and ``g_tail = (coef, power, decay)`` bounds
-    every |g_t| for large lambda.  Interior kinks listed in ``breaks`` stay
-    on panel edges for either kind of density.  Returns ``(values, worst, bounds)``: one value and one
+    For a density without knots, ``g_head = (coef, power)`` bounds every
+    |g_t| near its lower endpoint and ``g_tail = (coef, power, decay)``
+    bounds every |g_t| for large lambda.  Interior kinks listed in ``breaks``
+    stay on panel edges.  Returns ``(values, worst, bounds)``: one value and one
     bound per t, and the largest bound, which decides convergence.  ``tol``
     must be finite and > 0, as in ``resolve_tol`` (``ValueError``).
     """
@@ -665,8 +654,7 @@ def integrate_against(mu, wsum, g_head=(1.0, 0.0), g_tail=(1.0, 0.0, 0.0), tol=Q
         return total, 0.0, np.zeros_like(total)
     step = max(1, _BLOCK // total.size)
     blocked = lambda x, w: sum(wsum(x[i:i + step], w[i:i + step]) for i in range(0, x.size, step))
-    part, bound = _integrate_func_density(interpolated(mu).density, blocked, g_head, g_tail, tol,
-                                          breaks)
+    part, bound = _integrate_func_density(dens, blocked, g_head, g_tail, tol, breaks)
     if isinstance(dens, GriddedDensity) and dens.rule == "trapezoid":
         # the trapezoid sum at the knots, within |trap - K| of the Kronrod value K
         half = 0.5 * np.diff(dens.grid)
@@ -732,7 +720,7 @@ def laplace_deriv(mu, t, k, tol=QUAD_TOL):
         raise ValueError(f"derivative order must be an integer >= 0, got {k}")
     k, ts = int(k), _batch(t, "transform")
     dens = mu.density
-    g_head = _laplace_g_head(dens, ts, k) if isinstance(dens, FuncDensity) else (1.0, 0.0)
+    g_head = (1.0, 0.0) if dens is None else _laplace_g_head(dens, ts, k)
     sign = (-1.0) ** k  # exact, so it changes no bit of the sums or their bounds
     return integral_value(mu, lambda x, w: sign * _accel.exp_weighted_sum(x, w, ts, k), g_head,
                           (1.0, float(k), float(ts.min())), t, tol, "transform")
@@ -819,19 +807,20 @@ def measure_from_doc(doc):
     atoms = doc.get("atoms", [])
     if not (isinstance(atoms, list) and all(isinstance(a, dict) for a in atoms)):
         raise InvalidMeasure("measure JSON atoms must be a list of objects")
-    atoms = tuple((float(required(a, "lambda", InvalidMeasure)),
-                   float(required(a, "weight", InvalidMeasure))) for a in atoms)
-    dens_doc = doc.get("density")
-    density = None
-    if dens_doc is not None:
-        if "catalog" in dens_doc:
-            density = density_from_spec(dens_doc["catalog"], dens_doc.get("params", {}))
-        else:
-            density = GriddedDensity(
-                np.asarray(required(dens_doc, "grid", InvalidMeasure), dtype=np.float64),
-                np.asarray(required(dens_doc, "values", InvalidMeasure), dtype=np.float64),
-                dens_doc.get("rule", "trapezoid"),
-            )
+    atoms = tuple((number(a, "lambda", InvalidMeasure), number(a, "weight", InvalidMeasure))
+                  for a in atoms)
+    dens_doc, density = doc.get("density"), None
+    if not isinstance(dens_doc, (dict, type(None))):
+        raise InvalidMeasure("measure JSON density must be an object or null")
+    if dens_doc and "catalog" in dens_doc:
+        name, params = dens_doc["catalog"], dens_doc.get("params", {})
+        if not (isinstance(name, str) and isinstance(params, dict)):
+            raise InvalidMeasure("a catalog density needs a name and an object of params")
+        density = density_from_spec(name, {k: number(params, k, InvalidMeasure) for k in params})
+    elif dens_doc is not None:
+        density = GriddedDensity(required(dens_doc, "grid", InvalidMeasure),
+                                 required(dens_doc, "values", InvalidMeasure),
+                                 dens_doc.get("rule", "trapezoid"))
     support = doc.get("support")
     return Measure(atoms, density, (-math.inf, math.inf) if support is None else support)
 

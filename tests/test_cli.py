@@ -454,6 +454,11 @@ _BAD_MEASURES = {
     "atoms_not_a_list": {"atoms": _ATOM},
     "grid_values_lengths": {"density": {"grid": [0, 1, 2], "values": [1, 0]}},
     "missing_weight": {"atoms": [{"lambda": 1.0}]},
+    "density_string": {"density": "catalog"},
+    "density_list": {"density": [1, 2]},
+    "params_list": {"density": {"catalog": "gamma", "params": [1]}},
+    "lambda_null": {"atoms": [{"lambda": None, "weight": 1.0}]},
+    "lambda_letter": {"atoms": [{"lambda": "x", "weight": 1.0}]},
 }
 
 

@@ -1,8 +1,8 @@
 """Layering: only ``measure`` knows how a density stores its bounds, and
 only ``kernelcheck._decide`` holds a statistic to its tolerance.
 
-The density classes and their bound fields (``head``, ``tail_env``) are
-named in ``measure.py`` alone, apart from the re-exports in
+The density classes, their bound fields (``head``, ``tail_env``) and their
+``knots`` are named in ``measure.py`` alone, apart from the re-exports in
 ``__init__.py``, and ``measure`` imports none of the modules built on it.
 In the four modules that decide verdicts, no comparison reads ``tol`` apart
 from the rule itself, the validity test of ``resolve_tol`` and the rank count
@@ -19,7 +19,7 @@ import pytest
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "posdefkit"
 DENSITY_CLASSES = {"HeadBound", "Envelope", "FuncDensity", "GriddedDensity"}
-DENSITY_FIELDS = {"head", "tail_env"}
+DENSITY_FIELDS = {"head", "tail_env", "knots"}
 ABOVE_MEASURE = {"catalog", "levykhin", "reflection", "cli"}
 VERDICT_MODULES = ("kernelcheck.py", "diffcalc.py", "reflection.py", "levykhin.py")
 

@@ -368,8 +368,13 @@ def test_rep_json_roundtrip(name):
 
 
 def test_rep_from_json_rejects_garbage():
-    with pytest.raises((pk.PosdefkitError, ValueError)):
-        lk.rep_from_json(json.dumps({"form": "nonsense"}))
+    # an unknown or unhashable form, and scalars that are not numbers
+    for doc in ({"form": "nonsense"}, {"form": ["x"]},
+                {"form": "bernstein", "a": "x", "b": 0.0, "sigma": {"atoms": []}},
+                {"form": "bernstein", "a": None, "b": 0.0, "sigma": {"atoms": []}},
+                {"form": "increasing", "c": [1], "mu": {"atoms": []}}):
+        with pytest.raises(pk.InvalidRep):
+            lk.rep_from_json(json.dumps(doc))
 
 
 def test_interval_handle_respects_interval():

@@ -490,6 +490,44 @@ def test_json_roundtrip_gridded():
     assert back.density.rule == "trapezoid"
 
 
+def test_a_nan_grid_point_is_named_as_not_finite():
+    with pytest.raises(pk.InvalidMeasure, match="finite"):
+        msr.GriddedDensity(np.array([0.0, math.nan, 2.0]), np.ones(3))
+
+
+@pytest.mark.parametrize("doc", [
+    {"density": "catalog"},
+    {"density": [1, 2]},
+    {"density": {"catalog": "gamma", "params": [1]}},
+    {"density": {"catalog": ["gamma"]}},
+    {"density": {"catalog": "gamma", "params": {"alpha": None}}},
+    {"density": {"grid": [0, "x"], "values": [1, 1]}},
+    {"atoms": [{"lambda": None, "weight": 1.0}]},
+    {"atoms": [{"lambda": "x", "weight": 1.0}]},
+], ids=["density_string", "density_list", "params_list", "catalog_list", "param_null",
+        "grid_letter", "lambda_null", "lambda_letter"])
+def test_malformed_measure_doc_raises_invalid_measure(doc):
+    with pytest.raises(pk.InvalidMeasure):
+        msr.measure_from_doc(doc)
+
+
+def test_a_gridded_density_is_integrated_as_the_function_density_it_is(monkeypatch):
+    g, v = np.array([0.0, 1.0, 5.0, 20.0]), np.array([1.0, 0.5, 0.2, 0.0])
+    mu = pk.Measure(density=msr.GriddedDensity(grid=g, values=v, rule="trapezoid"),
+                    support=(0.0, 20.0))
+    dens = mu.density
+    assert isinstance(dens, msr.FuncDensity)
+    assert (dens.lo, dens.hi, dens.rule) == (0.0, 20.0, "trapezoid")
+    np.testing.assert_array_equal(dens.grid, g)
+    np.testing.assert_array_equal(dens.values, v)
+    np.testing.assert_array_equal(dens.knots, g)
+    seen, integrate = [], msr._integrate_func_density
+    monkeypatch.setattr(msr, "_integrate_func_density",
+                        lambda dens, *args: seen.append(dens) or integrate(dens, *args))
+    msr.laplace(mu, 1.0)
+    assert len(seen) == 1 and seen[0] is dens
+
+
 @pytest.mark.parametrize("top, ok", [(1e6, True), (1.0, False)])
 def test_negative_density_rounding_is_judged_on_the_density_scale(top, ok):
     # -1e-8 is rounding beside values near 3.7e5, and a negative density beside values below 1
