@@ -128,7 +128,8 @@ def one_minus_exp_sum(lam, w, t):
         return np.zeros(t.shape + w.shape[1:])
     # a batch reaching t <= 0 saturates nothing
     tmin = max(float(t.min()), 0.0) if t.size else 0.0
-    live = np.flatnonzero(~(lam * tmin >= SATURATION))
+    with np.errstate(over="ignore"):  # an overflowed lam * tmin is inf: saturated
+        live = np.flatnonzero(~(lam * tmin >= SATURATION))
     k = int(live[-1]) + 1 if live.size else 0
     block = np.empty((t.size, lam.size))
     head = block[:, :k]

@@ -314,9 +314,12 @@ def _dictionary(fit, lambda_grid):
     """exp(-lam_j * s_i) columns; overflowing columns are dropped.
 
     A dropped column could only matter with weight below the double
-    underflow threshold, so dropping is lossless in practice.
+    underflow threshold, so dropping is lossless in practice.  A lambda that
+    is not finite raises ``ValueError`` naming the first one.
     """
     lams = np.asarray(lambda_grid, dtype=np.float64)
+    if not np.all(np.isfinite(lams)):
+        raise ValueError(f"lambda grid must be finite, got {lams[~np.isfinite(lams)][0]:g}")
     expo = -np.outer(fit, lams)
     keep = expo.max(axis=0) <= _EXP_OVERFLOW
     return np.exp(expo[:, keep]), lams[keep]

@@ -18,34 +18,33 @@ Every integral (transforms, masses, the one-wedge integral and the
 syntheses in ``levykhin``) goes through :func:`integrate_against`, which
 sums atoms exactly and integrates the density in one refinement loop with
 one embedded rule, 21-point Kronrod and its 10-point Gauss rule (G10/K21):
-one pass over a mesh gives a value and an error estimate.  A density with
-knots uses its knot cells.  Any other has one fixed lattice of panels
-uniform in log(lam - lo), graded: panel j spans the offsets
-[_LATTICE[j], _LATTICE[j+1]] above lo, two octaves across a band around the
-unit offset and twice as many octaves with each panel outside it, where the
-integrands are plain powers of lam.  A quadrature integrates the contiguous
-slice of panels from the widest stub on the lattice whose head bound meets
-the budget to the nearest lattice point past which the tail bound does.
-The caller's ``breaks`` stay on panel edges.  The reported
-``truncation_bound`` adds the analytic stub and tail bounds and a rounding
-allowance to the Kronrod-Gauss difference, so ``converged`` is an honest
-claim.
+one pass over a mesh gives a value and an error estimate.  The lattice of
+panels of a density with knots is its knot cells, integrated whole.  Any
+other has one fixed lattice uniform in log(lam - lo), graded: panel j spans
+the offsets [_LATTICE[j], _LATTICE[j+1]] above lo, two octaves across a
+band around the unit offset and twice as many octaves with each panel
+outside it, where the integrands are plain powers of lam.  A quadrature
+integrates the contiguous slice of panels from the widest stub on the
+lattice whose head bound meets the budget to the nearest lattice point past
+which the tail bound does.  The caller's ``breaks`` stay on panel edges.
+The reported ``truncation_bound`` adds the analytic stub and tail bounds
+and a rounding allowance to the Kronrod-Gauss difference, so ``converged``
+is an honest claim.
 
-Only the integrand depends on t, so each density without knots memoizes its
-lattice: per refinement level, the nodes of one contiguous run of panels
-and the weights times the checked density values.  A slice inside the run
-evaluates nothing; one reaching past it evaluates and checks only its new
-panels.  The memo lives and dies with its density, so ``fn`` must be pure.
+Only the integrand depends on t, so each density memoizes its lattice: per
+refinement level, the nodes of one contiguous run of panels and the weights
+times the checked density values.  A slice inside the run evaluates
+nothing; one reaching past it evaluates and checks only its new panels.
+The memo lives and dies with its density, so ``fn`` must be pure.
 
 One call integrates a whole batch of t: the integrand family is given as
 one weighted sum per t and weight column.  The batch shares one truncation
 point and one stub, both sized for its worst-case integrand bounds, and one
 mesh per refinement level.  A batch not converged on the first mesh
-refines it (level l splits every lattice panel into 2**l, a knot mesh
-halves every cell), and a refined mesh must also agree with the one
-before.  The integrand is summed over blocks of nodes holding a fixed
-number (``_BLOCK``) of node-by-t elements, so memory stays flat however
-large the batch.
+refines it (level l splits every lattice panel into 2**l), and a refined
+mesh must also agree with the one before.  The integrand is summed over
+blocks of nodes holding a fixed number (``_BLOCK``) of node-by-t elements,
+so memory stays flat however large the batch.
 """
 
 import bisect
@@ -151,18 +150,19 @@ class Envelope:
         if s > 0.0:
             x = s * T
             lx = math.log(x)
-            if p <= 0.0:
-                z, size = p * lx - x, abs(p * lx) + x
-            elif x > p:
-                # log(x - p) magnifies the rounding of x and p by (x + p) / (x - p)
-                z = a * lx - x - math.log(x - p)
-                size = abs(a * lx) + x + abs(math.log(x - p)) + (x + p) / (x - p)
-            else:  # math.lgamma to a few ulps of its value
-                z = math.lgamma(a)
-                size = 2.0 + 4.0 * abs(z)
-            lc, ls = math.log(c), a * math.log(s)
-            try:
-                bound = math.exp(z + lc - ls + _TAIL_SLACK + 2.0 * _EPS * (size + abs(lc) + abs(ls)))
+            try:  # an overflow of math.exp, or of math.lgamma past a = 2.5e305, is inf
+                if p <= 0.0:
+                    z, size = p * lx - x, abs(p * lx) + x
+                elif x > p:
+                    # log(x - p) magnifies the rounding of x and p by (x + p) / (x - p)
+                    z = a * lx - x - math.log(x - p)
+                    size = abs(a * lx) + x + abs(math.log(x - p)) + (x + p) / (x - p)
+                else:  # math.lgamma to a few ulps of its value
+                    z = math.lgamma(a)
+                    size = 2.0 + 4.0 * abs(z)
+                lc, ls = math.log(c), a * math.log(s)
+                bound = math.exp(z + lc - ls + _TAIL_SLACK
+                                 + 2.0 * _EPS * (size + abs(lc) + abs(ls)))
             except OverflowError:
                 return math.inf
             return bound if bound >= _SMALLEST_NORMAL else math.nextafter(bound, math.inf)
@@ -187,8 +187,8 @@ class FuncDensity:
     ``head`` bounds the density just above ``lo`` and sizes the unresolved
     stub panel; ``tail_env`` is required when ``hi`` is infinite.  ``name``
     and ``params`` let catalog densities serialize by reference.  A density
-    with ``knots`` (lo, ..., hi) is smooth between them and integrated on
-    their cells instead of the lattice: no stub or tail, no bound read.
+    with ``knots`` (lo, ..., hi) is smooth between them, and their cells are
+    its lattice: no stub or tail, no bound read.
 
     ``head.power <= -1`` is allowed: such a density has infinite mass near
     ``lo`` but stays usable against integrands vanishing there (the Bernstein
@@ -375,7 +375,11 @@ def _power_decay_density(coef, power, decay, name, params):
 
     def fn(lam):
         lam = np.asarray(lam, dtype=np.float64)
-        return coef * np.power(lam, power) * np.exp(-decay * lam)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rho = np.asarray(coef * np.power(lam, power) * np.exp(-decay * lam))
+            bad = ~np.isfinite(rho)  # where lam**power overflows: the product through its log
+            rho[bad] = np.exp(math.log(coef) + power * np.log(lam[bad]) - decay * lam[bad])
+        return rho
 
     return FuncDensity(
         fn=fn,
@@ -441,45 +445,42 @@ def density_from_spec(name, params=None):
 # quadrature engine
 
 
-def _panel_nodes(edges, lo=None):
-    """G10/K21 nodes on every panel and their (N, 2) weights: Kronrod, Gauss.
+def _lattice_end(dens, j):
+    """Edge j of a density's lattice: knot j, else offset ``_LATTICE[j]`` above lo up to hi - lo."""
+    return dens.knots[j] if dens.knots is not None else min(_LATTICE[j], dens.hi - dens.lo)
 
-    With ``lo``, ``edges`` are offsets above lo and the panels are uniform in
-    u = log(lam - lo), where (lam - lo)**p is the entire e**((p+1)u): the
-    nodes are lo + e**u and both weight columns carry the Jacobian lam - lo.
+
+def _lattice_edges(dens, j0, j1, level):
+    """Edges of the lattice panels j0 .. j1-1, each cut into 2**level equal
+    panels: a knot cell in lam, at np.interp's points of its fractional knot
+    indices bit for bit, else a panel of ``_LATTICE`` in log(lam - lo), its
+    edges offsets above lo.  Every panel's edges depend on j and level
+    alone, so slices of one lattice nest."""
+    ends = np.array([_lattice_end(dens, j) for j in range(j0, j1 + 1)])
+    steps = np.arange(2**level) / 2**level
+    a, b = ends[:-1, None], ends[1:, None]
+    edges = (b - a) * steps + a if dens.knots is not None else a * (b / a) ** steps
+    return np.append(edges.ravel(), ends[-1])
+
+
+def _weighted_nodes(dens, edges, lo):
+    """G10/K21 nodes on every panel and their (N, 2) weights, Kronrod and
+    Gauss, times the density, which is checked to be finite and nonnegative
+    at every node.
+
+    With ``lo`` None the panels are linear in lam.  Otherwise ``edges`` are
+    offsets above lo and the panels are uniform in u = log(lam - lo), where
+    (lam - lo)**p is the entire e**((p+1)u): the nodes are lo + e**u and both
+    weight columns carry the Jacobian lam - lo.
     """
     u = edges if lo is None else np.log(edges)
     mid = 0.5 * (u[:-1] + u[1:])
     half = 0.5 * np.diff(u)
     nodes = (mid[:, None] + half[:, None] * _KRONROD_NODES).ravel()
     wts = (half[:, None, None] * _KRONROD_WEIGHTS).reshape(-1, 2)
-    if lo is None:
-        return nodes, wts
-    off = np.exp(nodes)
-    return lo + off, wts * off[:, None]
-
-
-def _lattice_end(dens, j):
-    """Offset of the lattice point j above lo: ``_LATTICE[j]``, or hi - lo past a finite hi."""
-    return min(_LATTICE[j], dens.hi - dens.lo)
-
-
-def _lattice_edges(dens, j0, j1, level):
-    """Offsets above lo of the lattice panels j0 .. j1-1, each cut into
-    2**level panels uniform in log: panel j spans [_LATTICE[j],
-    _LATTICE[j+1]], and the top panel of a bounded density [_LATTICE[j],
-    hi - lo].  Every panel's edges depend on j and level alone, so slices of
-    one lattice nest."""
-    ends = np.array([_lattice_end(dens, j) for j in range(j0, j1 + 1)])
-    steps = np.arange(2**level) / 2**level
-    edges = ends[:-1, None] * (ends[1:] / ends[:-1])[:, None] ** steps
-    return np.append(edges.ravel(), ends[-1])
-
-
-def _weighted_nodes(dens, edges, lo=None):
-    """``_panel_nodes(edges, lo)`` with both weight columns times the density,
-    which is checked to be finite and nonnegative at every node."""
-    nodes, wts = _panel_nodes(edges, lo)
+    if lo is not None:
+        off = np.exp(nodes)
+        nodes, wts = lo + off, wts * off[:, None]
     rho = np.asarray(dens.fn(nodes), dtype=np.float64)
     if rho.shape != nodes.shape:
         raise InvalidMeasure("density callable must return an array matching its input")
@@ -495,7 +496,8 @@ def _weighted_nodes(dens, edges, lo=None):
 
 def _lattice_slice(dens, ja, jb, breaks, level):
     """Nodes and density-weighted (Kronrod, Gauss) weights of the lattice
-    panels ja .. jb-1 at ``level``, as read-only views of the density's memo.
+    panels ja .. jb-1 at ``level`` (knot cells where the density has knots),
+    as read-only views of the density's memo.
 
     The memo keeps one contiguous run of panels per level and grows by the
     panels of the slice it lacks, so only those are evaluated and checked; a
@@ -504,10 +506,10 @@ def _lattice_slice(dens, ja, jb, breaks, level):
     consistent entry.  A cut in ``breaks`` strictly inside a panel gets a
     union mesh of its own, which is not kept.
     """
-    lo = dens.lo
-    cuts = [b - lo for b in breaks if _LATTICE[ja] < b - lo < _lattice_end(dens, jb)]
-    if cuts:
+    lo = None if dens.knots is not None else dens.lo  # knot edges are points, lattice ones offsets
+    if breaks:
         edges = _lattice_edges(dens, ja, jb, level)
+        cuts = [b - (lo or 0.0) for b in breaks if edges[0] < b - (lo or 0.0) < edges[-1]]
         if not np.isin(cuts, edges).all():
             return _weighted_nodes(dens, np.union1d(edges, cuts), lo)
     memo = dens._lattice.get(level)
@@ -595,30 +597,20 @@ def _integrate_func_density(dens, wsum, g_head, g_tail, tol, breaks=()):
     """
     budget = tol / 10.0
     if dens.knots is not None:
-        knots, bound = dens.knots, 0.0
-
-        def mesh(level):
-            # level l cuts every knot cell into 2**l equal panels, at fractional
-            # knot indices; the kinks listed in ``breaks`` stay on panel edges
-            edges = np.interp(np.arange((knots.size - 1) * 2**level + 1) / 2**level,
-                              np.arange(knots.size), knots)
-            cuts = [b for b in breaks if edges[0] < b < edges[-1]]
-            return _weighted_nodes(dens, np.union1d(edges, cuts) if cuts else edges)
+        ja, jb, bound = 0, dens.knots.size - 1, 0.0
     else:
         # the slice spans lo + [_LATTICE[ja], _LATTICE[jb]]; stub and tail bounds cover the rest
-        lo = dens.lo
         if math.isinf(dens.hi):
-            jb, tail_bound = _tail_panel(dens.tail_env, g_tail, lo, budget)
+            jb, tail_bound = _tail_panel(dens.tail_env, g_tail, dens.lo, budget)
         else:
             # the first lattice point at or past hi, panel 0 at least
-            jb, tail_bound = max(bisect.bisect_left(_LATTICE, dens.hi - lo), 1), 0.0
+            jb, tail_bound = max(bisect.bisect_left(_LATTICE, dens.hi - dens.lo), 1), 0.0
         ja, stub_bound = _stub_panel(dens.head, g_head[0], g_head[1], budget, jb)
         bound = stub_bound + tail_bound
-        mesh = partial(_lattice_slice, dens, ja, jb, breaks)
 
     value = None
     for level in range(_MAX_LEVEL + 1):
-        nodes, wr = mesh(level)
+        nodes, wr = _lattice_slice(dens, ja, jb, breaks, level)
         kron, gauss = np.moveaxis(wsum(nodes, wr), -1, 0)
         quad_err = np.abs(kron - gauss)
         if value is not None:

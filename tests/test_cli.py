@@ -325,6 +325,8 @@ def test_synth_csv(capsys, rep_file, tmp_path):
     ("synth", "--t-grid", "1,2,0", "--t-grid needs n >= 1, got 0"),
     ("analyze", "--lambda-grid", "geom:1,2", "--lambda-grid geom: must look like 'lo,hi,n'"),
     ("analyze", "--lambda-grid", "geom:1,2,-3", "--lambda-grid geom: needs n >= 1, got -3"),
+    ("analyze", "--lambda-grid", "1,nan", "lambda grid must be finite, got nan"),
+    ("analyze", "--lambda-grid", "1,-inf", "lambda grid must be finite, got -inf"),
 ])
 def test_span_values_are_checked(capsys, rep_file, cmd, flag, value, message):
     fn = {"synth": ["--rep", rep_file],
@@ -371,6 +373,16 @@ def test_thm59_unconverged_transform_is_inconclusive(capsys, tmp_path):
     assert code == 3
     assert doc["results"][0]["rp"]["verdict"] == "INCONCLUSIVE"
     assert doc["results"][0]["necessary_witness"] is None
+
+
+def test_thm59_on_a_tail_past_the_range_of_lgamma_is_input_error(capsys, tmp_path):
+    mu = tmp_path / "mu.json"
+    mu.write_text(json.dumps({"density": {"catalog": "power_decay",
+                                          "params": {"coef": 1, "power": 1e308, "decay": 1}},
+                              "support": [0, math.inf]}))
+    code, doc, _ = run_json(capsys, "thm59", "--measure", str(mu), "--a", "1")
+    assert code == 2
+    assert doc == {"error": "tail bound cannot be brought below tolerance; transform diverges"}
 
 
 def test_gallery_lists_catalog(capsys):

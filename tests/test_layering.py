@@ -10,7 +10,10 @@ of ``quotient_space``, which is a threshold and not a verdict.  In
 ``measure.py`` only ``_tail_panel`` calls ``Envelope.tail``, so a quadrature
 picks its truncation point on the lattice of its panels and nowhere else, and
 only the ``_LATTICE`` table turns a lattice index into an offset: no other
-code there calls ``ldexp`` or ``frexp`` or raises 4 to a power.
+code there calls ``ldexp`` or ``frexp`` or raises 4 to a power.  There, too,
+only ``_lattice_slice`` builds a mesh of density-weighted nodes, for knot
+cells and lattice panels alike, and only ``GriddedDensity`` names
+``np.interp``, so no second knot mesh can grow beside it.
 """
 import ast
 import pathlib
@@ -78,35 +81,42 @@ def _not_a_verdict(where, source):
         "quotient_space", "vals > tol * scale")
 
 
-def _tail_callers(tree):
-    """The top-level definition around every call of a method named ``tail``."""
+def _around(tree, match):
+    """The top-level definition or assignment around every node that ``match`` accepts."""
     for top in tree.body:
         for node in ast.walk(top):
-            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "tail"):
-                yield top.name
-
-
-def _lattice_arithmetic(tree):
-    """The top-level definition or assignment around every call of ``ldexp``
-    or ``frexp`` and every power of the literal 4."""
-    for top in tree.body:
-        for node in ast.walk(top):
-            call = isinstance(node, ast.Call) and (
-                getattr(node.func, "attr", None) or getattr(node.func, "id", None)) in (
-                "ldexp", "frexp")
-            power = (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
-                     and isinstance(node.left, ast.Constant) and node.left.value == 4)
-            if call or power:
+            if match(node):
                 yield top.name if hasattr(top, "name") else ast.unparse(top.targets[0])
 
 
+def _calls(name):
+    """Whether a node calls a function or method named ``name``."""
+    return lambda node: isinstance(node, ast.Call) and name in (
+        getattr(node.func, "attr", None), getattr(node.func, "id", None))
+
+
+def _lattice_arithmetic(node):
+    """Whether a node calls ``ldexp`` or ``frexp`` or raises the literal 4 to a power."""
+    return _calls("ldexp")(node) or _calls("frexp")(node) or (
+        isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+        and isinstance(node.left, ast.Constant) and node.left.value == 4)
+
+
 def test_only_the_lattice_table_computes_lattice_offsets():
-    assert set(_lattice_arithmetic(_tree("measure.py"))) == {"_LATTICE"}
+    assert set(_around(_tree("measure.py"), _lattice_arithmetic)) == {"_LATTICE"}
 
 
 def test_only_the_tail_panel_calls_the_tail_bound():
-    assert set(_tail_callers(_tree("measure.py"))) == {"_tail_panel"}
+    assert set(_around(_tree("measure.py"), _calls("tail"))) == {"_tail_panel"}
+
+
+def test_only_the_lattice_slice_evaluates_a_density_on_a_mesh():
+    assert set(_around(_tree("measure.py"), _calls("_weighted_nodes"))) == {"_lattice_slice"}
+
+
+def test_only_the_gridded_density_interpolates():
+    interp = lambda node: isinstance(node, ast.Attribute) and node.attr == "interp"
+    assert set(_around(_tree("measure.py"), interp)) == {"GriddedDensity"}
 
 
 def test_measure_imports_no_module_built_on_it():

@@ -257,6 +257,19 @@ def test_analyze_increasing_log():
         assert lk.synth_increasing(rep, t) == pytest.approx(math.log(t), abs=1e-5)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_fit_dictionary_needs_finite_lambdas(bad):
+    psi = fns.from_callable(lambda t: np.log(t), domain=(0.0, np.inf))
+    with pytest.raises(ValueError, match=f"lambda grid must be finite, got {bad:g}"):
+        lk.analyze_increasing(psi, fns.chebyshev_grid(0.25, 4.0, 24), [1.0, bad, 2.0])
+
+
+def test_a_saturated_bernstein_atom_past_the_overflow_of_lam_t_is_one():
+    # lam * min(t) overflows to inf at lam = 1e308: saturated, with no warning
+    sigma = pk.Measure(atoms=((1e308, 1.0),), support=msr.HALF_LINE)
+    assert lk.synth_bernstein(lk.BernsteinRep(a=0.0, b=0.0, sigma=sigma), 10.0) == 1.0
+
+
 def test_analyze_increasing_rejects_decreasing():
     psi = fns.from_callable(lambda t: np.exp(-t), domain=(0.0, np.inf))
     with pytest.raises(pk.NotIncreasing):

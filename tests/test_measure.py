@@ -237,6 +237,8 @@ def test_upper_gamma_scaled_and_extreme(a, x, log_scale):
 def test_upper_gamma_overflow_is_inf():
     assert msr.Envelope(1.0, 199.0, 1.0).tail(100.0) == math.inf
     assert msr.Envelope(1e300, 1.0, 1e-10).tail(1.0) == math.inf
+    # below x = power the bound is Gamma(1e308 + 1), whose log overflows a double
+    assert msr.Envelope(1.0, 1e308, 1.0).tail(4.0) == math.inf
 
 
 def test_tail_bound_stays_finite_where_gamma_overflows():
@@ -299,6 +301,13 @@ def test_laplace_deriv_atoms_exact():
     mu = pk.Measure(atoms=((0.7, 1.3), (2.0, 0.4)))
     want = 1.3 * (-0.7) ** 2 * math.exp(-0.7) + 0.4 * (-2.0) ** 2 * math.exp(-2.0)
     assert msr.laplace_deriv(mu, 1.0, 2).value == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+def test_a_power_decay_density_past_the_overflow_of_its_power_keeps_its_mass():
+    # lam**150 overflows past lam = 1.1e2, where e**-lam still holds it finite
+    mu = pk.Measure(density=pk.density_from_spec("power_decay", {"power": 150.0, "decay": 1.0}),
+                    support=msr.HALF_LINE)
+    assert msr.total_mass(mu) == pytest.approx(math.gamma(151.0), rel=1e-13, abs=0.0)
 
 
 def test_masses():
@@ -729,6 +738,36 @@ def test_gridded_density_halves_the_cells_that_miss_tol():
     want = [float(mp.quad(lambda lam: (1 - lam / 10) * mp.exp(-lam * t), [0, 10])) for t in ts]
     assert lv.converged
     assert np.all(np.abs(lv.value - want) <= lv.truncation_bound)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=12, unique=True),
+       st.integers(0, msr._MAX_LEVEL))
+def test_knot_edges_are_the_interpolated_edges(points, level):
+    # the knot mesh at each level, and each slice of it, as np.interp builds it
+    knots = np.array(sorted(points))
+    dens = msr.GriddedDensity(knots, np.ones(knots.size))
+    n, per = knots.size - 1, 2**level
+    want = np.interp(np.arange(n * per + 1) / per, np.arange(n + 1), knots)
+    assert np.array_equal(msr._lattice_edges(dens, 0, n, level), want)
+    j0, j1 = n // 3, n - n // 3
+    assert np.array_equal(msr._lattice_edges(dens, j0, j1, level), want[j0 * per:j1 * per + 1])
+
+
+def test_a_repeat_on_a_gridded_density_evaluates_it_no_more(monkeypatch):
+    # the density calls the np.interp it was built with: count those calls
+    calls, interp = [], np.interp
+    monkeypatch.setattr(np, "interp", lambda x, **kw: calls.append(np.size(x)) or interp(x, **kw))
+    grid = np.linspace(0.0, 8.0, 9)
+    mu = pk.Measure(density=msr.GriddedDensity(grid, np.exp(-grid)), support=msr.HALF_LINE)
+    ts = np.array([0.5, 4.0])
+    for m in (mu, msr.lambda_weighted(mu)):
+        first, seen = msr.laplace(m, ts), len(calls)
+        assert seen and m.density._lattice
+        again = msr.laplace(m, ts)
+        assert len(calls) == seen
+        assert np.array_equal(again.value, first.value)
+        assert np.array_equal(again.truncation_bound, first.truncation_bound)
 
 
 @pytest.mark.parametrize("kwargs", [
