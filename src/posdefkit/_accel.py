@@ -78,20 +78,20 @@ def e_lambda_damped_vals(lam, u, t0):
     ax = np.abs(x)
     near = ax < SERIES_SWITCH
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        damp = np.exp(-lam * t0)
+        lt0 = -lam * t0
+        damp = np.exp(lt0)
         x2 = x * x
-        poly = (
-            0.5 - x / 6.0 + x2 / 24.0 - x2 * x / 120.0 + x2 * x2 / 720.0 - x2 * x2 * x / 5040.0
-        )
+        x4 = x2 * x2
+        poly = 0.5 - x / 6.0 + x2 / 24.0 - x2 * x / 120.0 + x4 / 720.0 - x4 * x / 5040.0
         out = -u * u * poly * damp
         if not near.all():
             # the difference form cancels like eps/x**2 for small x; below
             # |x| = 1 the product form is accurate and expm1 cannot overflow
             prod = -(np.expm1(-x) + x) * damp
-            diff = damp * (1.0 - x) - np.exp(-lam * t0 - x)
+            diff = damp * (1.0 - x) - np.exp(lt0 - x)
             direct = np.where(ax < 1.0, prod, diff) / (lam * lam)
             out = np.where(near, out, direct)
-    return np.where(lam == 0.0, -0.5 * u * u, out)
+    return np.where(lam == 0.0, -0.5 * u * u, out) if (lam == 0.0).any() else out
 
 
 def e_lambda_dt_damped_vals(lam, t, t0):

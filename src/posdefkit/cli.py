@@ -59,14 +59,17 @@ def _parse_list(text):
 
 
 def _parse_span(text, flag):
-    """(lo, hi, n) from 'lo,hi,n' with n >= 1; ``flag`` names the value in errors."""
+    """Finite (lo, hi) and n >= 1 from 'lo,hi,n'; ``flag`` names the value in errors."""
     parts = text.split(",")
     if len(parts) != 3:
         raise ValueError(f"{flag} must look like 'lo,hi,n'")
     n = int(parts[2])
     if n < 1:
         raise ValueError(f"{flag} needs n >= 1, got {n}")
-    return float(parts[0]), float(parts[1]), n
+    lo, hi = float(parts[0]), float(parts[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"{flag} needs a finite lo and hi, got {lo:g},{hi:g}")
+    return lo, hi, n
 
 
 def _parse_lambda_grid(text):

@@ -187,7 +187,7 @@ def synth_interval(rep, t, tol=SYNTH_TOL, full=False):
     a, b = rep.interval
     ts = msr._batch(t, "synthesis", f"t = {{:g}} outside the open interval ({a:g}, {b:g})", a, b)
     u, t0 = ts - rep.t0, rep.t0
-    um = float(np.max(np.abs(u)))
+    um = float(np.abs(u).max())
     # |e_lam(u)| <= u^2/2 * e^{|lam u|} over the stub
     g_head = (msr.scaled_exp(0.5 * um * um, msr.stub_reach(rep.mu.density) * (um + abs(t0))), 0.0)
     return _synth(rep.mu, lambda x, w: _accel.e_lambda_damped_vals(x, u[:, None], t0) @ w, g_head,
@@ -198,7 +198,7 @@ def synth_interval(rep, t, tol=SYNTH_TOL, full=False):
 def synth_increasing(rep, t, tol=SYNTH_TOL, full=False):
     """c + integral f_lam(t) dmu for t > 0; equals c exactly at t = 1."""
     ts = msr._batch(t, "synthesis", "increasing synthesis is defined for t > 0", 0.0)
-    um = float(np.max(np.abs(ts - 1.0)))
+    um = float(np.abs(ts - 1.0).max())
     g_head = (msr.scaled_exp(um, msr.stub_reach(rep.mu.density) * um), 0.0)
     return _synth(rep.mu, lambda x, w: -(_accel.e_lambda_dt_damped_vals(x, ts[:, None], 1.0) @ w),
                   g_head, (2.0, -1.0, min(1.0, float(ts.min()))), rep.c, t, tol, full,
@@ -266,7 +266,7 @@ def interval_handle(rep, tol=SYNTH_TOL):
             return replace(lv, value=-lv.value)
         ts = msr._batch(ts, "synthesis")
         u, t0 = ts - rep.t0, rep.t0
-        um = float(np.max(np.abs(u)))
+        um = float(np.abs(u).max())
         g_head = (msr.scaled_exp(um + 1.0, msr.stub_reach(rep.mu.density) * (um + abs(t0))), 0.0)
         return msr.integral_value(
             rep.mu, lambda x, w: _accel.e_lambda_dt_damped_vals(x, ts[:, None], t0) @ w, g_head,

@@ -44,7 +44,8 @@ mesh per refinement level.  A batch not converged on the first mesh
 refines it (level l splits every lattice panel into 2**l), and a refined
 mesh must also agree with the one before.  The integrand is summed over
 blocks of nodes holding a fixed number (``_BLOCK``) of node-by-t elements,
-so memory stays flat however large the batch.
+so memory stays flat however large the batch; a batch that fits one block
+is one kernel call per level.
 """
 
 import bisect
@@ -610,8 +611,8 @@ def _integrate_func_density(dens, wsum, g_head, g_tail, tol, breaks=()):
 
     value = None
     for level in range(_MAX_LEVEL + 1):
-        nodes, wr = _lattice_slice(dens, ja, jb, breaks, level)
-        kron, gauss = np.moveaxis(wsum(nodes, wr), -1, 0)
+        sums = wsum(*_lattice_slice(dens, ja, jb, breaks, level))
+        kron, gauss = sums[..., 0], sums[..., 1]
         quad_err = np.abs(kron - gauss)
         if value is not None:
             # a refined mesh must also agree with the one that failed
@@ -619,7 +620,7 @@ def _integrate_func_density(dens, wsum, g_head, g_tail, tol, breaks=()):
         value = kron
         if quad_err.max() <= budget:
             break
-    if not np.all(np.isfinite(value)):
+    if not np.isfinite(value).all():
         raise DivergentIntegral("quadrature overflowed; transform diverges on this input")
     return value, bound + quad_err
 
@@ -645,7 +646,9 @@ def integrate_against(mu, wsum, g_head=(1.0, 0.0), g_tail=(1.0, 0.0, 0.0), tol=Q
     if dens is None:
         return total, 0.0, np.zeros_like(total)
     step = max(1, _BLOCK // total.size)
-    blocked = lambda x, w: sum(wsum(x[i:i + step], w[i:i + step]) for i in range(0, x.size, step))
+    # one kernel call when one block holds the batch (+ 0.0 turns -0.0 to 0.0, as a sum from 0 does)
+    blocked = lambda x, w: (wsum(x, w) + 0.0 if x.size <= step else
+                            sum(wsum(x[i:i + step], w[i:i + step]) for i in range(0, x.size, step)))
     part, bound = _integrate_func_density(dens, blocked, g_head, g_tail, tol, breaks)
     if isinstance(dens, GriddedDensity) and dens.rule == "trapezoid":
         # the trapezoid sum at the knots, within |trap - K| of the Kronrod value K
@@ -653,7 +656,7 @@ def integrate_against(mu, wsum, g_head=(1.0, 0.0), g_tail=(1.0, 0.0, 0.0), tol=Q
         trap = blocked(dens.grid, dens.values * (np.append(half, 0.0) + np.insert(half, 0, 0.0)))
         part, bound = trap, bound + np.abs(trap - part)
     bound = bound + _ROUNDING * np.abs(part)
-    return total + part, float(np.max(bound)), bound
+    return total + part, float(bound.max()), bound
 
 
 def integral_value(mu, wsum, g_head, g_tail, t, tol, what, offset=None):
@@ -663,9 +666,8 @@ def integral_value(mu, wsum, g_head, g_tail, t, tol, what, offset=None):
     ``DivergentIntegral`` naming ``what`` and the first such t."""
     part, worst, bounds = integrate_against(mu, wsum, g_head, g_tail, tol)
     value = part if offset is None else offset + part
-    bad = ~np.isfinite(value)
-    if bad.any():
-        raise DivergentIntegral(f"{what} overflowed at t = {np.ravel(t)[bad][0]:g}")
+    if not np.isfinite(value).all():
+        raise DivergentIntegral(f"{what} overflowed at t = {np.ravel(t)[~np.isfinite(value)][0]:g}")
     return LaplaceValue.shaped(t, value, bounds, worst <= tol)
 
 
@@ -674,9 +676,14 @@ def integral_value(mu, wsum, g_head, g_tail, t, tol, what, offset=None):
 
 
 def _batch(t, what, message="", lo=-math.inf, hi=math.inf):
-    """t as a 1-d float array; a DomainError names the first t that is not
-    finite (``what`` needs a finite t), else the first outside (lo, hi)."""
-    ts = np.ravel(np.asarray(t, dtype=np.float64))
+    """t as a 1-d float array; a DomainError names an empty t, else the first t
+    not finite (``what`` needs a finite t), else the first outside (lo, hi)."""
+    ts = np.asarray(t, dtype=np.float64).ravel()
+    if not ts.size:
+        raise DomainError(f"{what} needs at least one t")
+    # a NaN makes both ends NaN and +-inf is outside any (lo, hi): a good batch passes at once
+    if lo < ts.min() and ts.max() < hi:
+        return ts
     for bad, text in ((~np.isfinite(ts), what + " needs a finite t, got {:g}"),
                       ((ts <= lo) | (ts >= hi), message)):
         if bad.any():

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -327,13 +328,23 @@ def test_synth_csv(capsys, rep_file, tmp_path):
     ("analyze", "--lambda-grid", "geom:1,2,-3", "--lambda-grid geom: needs n >= 1, got -3"),
     ("analyze", "--lambda-grid", "1,nan", "lambda grid must be finite, got nan"),
     ("analyze", "--lambda-grid", "1,-inf", "lambda grid must be finite, got -inf"),
+    ("synth", "--t-grid", "1,inf,5", "--t-grid needs a finite lo and hi, got 1,inf"),
+    ("synth", "--t-grid", "nan,2,5", "--t-grid needs a finite lo and hi, got nan,2"),
+    ("analyze", "--lambda-grid", "geom:1,1e400,5",
+     "--lambda-grid geom: needs a finite lo and hi, got 1,inf"),
+    ("analyze", "--lambda-grid", "geom:-inf,1,5",
+     "--lambda-grid geom: needs a finite lo and hi, got -inf,1"),
 ])
 def test_span_values_are_checked(capsys, rep_file, cmd, flag, value, message):
+    # an input error, before numpy can warn about the values
     fn = {"synth": ["--rep", rep_file],
           "analyze": ["--function", "catalog:log", "--form", "increasing"]}[cmd]
-    code, doc, _ = run_json(capsys, cmd, *fn, flag, value)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, doc, _ = run_json(capsys, cmd, *fn, flag, value)
     assert code == 2
     assert doc == {"error": message}
+    assert not caught
 
 
 def test_analyze_interval(capsys):

@@ -497,6 +497,41 @@ def test_batch_rejects_a_bad_t_like_the_scalar_call(fn, name, bad):
     assert str(batch.value) == str(scalar.value)
 
 
+_SYNTHESIZERS = [(lk.synth_interval, "neg_tlogt"), (lk.synth_increasing, "log"),
+                 (lk.synth_bernstein, "log1p"), (lk.synth_reflection_negative, "abs_power")]
+
+
+@pytest.mark.parametrize("t", [np.array([]), []])
+@pytest.mark.parametrize("fn, name", _SYNTHESIZERS)
+def test_an_empty_t_is_a_domain_error(fn, name, t):
+    with pytest.raises(pk.DomainError, match="^synthesis needs at least one t$"):
+        fn(pk.get(name).lk_data, t)
+
+
+@pytest.mark.parametrize("fn, name, outside, message", [
+    (lk.synth_interval, "neg_tlogt", -1.0, "t = -1 outside the open interval (0, inf)"),
+    (lk.synth_increasing, "log", -1.0, "increasing synthesis is defined for t > 0"),
+    (lk.synth_bernstein, "log1p", -1.0, "Bernstein synthesis is defined for t >= 0"),
+    (lk.synth_reflection_negative, "abs_power", None, None),
+])
+def test_a_t_that_is_not_finite_is_named_before_one_outside_the_window(fn, name, outside,
+                                                                       message):
+    rep = pk.get(name).lk_data
+    bads = [(math.inf, "inf"), (math.nan, "nan"), ([1.0, outside or 1.0, math.nan], "nan")]
+    if outside is not None:
+        # -inf is outside the window as well, yet the error names it as not finite
+        # (the even form is left out: it checks |t|, so it names -inf as inf)
+        bads.append((-math.inf, "-inf"))
+    for bad, got in bads:
+        with pytest.raises(pk.DomainError, match=f"^synthesis needs a finite t, got {got}$"):
+            fn(rep, bad)
+    if outside is not None:
+        for bad in (outside, [2.0, outside, 3.0]):
+            with pytest.raises(pk.DomainError) as info:
+                fn(rep, bad)
+            assert str(info.value) == message
+
+
 @pytest.mark.parametrize("name, params", [("log1p", {}), ("power", {"alpha": 0.5}), ("ratio", {})])
 def test_bernstein_handle_reaches_t_zero(name, params):
     entry = pk.get(name, **params)

@@ -137,6 +137,70 @@ def test_batch_shares_one_truncation_point(monkeypatch):
     assert np.all(np.abs(lv.value - (1.0 + np.array([6.0, 0.02])) ** -1.5) <= TOL)
 
 
+def _count_calls(monkeypatch, module, name, calls):
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a: calls.append(a) or original(*a))
+
+
+_BATCH = np.array([0.02, 0.3, 1.0, 2.5, 6.0])
+
+
+def batched(name):
+    """A batched transform or synthesis, at a tol that refines the transform, and its kernel."""
+    if name == "laplace_deriv":
+        mu = exp_measure()
+        return lambda: msr.laplace_deriv(mu, _BATCH, 1, 1e-13), "exp_weighted_sum"
+    rep = pk.get("log1p").lk_data
+    return lambda: lk.synth_bernstein(rep, _BATCH, 1e-13, full=True), "one_minus_exp_sum"
+
+
+@pytest.mark.parametrize("name", ["laplace_deriv", "synth_bernstein"])
+def test_a_batch_that_fits_one_block_is_one_kernel_call_per_level(monkeypatch, name):
+    run, kernel = batched(name)
+    levels, kernels = [], []
+    _count_calls(monkeypatch, msr, "_lattice_slice", levels)
+    _count_calls(monkeypatch, _accel, kernel, kernels)
+    lv = run()
+    assert lv.converged
+    # besides the one call on the empty atom list; laplace_deriv refines once
+    on_nodes = [args for args in kernels if args[0].size]
+    assert len(kernels) == len(on_nodes) + 1
+    assert len(on_nodes) == len(levels) == (2 if name == "laplace_deriv" else 1)
+    nodes, _ = msr._lattice_slice(*levels[-1])
+    assert nodes.size * _BATCH.size <= msr._BLOCK
+
+
+@pytest.mark.parametrize("name", ["laplace_deriv", "synth_bernstein"])
+def test_a_batch_over_many_blocks_agrees_with_one_block(monkeypatch, name):
+    run, kernel = batched(name)
+    one = run()
+    kernels = []
+    _count_calls(monkeypatch, _accel, kernel, kernels)
+    monkeypatch.setattr(msr, "_BLOCK", 64)
+    many = run()
+    assert len(kernels) > 10
+    # the blocks' sums are added in another order: equal to rounding
+    assert many.converged == one.converged
+    np.testing.assert_allclose(many.value, one.value, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("t", [np.array([]), [], np.zeros((0, 3))])
+@pytest.mark.parametrize("k", [0, 2])
+def test_an_empty_t_is_a_domain_error(t, k):
+    with pytest.raises(pk.DomainError, match="^transform needs at least one t$"):
+        msr.laplace_deriv(exp_measure(), t, k)
+    with pytest.raises(pk.DomainError, match="^transform needs at least one t$"):
+        msr.laplace(exp_measure(), t)
+
+
+@pytest.mark.parametrize("bad, got", [
+    (math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"), ([1.0, math.nan, -math.inf], "nan"),
+])
+def test_a_transform_names_the_first_t_that_is_not_finite(bad, got):
+    with pytest.raises(pk.DomainError, match=f"^transform needs a finite t, got {got}$"):
+        msr.laplace_deriv(exp_measure(), bad, 1)
+
+
 def lattice_search(env, g_tail, lo, budget):
     """The step-by-step search over the finite lattice points lo + _LATTICE[j]
     from the unit offset up, the reference for the truncation point."""
