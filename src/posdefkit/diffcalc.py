@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, OrderTooHigh
-from .kernelcheck import (FAIL, PASS, PositivityVerdict, _check_points, _decide, _scale,
+from .kernelcheck import (FAIL, PositivityVerdict, _check_points, _decide, _scale,
                           psd_check, resolve_tol)
 
 _EPS = np.finfo(float).eps
@@ -96,9 +96,9 @@ def _difference_scan(f, grid, k_range, deltas, tol, sign):
     d_eff = delta*max(1, |t|), and all orders come from one product with the
     signed binomial rows.  sign=+1 demands the differences be >= -tol*scale
     (complete monotonicity), sign=-1 demands them <= tol*scale (Bernstein
-    derivative device), with scale = max(1, |f(t)|).  Returns (worst
-    normalized value, witness); the witness is None on a PASS, else the
-    first worst (t, d_eff, k) in (t, delta, k) order.
+    derivative device), with scale = max(1, |f(t)|).  Returns (verdict,
+    worst normalized value, witness); the witness is None unless the verdict
+    is FAIL, when it is the first worst (t, d_eff, k) in (t, delta, k) order.
     """
     ks = list(k_range)
     deltas = np.ravel(np.asarray(DEFAULT_DELTAS if deltas is None else deltas, dtype=np.float64))
@@ -123,10 +123,11 @@ def _difference_scan(f, grid, k_range, deltas, tol, sign):
     margins[np.isnan(margins)] = np.inf
     i = int(np.argmin(margins))
     worst = float(margins.flat[i])
-    if _decide(worst, tol) == PASS:
-        return worst, None
+    verdict = _decide(worst, tol)
+    if verdict != FAIL:
+        return verdict, worst, None
     i_t, i_d, i_k = np.unravel_index(i, margins.shape)
-    return worst, (float(t[i_t]), float(d_eff[i_t, i_d]), ks[i_k])
+    return verdict, worst, (float(t[i_t]), float(d_eff[i_t, i_d]), ks[i_k])
 
 
 def _scan_setup(grid, tol, k_max, first):
@@ -149,8 +150,8 @@ def completely_monotone_check(f, grid, k_max=4, deltas=None, tol=None):
     holds the worst difference normalized by max(1, |f(t)|).
     """
     grid, tol, orders = _scan_setup(grid, tol, k_max, 0)
-    worst, witness = _difference_scan(f, grid, orders, deltas, tol, sign=+1.0)
-    return PositivityVerdict(_decide(worst, tol), worst, tol, 1.0,
+    verdict, worst, witness = _difference_scan(f, grid, orders, deltas, tol, sign=+1.0)
+    return PositivityVerdict(verdict, worst, tol, 1.0,
                              None if witness is None else np.array(witness), grid)
 
 
@@ -167,13 +168,13 @@ def bernstein_check(psi, grid, k_max=3, deltas=None, tol=None):
     grid, tol, orders = _scan_setup(grid, tol, k_max, 1)
     vals = np.atleast_1d(psi(grid))
     dip = _dip(grid, tol, vals, (0.0, -1.0))
-    if dip is not None:
+    if not dip.passed:
         return dip
-    worst, witness = _difference_scan(psi, grid, orders, deltas, tol, sign=-1.0)
-    if witness is not None:
+    verdict, worst, witness = _difference_scan(psi, grid, orders, deltas, tol, sign=-1.0)
+    if verdict == FAIL:
         t, d_eff, order = witness
-        return PositivityVerdict(FAIL, worst, tol, 1.0, np.array([t, d_eff, order - 1]), grid)
-    return PositivityVerdict(PASS, min(worst, float(vals.min())), tol, 1.0, None, grid)
+        return PositivityVerdict(verdict, worst, tol, 1.0, np.array([t, d_eff, order - 1]), grid)
+    return PositivityVerdict(verdict, min(worst, float(vals.min())), tol, 1.0, None, grid)
 
 
 def hankel_check(f, c, n, shifted=False, tol=None):
@@ -208,14 +209,13 @@ def hankel_check(f, c, n, shifted=False, tol=None):
 
 
 def _dip(grid, tol, vals, witness=()):
-    """FAIL (value/scale, witness (t, *witness)) at the lowest sample when it is
-    below -tol*scale, scale = max(1, max|vals|); None when none is."""
+    """The verdict on the lowest sample, value/scale with scale = max(1, max|vals|):
+    FAIL below -tol*scale, with witness (t, *witness)."""
     scale = _scale(vals)
     i = int(np.argmin(vals))
-    if _decide(vals[i], tol, scale) == FAIL:
-        return PositivityVerdict(FAIL, float(vals[i]) / scale, tol, scale,
-                                 np.array([float(grid[i]), *witness]), grid)
-    return None
+    verdict = _decide(vals[i], tol, scale)
+    witness = np.array([float(grid[i]), *witness]) if verdict == FAIL else None
+    return PositivityVerdict(verdict, float(vals[i]) / scale, tol, scale, witness, grid)
 
 
 def _sample(f, grid, tol, lo=-math.inf):
@@ -256,5 +256,5 @@ def _convex_decreasing(grid, tol, vals, scale):
         if kinks[j] > worst:
             worst, where = float(kinks[j]), float(grid[j + 1])
     verdict = _decide(-worst, tol)
-    witness = None if verdict == PASS else np.array([where])
+    witness = np.array([where]) if verdict == FAIL else None
     return PositivityVerdict(verdict, -worst, tol, scale, witness, grid)

@@ -2,18 +2,18 @@
 
 Two kernel constructions recur everywhere: the plus kernel ``f((x+y)/2)``
 (positive definiteness in the Laplace-transform sense) and the minus kernel
-``f((x-y)/2)`` (the group sense on symmetric intervals).  Verdicts come from
-the eigenvalues alone (``eigvalsh``); only a FAIL runs ``eigh`` for its
-witness vector and decides again on eigh's eigenvalue, so a FAIL keeps the
+``f((x-y)/2)`` (the group sense on symmetric intervals).  Every PASS or FAIL
+in the package comes from one rule, ``_decide``: PASS when the statistic is
+within ``tol*scale`` of the admissible side (a tie passes), else FAIL.  A
+check decides once and carries that verdict; a witness means FAIL.  Verdicts
+come from the eigenvalues alone (``eigvalsh``); only a FAIL runs ``eigh`` for
+its witness and reports the verdict on eigh's eigenvalue, so a FAIL keeps the
 bits of a full eigendecomposition and a PASS eigenvalue moves by rounding.
-Every PASS or FAIL in the package comes from one rule, ``_decide``: PASS when
-the statistic is within ``tol*scale`` of the admissible side (a tie passes),
-else FAIL; ``psd_check`` and ``cnd_check`` return nothing else.  INCONCLUSIVE
-comes from two places today: ``schoenberg_scan`` on a Gram with non-finite
-entries, and the reflection module's ``boundary_derivative_check``, when its
-Grams' entry bounds (``KernelGram.bounds``, read as ``ReflectionReport.bound``)
-exceed the quadrature tolerance.  Weighing every verdict against those bounds
-is still open.
+INCONCLUSIVE comes from two places today: ``schoenberg_scan`` on a Gram with
+non-finite entries, and the reflection module's ``boundary_derivative_check``,
+when its Grams' entry bounds (``KernelGram.bounds``, read as
+``ReflectionReport.bound``) exceed the quadrature tolerance.  Weighing every
+verdict against those bounds is still open.
 """
 
 import math
@@ -69,9 +69,9 @@ class PositivityVerdict:
     """Outcome of an eigenvalue test.
 
     ``extremal_eig`` is the eigenvalue (or difference statistic) that decides
-    the verdict; ``witness`` is a vector that realizes the violation, or the
-    (t, delta, k) triple for difference-based tests; ``h`` is set by
-    Schoenberg scans to the first failing exponent.
+    the verdict; ``witness``, set on a FAIL only, is a vector that realizes
+    the violation, or the (t, delta, k) triple for difference-based tests;
+    ``h`` is set by Schoenberg scans to the first exponent that does not pass.
     """
 
     verdict: str
@@ -183,17 +183,18 @@ def _decide(stat, tol, scale=1.0, upper=False):
 
 
 def _extremal(M, tol, scale, pick, lam=None):
-    """Values first, vectors on FAIL: eigenvalue ``pick`` of symmetric M (0 smallest, a
-    lower limit; -1 largest, an upper one), as ``lam`` if the caller has it from
-    ``eigvalsh``, with its ``eigh`` eigenvector if that fails too (None on a PASS)."""
+    """Values first, vectors on FAIL: (verdict, value, witness) of eigenvalue ``pick`` of
+    symmetric M (0 smallest, a lower limit; -1 largest, an upper one), or of ``lam`` from
+    ``eigvalsh``; a FAIL is decided again on eigh's, with its eigenvector if it fails too."""
     upper = pick == -1
-    if lam is None:
-        lam = np.linalg.eigvalsh(M)[pick]
-    if _decide(float(lam), tol, scale, upper) == PASS:
-        return float(lam), None
+    lam = float(np.linalg.eigvalsh(M)[pick] if lam is None else lam)
+    verdict = _decide(lam, tol, scale, upper)
+    if verdict != FAIL:
+        return verdict, lam, None
     vals, vecs = np.linalg.eigh(M)
     lam = float(vals[pick])
-    return lam, None if _decide(lam, tol, scale, upper) == PASS else vecs[:, pick].copy()
+    verdict = _decide(lam, tol, scale, upper)
+    return verdict, lam, vecs[:, pick].copy() if verdict == FAIL else None
 
 
 def _scale(M):
@@ -238,8 +239,8 @@ def psd_check(G, tol=None):
     """
     M, pts, tol = _symmetric(G, tol)
     scale = _scale(M)
-    lam_min, w = _extremal(M, tol, scale, 0)
-    return PositivityVerdict(PASS if w is None else FAIL, lam_min, tol, scale, w, pts)
+    verdict, lam_min, w = _extremal(M, tol, scale, 0)
+    return PositivityVerdict(verdict, lam_min, tol, scale, w, pts)
 
 
 def cnd_check(G, tol=None):
@@ -252,23 +253,22 @@ def cnd_check(G, tol=None):
     M, pts, tol = _symmetric(G, tol)
     n = M.shape[0]
     P = np.eye(n) - np.full((n, n), 1.0 / n)
-    C = _symmetrize(P @ M @ P)
     scale = _scale(M)
-    lam_max, w = _extremal(C, tol, scale, -1)
-    if w is None:
-        return PositivityVerdict(PASS, lam_max, tol, scale, None, pts)
-    w = P @ w
-    w /= np.linalg.norm(w)
-    return PositivityVerdict(FAIL, lam_max, tol, scale, w, pts)
+    verdict, lam_max, w = _extremal(_symmetrize(P @ M @ P), tol, scale, -1)
+    if w is not None:
+        w = P @ w
+        w /= np.linalg.norm(w)
+    return PositivityVerdict(verdict, lam_max, tol, scale, w, pts)
 
 
 def schoenberg_scan(gram, hs=None, tol=None):
     """Check that exp(-h*G) is PSD for every h in hs, on a Gram G of psi
     (a KernelGram, or a plain matrix with grid None).
 
-    PASS requires every h to pass; FAIL reports the first failing h and its
-    witness.  Non-finite base entries give INCONCLUSIVE; an overflowing
-    exp(-h*G) raises ``NonFiniteEntry`` unless an earlier h failed.  One
+    PASS requires every h to pass; otherwise the verdict of the first h that
+    does not pass is reported with that h (and, on FAIL, its witness).
+    Non-finite base entries give INCONCLUSIVE; an overflowing exp(-h*G)
+    raises ``NonFiniteEntry`` unless an earlier h did not pass.  One
     ``eigvalsh`` call decides the stack of h before the first overflow.
     ``hs`` (default 2**-k, k = 0..10) must be a nonempty list of finite h > 0.
     """
@@ -291,9 +291,9 @@ def schoenberg_scan(gram, hs=None, tol=None):
     scales = np.max(E[:k], axis=(1, 2), initial=1.0)  # entries are >= 0
     for i in range(k):
         scale = float(scales[i])
-        lams[i], w = _extremal(E[i], tol, scale, 0, lams[i])
-        if w is not None:
-            return PositivityVerdict(FAIL, float(lams[i]), tol, scale, w, pts, h=hs[i])
+        verdict, lam, w = _extremal(E[i], tol, scale, 0, lams[i])
+        if verdict != PASS:
+            return PositivityVerdict(verdict, lam, tol, scale, w, pts, h=hs[i])
     if k < len(hs):
         raise NonFiniteEntry("Gram matrix contains non-finite entries")
     return PositivityVerdict(PASS, min((lams / scales).tolist()), tol, 1.0, None, pts)
@@ -336,8 +336,8 @@ def quotient_space(K, tau_pairing, plus_indices, tol=None):
     gram_tau = _symmetrize(gram_tau)
     vals = np.linalg.eigvalsh(gram_tau)
     scale = _scale(gram_tau)
-    lam, w = _extremal(gram_tau, tol, scale, 0, vals[0])
-    if w is not None:
+    verdict, lam, w = _extremal(gram_tau, tol, scale, 0, vals[0])
+    if verdict == FAIL:
         raise NotReflectionPositive(
             "reflected kernel has a negative direction", witness=w, extremal_eig=lam)
     rank = int(np.sum(vals > tol * scale))

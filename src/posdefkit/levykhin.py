@@ -156,15 +156,13 @@ class BernsteinRep:
         if self.a < 0 or self.b < 0:
             raise InvalidRep("a and b must be nonnegative")
         try:
-            wedge = msr.one_wedge_integral(self.sigma)
+            msr.one_wedge_integral(self.sigma)
         except DivergentIntegral as exc:
             raise InvalidRep(
                 "sigma fails the min(1, lam) integrability condition"
             ) from exc
         except InvalidMeasure as exc:
             raise InvalidRep("sigma must be supported in (0, inf)") from exc
-        if not math.isfinite(wedge):
-            raise InvalidRep("sigma fails the min(1, lam) integrability condition")
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +221,7 @@ def synth_bernstein(rep, t, tol=SYNTH_TOL, full=False):
 
 def synth_reflection_negative(rep, t, tol=SYNTH_TOL, full=False):
     """Even extension a + b|t| + integral (1 - e^{-lam |t|}) dsigma; exactly a at t = 0."""
-    return _bernstein(rep, msr._batch(np.abs(t), "synthesis"), t, tol, full)
+    return _bernstein(rep, np.abs(msr._batch(t, "synthesis")), t, tol, full)
 
 
 # synthesis form -> (the representation form it reads, its synthesizer)

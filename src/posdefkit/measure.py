@@ -323,12 +323,14 @@ def on_half_line(mu):
 
 
 def interpolated(mu):
-    """``mu`` with a trapezoid gridded density switched to ``"gauss-composite"``,
-    so that its integrals take the Kronrod value; others as they are."""
+    """``mu`` with a trapezoid gridded density switched to ``"gauss-composite"``, whose
+    integrals take the Kronrod value, on the same knots and memo; others as they are."""
     dens = mu.density
     if not (isinstance(dens, GriddedDensity) and dens.rule == "trapezoid"):
         return mu
-    return replace(mu, density=GriddedDensity(dens.grid, dens.values, "gauss-composite"))
+    twin = GriddedDensity(dens.grid, dens.values, "gauss-composite")
+    object.__setattr__(twin, "_lattice", dens._lattice)
+    return replace(mu, density=twin)
 
 
 def lambda_weighted(mu):
@@ -730,9 +732,18 @@ def laplace(mu, t, tol=QUAD_TOL):
     return laplace_deriv(mu, t, 0, tol)
 
 
+def _finite_integral(mu, wsum, what, g_head=(1.0, 0.0), tol=QUAD_TOL, breaks=()):
+    """``integrate_against`` of one integrand as a float; a non-finite value
+    raises ``DivergentIntegral`` naming ``what``."""
+    value = float(integrate_against(mu, wsum, g_head, tol=tol, breaks=breaks)[0])
+    if not math.isfinite(value):
+        raise DivergentIntegral(f"{what} overflowed")
+    return value
+
+
 def total_mass(mu, tol=QUAD_TOL):
     """Total mass of the measure; raises ``DivergentIntegral`` when infinite."""
-    return float(integrate_against(mu, lambda x, w: w.sum(0), tol=tol)[0])
+    return _finite_integral(mu, lambda x, w: w.sum(0), "total mass", tol=tol)
 
 
 def tail_mass(mu, T, tol=QUAD_TOL):
@@ -748,8 +759,8 @@ def tail_mass(mu, T, tol=QUAD_TOL):
         # keeps the stub integrable against heads down to (lam - lo)**-4.9
         g_head = ((T - dens.lo) ** -4.0, 4.0)
     # the cuts at +-T stay on panel edges, so no Gauss panel straddles them
-    return float(integrate_against(mu, lambda x, w: w[np.abs(x) > T].sum(0),
-                                   g_head, tol=tol, breaks=(-T, T))[0])
+    return _finite_integral(mu, lambda x, w: w[np.abs(x) > T].sum(0), "tail mass",
+                            g_head, tol, (-T, T))
 
 
 def one_wedge_integral(sigma, tol=QUAD_TOL):
@@ -765,9 +776,8 @@ def one_wedge_integral(sigma, tol=QUAD_TOL):
         raise InvalidMeasure("one-wedge integral needs support in (0, inf)")
     g_head = (1.0, 1.0) if dens is None or dens.lo == 0.0 else (min(1.0, dens.lo + 1.0), 0.0)
     # min(1, lam) kinks at 1; keep that point on a panel edge
-    return float(integrate_against(
-        sigma, lambda x, w: np.minimum(1.0, x) @ w, g_head, tol=tol, breaks=(1.0,)
-    )[0])
+    return _finite_integral(sigma, lambda x, w: np.minimum(1.0, x) @ w, "one-wedge integral",
+                            g_head, tol, (1.0,))
 
 
 # ---------------------------------------------------------------------------

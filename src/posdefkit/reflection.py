@@ -33,11 +33,10 @@ from .kernelcheck import (
     _scale,
     cnd_check,
     combine,
-    gram_minus,
-    gram_plus,
     psd_check,
     resolve_tol,
     schoenberg_scan,
+    window_gram,
 )
 
 _EPS = np.finfo(float).eps
@@ -77,12 +76,11 @@ class ReflectionReport:
             "minus": self.minus_verdict.to_dict(),
             "plus": self.plus_verdict.to_dict(),
         }
-        if self.schoenberg_minus is not None:
-            doc["schoenberg_minus"] = self.schoenberg_minus.to_dict()
-        if self.schoenberg_plus is not None:
-            doc["schoenberg_plus"] = self.schoenberg_plus.to_dict()
-        if self.bernstein_verdict is not None:
-            doc["bernstein"] = self.bernstein_verdict.to_dict()
+        for key, route in (("schoenberg_minus", self.schoenberg_minus),
+                           ("schoenberg_plus", self.schoenberg_plus),
+                           ("bernstein", self.bernstein_verdict)):
+            if route is not None:
+                doc[key] = route.to_dict()
         return doc
 
 
@@ -103,10 +101,13 @@ def _window(a, n, tol, finite=True):
     return a, int(n), resolve_tol(tol, int(n))
 
 
-def _evenness(f, sym_grid, tol):
-    # one evaluation of f on the grid and its mirror image
-    vals, mirror = np.split(np.atleast_1d(f(np.concatenate([sym_grid, -sym_grid]))), 2)
-    return _decide(float(np.abs(vals - mirror).max()), tol, _scale(vals), upper=True) == PASS
+def _even_grids(f, a, n, tol):
+    """The n-point Chebyshev grids of (-a, a) and (0, a), and the verdict on
+    the evenness of f (within tol*scale) on the first: one evaluation of f on
+    that grid and its mirror image."""
+    grids = chebyshev_grid(-a, a, n), chebyshev_grid(0.0, a, n)
+    vals, mirror = np.split(np.atleast_1d(f(np.concatenate([grids[0], -grids[0]]))), 2)
+    return grids, _decide(float(np.abs(vals - mirror).max()), tol, _scale(vals), upper=True)
 
 
 def reflection_positive_check(phi, a, n=12, tol=None):
@@ -116,14 +117,11 @@ def reflection_positive_check(phi, a, n=12, tol=None):
     on a symmetric grid, and the sum kernel on a (0, a) grid.
     """
     a, n, tol = _window(a, n, tol)
-    grid_m = chebyshev_grid(-a, a, n)
-    grid_p = chebyshev_grid(0.0, a, n)
-    symmetric = _evenness(phi, grid_m, tol)
-    gram_m, gram_p = gram_minus(phi, grid_m), gram_plus(phi, grid_p)
-    minus_v, plus_v = psd_check(gram_m, tol), psd_check(gram_p, tol)
-    verdict = combine((minus_v, plus_v)) if symmetric else FAIL
-    bound = float(max(gram_m.bounds.max(), gram_p.bounds.max()))
-    return ReflectionReport(minus_v, plus_v, a, symmetric, verdict, bound=bound)
+    grids, even = _even_grids(phi, a, n, tol)
+    grams = [window_gram(phi, g) for g in grids]
+    minus_v, plus_v = (psd_check(g, tol) for g in grams)
+    return ReflectionReport(minus_v, plus_v, a, even == PASS, combine((even, minus_v, plus_v)),
+                            bound=float(max(g.bounds.max() for g in grams)))
 
 
 def reflection_negative_check(psi, a, n=12, hs=None, tol=None):
@@ -133,33 +131,27 @@ def reflection_negative_check(psi, a, n=12, hs=None, tol=None):
     exp(-h*psi) positive-definiteness scan on both kernels, and for a = inf
     the Bernstein test of psi - psi(0) on (0, horizon).  All routes report
     individually so a FAIL shows which necessary condition broke.  Raises
-    ``NotSymmetric`` when psi is not even within tol*scale.
+    ``NotSymmetric`` when the evenness of psi within tol*scale fails.
     """
     a, n, tol = _window(a, n, tol, finite=False)
-    a_eff = a if math.isfinite(a) else _UNBOUNDED_HORIZON
-    grid_m = chebyshev_grid(-a_eff, a_eff, n)
-    grid_p = chebyshev_grid(0.0, a_eff, n)
-    symmetric = _evenness(psi, grid_m, tol)
-    if not symmetric:
+    grids, even = _even_grids(psi, a if math.isfinite(a) else _UNBOUNDED_HORIZON, n, tol)
+    if even == FAIL:
         raise NotSymmetric("function must be even for the reflection tests")
     # one Gram per kernel feeds both the cnd test and the exp(-h*psi) scan
-    gram_m = gram_minus(psi, grid_m)
-    minus_v = cnd_check(gram_m, tol)
-    gram_p = gram_plus(psi, grid_p)
-    plus_v = cnd_check(gram_p, tol)
-    sch_m = schoenberg_scan(gram_m, hs, tol)
-    sch_p = schoenberg_scan(gram_p, hs, tol)
+    grams = [window_gram(psi, g) for g in grids]
+    minus_v, plus_v = (cnd_check(g, tol) for g in grams)
+    sch_m, sch_p = (schoenberg_scan(g, hs, tol) for g in grams)
     bern_v = None
     if math.isinf(a):
         psi0 = psi(0.0)
         shifted = replace(psi, fn=lambda t: psi.fn(t) - psi0, domain=(0.0, psi.domain[1]),
                           name=(psi.name or "psi") + "_shifted")
-        bern_v = bernstein_check(shifted, grid_p, k_max=3, tol=tol)
-    routes = (minus_v, plus_v, sch_m, sch_p, bern_v)
+        bern_v = bernstein_check(shifted, grids[1], k_max=3, tol=tol)
+    routes = (even, minus_v, plus_v, sch_m, sch_p, bern_v)
     return ReflectionReport(
-        minus_v, plus_v, a, symmetric, combine(v for v in routes if v is not None),
+        minus_v, plus_v, a, even == PASS, combine(v for v in routes if v is not None),
         schoenberg_minus=sch_m, schoenberg_plus=sch_p, bernstein_verdict=bern_v,
-        bound=float(max(gram_m.bounds.max(), gram_p.bounds.max())),
+        bound=float(max(g.bounds.max() for g in grams)),
     )
 
 
@@ -173,7 +165,7 @@ def polya_check(phi, grid, tol=None):
     """
     grid, tol, vals, scale = _sample(phi, grid, tol, lo=0.0)
     dip = _dip(grid, tol, vals)
-    return _convex_decreasing(grid, tol, vals, scale) if dip is None else dip
+    return _convex_decreasing(grid, tol, vals, scale) if dip.passed else dip
 
 
 def extendable_check(psi, a, tol=None):
@@ -190,7 +182,7 @@ def extendable_check(psi, a, tol=None):
     pts = np.concatenate(([0.0], chebyshev_grid(0.0, a, 22), [a]))
     vals = np.atleast_1d(psi(pts))
     scale = _scale(vals)
-    if _dip(pts, tol, vals) is not None:
+    if _dip(pts, tol, vals).verdict == FAIL:
         raise NotConvex("function must be nonnegative on [0, a]")
     slopes = np.diff(vals) / np.diff(pts)
     drop = float(np.max(slopes[:-1] - slopes[1:]))

@@ -211,7 +211,7 @@ def reference_scan(f, grid, k_range, deltas, sign):
 
 
 def assert_scan_matches_reference(f, grid, k_range, deltas, tol, sign):
-    worst, witness = dc._difference_scan(f, grid, k_range, deltas, tol, sign)
+    _, worst, witness = dc._difference_scan(f, grid, k_range, deltas, tol, sign)
     failed = witness is not None  # the witness is None exactly on a PASS
     assert failed == (worst < -tol)
     ref = reference_scan(f, grid, k_range, deltas, sign)

@@ -1,4 +1,5 @@
 """Gram construction and definiteness verdicts on hand-checkable matrices."""
+import json
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import posdefkit as pk
+from posdefkit import cli
 from posdefkit import diffcalc as dc
 from posdefkit import funcs as fns
 from posdefkit import kernelcheck as kc
@@ -466,3 +468,95 @@ def test_a_statistic_at_its_limit_passes_and_one_ulp_beyond_fails(check, limit):
     out = check(beyond)
     assert (out.extremal_eig, out.verdict) == (beyond, kc.FAIL)
     assert out.witness is not None
+
+
+# One verdict channel: a check reports the verdict ``_decide`` returned, and
+# only a FAIL carries a witness.  Each input below fails under the real rule.
+_SQUARE = fns.from_callable(lambda t: np.asarray(t) ** 2, domain=(0.0, math.inf))
+_GRID = fns.chebyshev_grid(0.1, 3.0, 10)
+_WINDOW = fns.chebyshev_grid(0.2, 3.0, 12)
+_FAILING_CHECKS = {
+    "psd_check": lambda: kc.psd_check(kc.window_gram(pk.get("ratio").func, _WINDOW)),
+    "cnd_check": lambda: kc.cnd_check(kc.window_gram(pk.get("cosh").func, _WINDOW)),
+    "schoenberg_scan": lambda: kc.schoenberg_scan(kc.window_gram(pk.get("cosh").func, _WINDOW)),
+    "bernstein_check": lambda: dc.bernstein_check(_SQUARE, _GRID),
+    "hankel_check": lambda: dc.hankel_check(_SQUARE, 1.0, 2),
+    "completely_monotone_check": lambda: dc.completely_monotone_check(_SQUARE, _GRID),
+    "convex_decreasing_check": lambda: dc.convex_decreasing_check(_SQUARE, _GRID),
+    "polya_check": lambda: pk.polya_check(_SQUARE, _GRID),
+    "reflection_positive_check": lambda: pk.reflection_positive_check(pk.get("cosh").func, 1.0),
+    "reflection_negative_check": lambda: pk.reflection_negative_check(
+        pk.get("abs_power", alpha=1.5).func, math.inf),
+}
+
+
+def _routes(v):
+    """A verdict, or every route verdict of a reflection report."""
+    if not hasattr(v, "minus_verdict"):
+        return [v]
+    routes = (v.minus_verdict, v.plus_verdict, v.schoenberg_minus, v.schoenberg_plus,
+              v.bernstein_verdict)
+    return [r for r in routes if r is not None]
+
+
+def _undecide(monkeypatch):
+    """Every module's ``_decide`` binding answers INCONCLUSIVE."""
+    for module in (kc, dc, pk.reflection, lk):
+        monkeypatch.setattr(module, "_decide", lambda *args, **kwargs: kc.INCONCLUSIVE)
+
+
+@pytest.mark.parametrize("name", sorted(_FAILING_CHECKS))
+def test_an_undecided_check_is_inconclusive_without_a_witness(monkeypatch, name):
+    v = _FAILING_CHECKS[name]()
+    assert v.verdict == kc.FAIL and any(r.witness is not None for r in _routes(v))
+    _undecide(monkeypatch)
+    v = _FAILING_CHECKS[name]()
+    assert v.verdict == kc.INCONCLUSIVE
+    assert all(r.verdict == kc.INCONCLUSIVE and r.witness is None for r in _routes(v))
+
+
+def _witnesses(doc):
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from [value] if key == "witness" else _witnesses(value)
+    elif isinstance(doc, list):
+        for value in doc:
+            yield from _witnesses(value)
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-pd", "--function", "catalog:ratio"],
+    ["check-nd", "--function", "catalog:cosh"],
+    ["check-rp", "--function", "catalog:cosh", "--a", "1"],
+    ["check-rn", "--function", "catalog:abs_power", "--alpha", "1.5", "--a", "2", "--points", "6"],
+    ["check-cm", "--function", "catalog:log1p"],
+    ["check-bernstein", "--function", "catalog:cosh"],
+    ["hankel", "--function", "catalog:cosh", "--shifted"],
+    ["polya", "--function", "catalog:cosh"],
+], ids=lambda argv: argv[0])
+def test_an_undecided_subcommand_exits_inconclusive(monkeypatch, capsys, argv):
+    assert cli.main([*argv, "--json"]) == 1
+    assert any(w is not None for w in _witnesses(json.loads(capsys.readouterr().out)))
+    _undecide(monkeypatch)
+    assert cli.main([*argv, "--json"]) == 3
+    witnesses = list(_witnesses(json.loads(capsys.readouterr().out)))
+    assert witnesses and all(w is None for w in witnesses)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    kind=st.sampled_from(["psd", "cnd", "indefinite"]),
+    seed=st.integers(0, 2**32 - 1),
+    tol=st.one_of(st.none(), st.floats(1e-12, 10.0)),
+)
+def test_a_witness_comes_with_a_fail_and_the_verdict_with_its_eigenvalue(n, kind, seed, tol):
+    G = _test_matrix(kind, n, seed)
+    checks = [(kc.psd_check(G, tol), False), (kc.cnd_check(G, tol), True)]
+    with np.errstate(over="ignore"):
+        E = np.exp(-G)
+    if np.isfinite(E).all():
+        checks.append((kc.schoenberg_scan(G, [1.0, 0.25], tol), False))
+    for v, upper in checks:
+        assert (v.witness is not None) == (v.verdict == kc.FAIL)
+        assert v.verdict == kc._decide(v.extremal_eig, v.tol_used, v.scale, upper)

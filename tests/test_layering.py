@@ -13,7 +13,9 @@ only the ``_LATTICE`` table turns a lattice index into an offset: no other
 code there calls ``ldexp`` or ``frexp`` or raises 4 to a power.  There, too,
 only ``_lattice_slice`` builds a mesh of density-weighted nodes, for knot
 cells and lattice panels alike, and only ``GriddedDensity`` names
-``np.interp``, so no second knot mesh can grow beside it.
+``np.interp``, so no second knot mesh can grow beside it.  Only
+``kernelcheck`` calls ``gram_minus`` or ``gram_plus``: every other module
+gets the kernel that fits a window from ``window_gram``.
 """
 import ast
 import pathlib
@@ -117,6 +119,12 @@ def test_only_the_lattice_slice_evaluates_a_density_on_a_mesh():
 def test_only_the_gridded_density_interpolates():
     interp = lambda node: isinstance(node, ast.Attribute) and node.attr == "interp"
     assert set(_around(_tree("measure.py"), interp)) == {"GriddedDensity"}
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SRC.glob("*.py") if p.name != "kernelcheck.py"))
+def test_only_kernelcheck_picks_the_kernel_of_a_window(name):
+    picks = lambda node: _calls("gram_minus")(node) or _calls("gram_plus")(node)
+    assert list(_around(_tree(name), picks)) == []
 
 
 def test_measure_imports_no_module_built_on_it():

@@ -282,6 +282,14 @@ def test_bernstein_rep_requires_integrable_sigma():
         lk.BernsteinRep(a=0.0, b=0.0, sigma=leb)
 
 
+def test_bernstein_rep_rejects_a_sigma_whose_wedge_overflows():
+    # finite atoms whose min(1, lam) integral is not a finite float
+    huge = pk.Measure(atoms=((1.0, 1e308), (2.0, 1e308)))
+    with np.errstate(over="ignore"), pytest.raises(pk.InvalidRep, match="integrability") as info:
+        lk.BernsteinRep(a=0.0, b=0.0, sigma=huge)
+    assert isinstance(info.value.__cause__, pk.DivergentIntegral)
+
+
 def test_bernstein_to_increasing_agrees():
     rep = pk.get("log1p").lk_data
     inc = lk.bernstein_to_increasing(rep)
@@ -517,11 +525,10 @@ def test_an_empty_t_is_a_domain_error(fn, name, t):
 def test_a_t_that_is_not_finite_is_named_before_one_outside_the_window(fn, name, outside,
                                                                        message):
     rep = pk.get(name).lk_data
-    bads = [(math.inf, "inf"), (math.nan, "nan"), ([1.0, outside or 1.0, math.nan], "nan")]
-    if outside is not None:
-        # -inf is outside the window as well, yet the error names it as not finite
-        # (the even form is left out: it checks |t|, so it names -inf as inf)
-        bads.append((-math.inf, "-inf"))
+    # -inf is outside the window of every form that has one, yet the error names
+    # it as not finite; the even form names the t it was given, not |t|
+    bads = [(math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan"),
+            ([1.0, outside or 1.0, math.nan], "nan")]
     for bad, got in bads:
         with pytest.raises(pk.DomainError, match=f"^synthesis needs a finite t, got {got}$"):
             fn(rep, bad)

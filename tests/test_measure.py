@@ -383,6 +383,21 @@ def test_masses():
     assert msr.tail_mass(atoms, 1.0) == 2.0
 
 
+@pytest.mark.parametrize("integral, what", [
+    (msr.total_mass, "total mass"),
+    (lambda mu: msr.tail_mass(mu, 0.5), "tail mass"),
+    (msr.one_wedge_integral, "one-wedge integral"),
+])
+def test_a_mass_that_overflows_is_divergent(integral, what):
+    # two finite atoms whose weights sum past the largest float, as laplace(mu, 0) finds
+    mu = pk.Measure(atoms=((1.0, 1e308), (2.0, 1e308)))
+    with np.errstate(over="ignore"):
+        with pytest.raises(pk.DivergentIntegral, match="^transform overflowed at t = 0$"):
+            msr.laplace(mu, 0.0)
+        with pytest.raises(pk.DivergentIntegral, match=f"^{what} overflowed$"):
+            integral(mu)
+
+
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
 def test_transform_needs_a_finite_t(t):
     # NaN read as a divergent transform
@@ -832,6 +847,22 @@ def test_a_repeat_on_a_gridded_density_evaluates_it_no_more(monkeypatch):
         assert len(calls) == seen
         assert np.array_equal(again.value, first.value)
         assert np.array_equal(again.truncation_bound, first.truncation_bound)
+
+
+def test_the_kronrod_twin_shares_the_knot_memo(monkeypatch):
+    # tail_mass integrates a new "gauss-composite" twin of a trapezoid density
+    # each call: the same interpolant on the same knots, so it reads their memo
+    calls, interp = [], np.interp
+    monkeypatch.setattr(np, "interp", lambda x, **kw: calls.append(np.size(x)) or interp(x, **kw))
+    grid = np.linspace(0.0, 8.0, 201)
+    mu = pk.Measure(density=msr.GriddedDensity(grid, np.exp(-grid)), support=msr.HALF_LINE)
+    evaluated, masses = [], []
+    for _ in range(3):
+        calls.clear()
+        masses.append(msr.tail_mass(mu, 2.0))
+        evaluated.append(sum(calls))
+    assert evaluated[0] > 0 and evaluated[1:] == [0, 0]
+    assert masses[0] == masses[1] == masses[2]
 
 
 @pytest.mark.parametrize("kwargs", [
