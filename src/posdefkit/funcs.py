@@ -115,11 +115,12 @@ def quadrature_handle(evaluate, domain, name, d_max=0):
 
 
 def _grid_size(lo, hi, n):
-    """n as an int, once n is in 1..64 and (lo, hi) is a finite nonempty window."""
+    """n as an int, once n is in 1..64 and (lo, hi) is a nonempty window of
+    finite ends and finite width hi - lo."""
     n = int(n)
     if n < 1 or n > 64:
         raise ValueError("grid size must be in 1..64")
-    if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
+    if not (math.isfinite(float(hi) - float(lo)) and hi > lo):
         raise ValueError("grid interval must be finite and nonempty")
     return n
 

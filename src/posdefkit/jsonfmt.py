@@ -1,6 +1,7 @@
 """The one JSON writer: floats carry 17 significant digits, non-finite floats
 use the spellings the stdlib parser reads back (``Infinity``, ``NaN``).
-``required`` and ``number`` are the readers' rules for a missing key and a non-number."""
+``required``, ``number`` and ``pair`` are the readers' rules for a missing key, a
+non-number and a pair of numbers."""
 
 import json
 import math
@@ -47,3 +48,11 @@ def number(doc, key, error):
         return float(value)
     except (TypeError, ValueError):
         raise error(f"JSON key {key!r} needs a number, got {value!r}") from None
+
+
+def pair(value, what, error):
+    """(float, float) of a parsed JSON list of exactly two entries, each read by
+    ``number``; any other value raises ``error``."""
+    if not (isinstance(value, list) and len(value) == 2):
+        raise error(f"JSON {what} needs a list of two numbers, got {value!r}")
+    return number(value, 0, error), number(value, 1, error)

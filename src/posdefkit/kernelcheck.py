@@ -150,12 +150,12 @@ def gram_minus(f, points):
 def window_gram(f, points):
     """Gram of the kernel that fits the window of the points.
 
-    Points reaching below 0 get the difference kernel (``gram_minus``, the
-    group sense on symmetric windows), half-line points the sum kernel
-    (``gram_plus``, the transform sense); ``kind`` records which.
+    Points reaching below 0 get the difference kernel (``gram_minus``, the group sense on
+    symmetric windows), others the sum kernel (``gram_plus``, the transform sense; {0} gets
+    f(0) from either); ``kind`` records which, and that builder alone validates the points.
     """
-    pts = _check_points(points)
-    return gram_minus(f, pts) if pts[0] < 0 else gram_plus(f, pts)
+    below = np.min(np.asarray(points, dtype=np.float64), initial=0.0) < 0
+    return (gram_minus if below else gram_plus)(f, points)
 
 
 def gram_custom(k2, points):

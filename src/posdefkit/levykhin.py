@@ -38,7 +38,7 @@ from .errors import (
     NotNegativeDefinite,
 )
 from .funcs import FuncHandle, quadrature_handle
-from .jsonfmt import number, render, required
+from .jsonfmt import number, pair, render, required
 from .kernelcheck import FAIL, _decide, resolve_tol
 
 # default quadrature tolerance of every synthesis, and sign tolerance of the fits
@@ -441,7 +441,7 @@ def bernstein_to_increasing(rep, tol=SYNTH_TOL):
 
 _REPS = {cls.form: cls for cls in (LKIntervalRep, LKIncreasingRep, BernsteinRep)}
 # (to JSON, from JSON) of the ``json_fields`` that are not floats
-_CODECS = {"interval": (list, lambda v: v),
+_CODECS = {"interval": (list, lambda v: pair(v, "interval", InvalidRep)),
            "mu": (msr.measure_doc, msr.measure_from_doc),
            "sigma": (msr.measure_doc, msr.measure_from_doc)}
 

@@ -58,7 +58,7 @@ import numpy as np
 
 from . import _accel
 from .errors import DivergentIntegral, DomainError, InvalidMeasure, UnknownName
-from .jsonfmt import number, render, required
+from .jsonfmt import number, pair, render, required
 from .kernelcheck import _scale, resolve_tol
 
 # QUADPACK's G10/K21 pair (Piessens et al., 1983) to 20 digits, from a 50-digit
@@ -266,8 +266,8 @@ class Measure:
 
     def __post_init__(self):
         cleaned = []
-        for pair in self.atoms:
-            lam, w = float(pair[0]), float(pair[1])
+        for atom in self.atoms:
+            lam, w = float(atom[0]), float(atom[1])
             if not (math.isfinite(lam) and math.isfinite(w)):
                 raise InvalidMeasure("atom locations and weights must be finite")
             if w < 0:
@@ -831,7 +831,8 @@ def measure_from_doc(doc):
                                  required(dens_doc, "values", InvalidMeasure),
                                  dens_doc.get("rule", "trapezoid"))
     support = doc.get("support")
-    return Measure(atoms, density, (-math.inf, math.inf) if support is None else support)
+    return Measure(atoms, density, (-math.inf, math.inf) if support is None
+                   else pair(support, "support", InvalidMeasure))
 
 
 def measure_to_json(mu):

@@ -5,8 +5,9 @@ kernel phi((t-s)/2) on (-a, a) and the sum kernel phi((t+s)/2) on (0, a)
 build PSD Grams; the negative-definite analogue swaps psd_check for
 cnd_check and is cross-checked through exp(-h*psi) sampling and, on the
 whole line, through the Bernstein property of psi restricted to (0, inf).
-Verdicts are grid decisions: PASS means no violation was found at this grid
-and tolerance, nothing stronger.
+The (-a, a) window is mirrored bit for bit, so evenness is decided from one
+evaluation of phi on it.  Verdicts are grid decisions: PASS means no
+violation was found at this grid and tolerance, nothing stronger.
 """
 
 import math
@@ -102,12 +103,13 @@ def _window(a, n, tol, finite=True):
 
 
 def _even_grids(f, a, n, tol):
-    """The n-point Chebyshev grids of (-a, a) and (0, a), and the verdict on
-    the evenness of f (within tol*scale) on the first: one evaluation of f on
-    that grid and its mirror image."""
-    grids = chebyshev_grid(-a, a, n), chebyshev_grid(0.0, a, n)
-    vals, mirror = np.split(np.atleast_1d(f(np.concatenate([grids[0], -grids[0]]))), 2)
-    return grids, _decide(float(np.abs(vals - mirror).max()), tol, _scale(vals), upper=True)
+    """The n-point Chebyshev windows of (-a, a), mirrored as w = (x - x[::-1])/2 so that
+    -w[::-1] == w bit for bit (0.0 in the middle at odd n), and of (0, a); and the
+    evenness verdict (within tol*scale) from one evaluation of f on w, vals vs vals[::-1]."""
+    x = chebyshev_grid(-a, a, n)
+    grids = 0.5 * (x - x[::-1]), chebyshev_grid(0.0, a, n)
+    vals = np.atleast_1d(f(grids[0]))
+    return grids, _decide(float(np.abs(vals - vals[::-1]).max()), tol, _scale(vals), upper=True)
 
 
 def reflection_positive_check(phi, a, n=12, tol=None):

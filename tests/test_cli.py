@@ -473,6 +473,8 @@ _BAD_MEASURES = {
     "support_one_entry": {"atoms": [_ATOM], "support": [0]},
     "support_reversed": {"atoms": [_ATOM], "support": [1, 0]},
     "support_letter": {"atoms": [_ATOM], "support": "x"},
+    "support_digits": {"atoms": [_ATOM], "support": "05"},
+    "support_object": {"atoms": [_ATOM], "support": {"0": 1, "5": 2}},
     "atom_outside_support": {"atoms": [_ATOM], "support": [2, 3]},
     "atoms_not_a_list": {"atoms": _ATOM},
     "grid_values_lengths": {"density": {"grid": [0, 1, 2], "values": [1, 0]}},
@@ -510,3 +512,28 @@ def test_malformed_representation_interval_is_input_error(capsys, tmp_path, inte
     code, out = run(capsys, "synth", "--rep", str(path), "--t", "0.5", "--json")
     assert code == 2
     assert list(json.loads(out)) == ["error"]
+
+
+@pytest.mark.parametrize("interval", ["05", {"0": 1, "5": 2}], ids=["digits", "object"])
+def test_representation_interval_that_is_not_a_list_is_input_error(capsys, tmp_path, interval):
+    # read by character or by key, either would pass for the window (0, 5)
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps({"form": "interval", "t0": 1.0, "c": 0.0, "d": 0.0,
+                                "interval": interval, "mu": {"atoms": [_ATOM]}}))
+    code, out = run(capsys, "synth", "--rep", str(path), "--t", "0.5", "--json")
+    assert code == 2
+    assert "list of two numbers" in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-rp", "--function", "catalog:green", "--a", "1e308"],
+    ["check-pd", "--function", "catalog:exp_decay", "--interval=-1e308,1e308"],
+    ["check-pd", "--function", "catalog:exp_decay", "--interval=-1e308,1e308",
+     "--grid-kind", "uniform"],
+], ids=["reflection", "cheb", "uniform"])
+def test_a_window_whose_width_overflows_is_a_grid_error(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, doc, _ = run_json(capsys, *argv)
+    assert code == 2
+    assert doc == {"error": "grid interval must be finite and nonempty"}

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,17 @@ def test_uniform_grid():
 def test_grids_reject_an_empty_or_infinite_window(grid, lo, hi):
     with pytest.raises(ValueError, match="grid interval must be finite and nonempty"):
         grid(lo, hi, 5)
+
+
+@pytest.mark.parametrize("grid", [fns.chebyshev_grid, fns.uniform_grid])
+@pytest.mark.parametrize("lo, hi", [(-1e308, 1e308), (np.float64(-1e308), np.float64(1e308))],
+                         ids=["float", "numpy"])
+def test_grids_reject_a_window_whose_width_overflows(grid, lo, hi):
+    # both ends are finite but hi - lo is not: a grid error, with no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="grid interval must be finite and nonempty"):
+            grid(lo, hi, 3)
 
 
 def test_handle_calls_and_domain():

@@ -106,6 +106,25 @@ def test_window_gram_picks_kernel_by_sign():
     np.testing.assert_array_equal(half.entries, kc.gram_plus(f, [0.0, 0.5, 2.0]).entries)
 
 
+@pytest.mark.parametrize("points", [[2.0, -1.0, 0.5], [0.0, 2.0, 0.5]], ids=["minus", "plus"])
+def test_window_gram_validates_its_points_once(monkeypatch, points):
+    seen = []
+    check = kc._check_points
+    monkeypatch.setattr(kc, "_check_points", lambda p, sort=True: seen.append(p) or check(p, sort))
+    G = kc.window_gram(lambda t: np.exp(-np.abs(t)), points)
+    assert len(seen) == 1
+    np.testing.assert_array_equal(G.points, np.sort(points))
+
+
+@pytest.mark.parametrize("points, error", [
+    ([], ValueError), ([[-1.0, 1.0]], ValueError), ([-1.0, -1.0], ValueError),
+    ([-1.0, math.nan], pk.NonFiniteEntry), ([math.nan, 1.0], pk.NonFiniteEntry),
+], ids=["empty", "2d", "repeated", "nan_minus", "nan_plus"])
+def test_window_gram_rejects_what_its_builders_reject(points, error):
+    with pytest.raises(error):
+        kc.window_gram(lambda t: np.exp(-np.abs(t)), points)
+
+
 def test_gram_custom():
     pts = np.array([0.5, 1.0, 2.0])
     G = kc.gram_custom(lambda x, y: np.minimum(x, y), pts)

@@ -389,11 +389,15 @@ def test_rep_json_roundtrip(name):
 
 
 def test_rep_from_json_rejects_garbage():
-    # an unknown or unhashable form, and scalars that are not numbers
+    # an unknown or unhashable form, scalars that are not numbers, and intervals
+    # that are not lists of two numbers ("05" and {"0": 1, "5": 2} iterate as 0, 5)
+    interval = {"form": "interval", "t0": 1.0, "c": 0.0, "d": 0.0, "mu": {"atoms": []}}
     for doc in ({"form": "nonsense"}, {"form": ["x"]},
                 {"form": "bernstein", "a": "x", "b": 0.0, "sigma": {"atoms": []}},
                 {"form": "bernstein", "a": None, "b": 0.0, "sigma": {"atoms": []}},
-                {"form": "increasing", "c": [1], "mu": {"atoms": []}}):
+                {"form": "increasing", "c": [1], "mu": {"atoms": []}},
+                {**interval, "interval": "05"}, {**interval, "interval": {"0": 1, "5": 2}},
+                {**interval, "interval": [0, 5, 9]}, {**interval, "interval": [0, "x"]}):
         with pytest.raises(pk.InvalidRep):
             lk.rep_from_json(json.dumps(doc))
 

@@ -592,11 +592,21 @@ def test_a_nan_grid_point_is_named_as_not_finite():
     {"density": {"grid": [0, "x"], "values": [1, 1]}},
     {"atoms": [{"lambda": None, "weight": 1.0}]},
     {"atoms": [{"lambda": "x", "weight": 1.0}]},
+    # a support that is not a list of two numbers, though "05" and {"0": 1, "5": 2} iterate as 0, 5
+    {"atoms": [{"lambda": 1.0, "weight": 1.0}], "support": "05"},
+    {"atoms": [{"lambda": 1.0, "weight": 1.0}], "support": {"0": 1, "5": 2}},
+    {"atoms": [{"lambda": 1.0, "weight": 1.0}], "support": [0, 5, 9]},
 ], ids=["density_string", "density_list", "params_list", "catalog_list", "param_null",
-        "grid_letter", "lambda_null", "lambda_letter"])
+        "grid_letter", "lambda_null", "lambda_letter", "support_digits", "support_object",
+        "support_three"])
 def test_malformed_measure_doc_raises_invalid_measure(doc):
     with pytest.raises(pk.InvalidMeasure):
         msr.measure_from_doc(doc)
+
+
+
+def test_a_measure_doc_without_support_lies_on_the_line():
+    assert msr.measure_from_doc({"atoms": []}).support == (-math.inf, math.inf)
 
 
 def test_a_gridded_density_is_integrated_as_the_function_density_it_is(monkeypatch):

@@ -269,3 +269,81 @@ def test_report_serialization():
     assert d["minus"]["verdict"] == "PASS"
     assert d["plus"]["verdict"] == "PASS"
     assert d["a"] == 1.0
+
+
+# the (-a, a) window: one mirrored grid, sampled once
+
+@pytest.mark.parametrize("a", [1e-3, 0.5, 1.0, 2.5, 1e3])
+def test_the_minus_window_is_mirrored_bit_for_bit(a):
+    f = pk.get("green", lam=1.0).func
+    for n in range(1, 65):
+        grid = rf.reflection_positive_check(f, a, n=n).minus_verdict.grid
+        assert grid.shape == (n,)
+        assert np.array_equal(-grid[::-1], grid), n
+        if n % 2:
+            assert grid[n // 2] == 0.0, n
+
+
+def test_a_one_point_window_is_the_point_zero():
+    # a lone point at 0 gives f(0) on either kernel: 1 for exp_decay, 0 for |t|^(1/2)
+    one = rf.reflection_positive_check(pk.get("exp_decay").func, 1.0, n=1)
+    assert one.minus_verdict.extremal_eig == 1.0
+    root = rf.reflection_positive_check(pk.get("abs_power", alpha=0.5).func, 1.0, n=1)
+    assert root.minus_verdict.extremal_eig == 0.0
+
+
+def _recording(fn):
+    shapes = []
+
+    def f(t):
+        shapes.append(np.shape(t))
+        return fn(t)
+
+    return fns.from_callable(f), shapes
+
+
+def test_evenness_is_decided_from_one_call_on_the_n_window_points():
+    f, shapes = _recording(lambda t: np.exp(-np.abs(t)))
+    rep = rf.reflection_positive_check(f, 1.0, n=9)
+    assert rep.symmetric
+    # the evenness call, then one call per Gram
+    assert shapes == [(9,), (9, 9), (9, 9)]
+
+
+# verdicts the window does not move
+
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.0, 4.0])
+def test_green_passes_on_every_window(a):
+    assert rf.reflection_positive_check(pk.get("green", lam=1.0).func, a).verdict == "PASS"
+
+
+def test_thermal_green_passes_at_half_beta_and_fails_past_it():
+    f = pk.get("thermal_green", lam=1.0, beta=2.0).func
+    assert rf.reflection_positive_check(f, 1.0).verdict == "PASS"
+    far = rf.reflection_positive_check(f, 4.0)
+    assert far.verdict == "FAIL"
+    assert far.minus_verdict.verdict == "FAIL"
+    assert far.minus_verdict.witness is not None
+
+
+def test_square_root_is_reflection_negative():
+    assert rf.reflection_negative_check(pk.get("abs_power", alpha=0.5).func, 1.0).verdict == "PASS"
+
+
+def test_power_three_halves_is_refuted_on_the_line_with_a_witness():
+    rep = rf.reflection_negative_check(pk.get("abs_power", alpha=1.5).func, math.inf)
+    assert rep.verdict == "FAIL"
+    assert rep.plus_verdict.verdict == "FAIL"
+    assert rep.plus_verdict.witness is not None
+
+
+def test_cos_plus_a_little_cosh_is_not_reflection_positive():
+    f = fns.from_callable(lambda t: np.cos(3.0 * t) + 0.2 * np.cosh(t))
+    assert rf.reflection_positive_check(f, 1.0).verdict == "FAIL"
+
+
+def test_an_odd_function_raises_not_symmetric_after_one_call():
+    f, shapes = _recording(np.sin)
+    with pytest.raises(pk.NotSymmetric):
+        rf.reflection_negative_check(f, 1.0)
+    assert len(shapes) == 1
